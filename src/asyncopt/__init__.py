@@ -8,11 +8,9 @@ statistics, and a small benchmark harness.
 """
 
 from .vectors import (
-    SparseVector,
     Hyperedge,
     ProblemConstants,
     LinfBall,
-    sparse_axpy,
     sq_distance,
 )
 from .hypergraph import (

@@ -13,15 +13,21 @@ snapshot gradients.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import platform
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import SyntheticSpec, gen_synthetic, parse_edge_list, parse_libsvm
-from .engine import measure_speedup, run_ascd, run_hogwild, run_kromagnon
+from .engine import (
+    SPARSE_INCONSISTENT,
+    measure_speedup,
+    run_ascd,
+    run_hogwild,
+    run_kromagnon,
+    time_to_progress,
+)
 from .hypergraph import conflict_stats, intersection_probability_bound, tau_bound_comparison
 from .objectives import (
     least_squares_objective,
@@ -29,14 +35,17 @@ from .objectives import (
     vertex_cover_objective,
 )
 from .serial import (
+    EPOCHAL_ALGOS,
+    THEOREM_RULE,
     SolverConfig,
+    resolve_config,
     run_scd,
     run_sgm,
     run_svrg_dense,
     run_svrg_sparse,
 )
 
-__all__ = ["BenchPlan", "build_objective", "default_gamma", "run_plan", "summarize"]
+__all__ = ["BenchPlan", "build_objective", "run_plan", "summarize"]
 
 SERIAL_ALGOS = ("sgm", "scd", "svrg_dense", "svrg_sparse")
 ASYNC_ALGOS = ("hogwild", "ascd", "kromagnon")
@@ -89,52 +98,45 @@ def build_objective(plan: BenchPlan):
     return least_squares_objective(data)
 
 
-def default_gamma(algo, constants, eps=1e-2, theta=1.0):
-    """Theorem-derived step size for each algorithm (labeled in manifests)."""
-    c = constants
-    if algo in ("sgm", "hogwild"):
-        return eps * c.m / (2.0 * c.M**2), "hogwild_theorem1"
-    if algo in ("scd", "ascd"):
-        return theta / (6.0 * c.d * c.L * c.kappa), "scd_theorem2"
-    return 1.0 / (4.0 * c.L * c.kappa), "svrg_theorem3"
+def run_solver(obj, algo, cfg, workers=1, mode=SPARSE_INCONSISTENT):
+    """Run one solver from x0 = 0 with f traced.
 
-
-def _run_one(obj, algo, workers, seed, gamma, S, E, snapshot_interval):
-    epochal = algo in ("svrg_dense", "svrg_sparse", "kromagnon")
-    if epochal:
-        cfg = SolverConfig(
-            gamma=gamma, epoch_size=S, epochs=E, seed=seed,
-            snapshot_interval=snapshot_interval,
-        )
-    else:
-        cfg = SolverConfig(gamma=gamma, total_iters=S * E, seed=seed, log_every=S)
+    Returns (RunResult, OverlapReport), the report None for serial solvers.
+    """
     x0 = np.zeros(obj.d)
-    if algo == "sgm":
-        return run_sgm(obj, cfg, x0, track_f=True)
-    if algo == "scd":
-        return run_scd(obj, cfg, x0, track_f=True)
-    if algo == "svrg_dense":
-        return run_svrg_dense(obj, cfg, x0, track_f=True)
+    if algo == "kromagnon":
+        return run_kromagnon(obj, None, cfg, x0, workers, mode, track_f=True, log_updates=False)
+    if algo in ASYNC_ALGOS:
+        run = run_hogwild if algo == "hogwild" else run_ascd
+        return run(obj, cfg, x0, workers, mode, track_f=True, log_updates=False)
     if algo == "svrg_sparse":
-        return run_svrg_sparse(obj, None, cfg, x0, track_f=True)
-    if algo == "hogwild":
-        res, _ = run_hogwild(obj, cfg, x0, workers=workers, track_f=True, log_updates=False)
-        return res
-    if algo == "ascd":
-        res, _ = run_ascd(obj, cfg, x0, workers=workers, track_f=True, log_updates=False)
-        return res
-    res, _ = run_kromagnon(
-        obj, None, cfg, x0, workers=workers, track_f=True, log_updates=False
-    )
-    return res
+        return run_svrg_sparse(obj, None, cfg, x0, track_f=True), None
+    run = {"sgm": run_sgm, "scd": run_scd, "svrg_dense": run_svrg_dense}[algo]
+    return run(obj, cfg, x0, track_f=True), None
 
 
 def _with_origin(run, f0):
-    """Prepend the t=0 point so normalization and targets see the start."""
-    wall = np.concatenate([[0.0], run.trace_wall])
-    f = np.concatenate([[f0], run.trace_f])
-    it = np.concatenate([[0], run.trace_iter])
-    return it, wall, f
+    """The run with the t=0 point prepended, so normalization and targets see the start."""
+    return replace(
+        run, trace_iter=np.concatenate([[0], run.trace_iter]),
+        trace_wall=np.concatenate([[0.0], run.trace_wall]),
+        trace_f=np.concatenate([[f0], run.trace_f]),
+    )
+
+
+def conflict_summary(obj) -> dict:
+    """Conflict-graph statistics of every term and the staleness budgets they imply."""
+    st = conflict_stats([obj.term_support(i) for i in range(obj.n)], obj.d)
+    this_tau, prior_tau = tau_bound_comparison(st, obj.n)
+    return {
+        "avg_conflict_degree": st.avg_conflict_degree,
+        "max_conflict_degree": st.max_conflict_degree,
+        "max_left_degree": st.max_left_degree,
+        "max_right_degree": st.max_right_degree,
+        "intersection_prob_bound": intersection_probability_bound(st, obj.n),
+        "tau_budget_avg_degree": this_tau,
+        "tau_budget_bipartite": prior_tau,
+    }
 
 
 def _stats_block(obj, budget):
@@ -143,19 +145,8 @@ def _stats_block(obj, budget):
     lines = [f"stats_cost={cost}"]
     if cost > budget:
         lines.append("conflict_stats=skipped (cost above budget)")
-        return "\n".join(lines)
-    edges = [obj.term_support(i) for i in range(obj.n)]
-    st = conflict_stats(edges, obj.d)
-    this_tau, prior_tau = tau_bound_comparison(st, obj.n)
-    lines += [
-        f"avg_conflict_degree={st.avg_conflict_degree}",
-        f"max_conflict_degree={st.max_conflict_degree}",
-        f"max_left_degree={st.max_left_degree}",
-        f"max_right_degree={st.max_right_degree}",
-        f"intersection_prob_bound={intersection_probability_bound(st, obj.n)}",
-        f"tau_budget_avg_degree={this_tau}",
-        f"tau_budget_bipartite={prior_tau}",
-    ]
+    else:
+        lines += [f"{k}={v}" for k, v in conflict_summary(obj).items()]
     return "\n".join(lines)
 
 
@@ -174,14 +165,18 @@ def run_plan(plan: BenchPlan) -> str:
     diverged = []
     for algo in plan.algorithms:
         worker_list = plan.workers if algo in ASYNC_ALGOS else (1,)
-        if plan.gamma is not None:
-            gamma, rule = plan.gamma, "explicit"
+        rule = "explicit" if plan.gamma is not None else THEOREM_RULE[algo]
+        step = dict(gamma=plan.gamma, step_rule=rule, eps=plan.eps)
+        if algo in EPOCHAL_ALGOS:
+            cfg = SolverConfig(epoch_size=S, epochs=E,
+                               snapshot_interval=plan.snapshot_interval, **step)
         else:
-            gamma, rule = default_gamma(algo, c, eps=plan.eps)
-        gammas[algo] = (gamma, rule)
+            cfg = SolverConfig(total_iters=S * E, log_every=S, **step)
+        cfg = resolve_config(cfg, obj, algo)
+        gammas[algo] = (cfg.gamma, rule)
         for w in worker_list:
             for seed in plan.seeds:
-                run = _run_one(obj, algo, w, seed, gamma, S, E, plan.snapshot_interval)
+                run, _ = run_solver(obj, algo, replace(cfg, seed=seed), w)
                 key = (algo, w, seed)
                 results[key] = run
                 if run.diverged:
@@ -197,13 +192,13 @@ def run_plan(plan: BenchPlan) -> str:
     denom = (f0 - fmin) if f0 != fmin else 1.0
 
     for (algo, w, seed), run in results.items():
-        it, wall, f = _with_origin(run, f0)
-        fnorm = (f - fmin) / denom
+        run = _with_origin(run, f0)
+        fnorm = (run.trace_f - fmin) / denom
         path = os.path.join(runs_dir, f"{algo}_w{w}_s{seed}.csv")
         with open(path, "w", newline="") as fh:
             wcsv = csv.writer(fh)
             wcsv.writerow(["iter", "wall_s", "f", "f_normalized"])
-            for row in zip(it, wall, f, fnorm):
+            for row in zip(run.trace_iter, run.trace_wall, run.trace_f, fnorm):
                 wcsv.writerow(row)
 
     # speedup tables (per algorithm, per seed, at both targets)
@@ -220,13 +215,8 @@ def run_plan(plan: BenchPlan) -> str:
                 grid = {}
                 for w in plan.workers:
                     run = results.get((algo, w, seed))
-                    if run is None or run.diverged:
-                        continue
-                    it, wall, f = _with_origin(run, f0)
-                    grid[w] = type(run)(
-                        x=run.x, iters=run.iters, gamma=run.gamma, seed=seed,
-                        trace_iter=it, trace_a=None, trace_f=f, trace_wall=wall,
-                    )
+                    if run is not None and not run.diverged:
+                        grid[w] = _with_origin(run, f0)
                 if 1 not in grid:
                     continue
                 t999 = measure_speedup(grid, 0.999)
@@ -276,14 +266,15 @@ def run_plan(plan: BenchPlan) -> str:
     return plan.outdir
 
 
-def _read_manifest(path):
+def read_key_values(path):
+    """A flat key=value file (a manifest or a plan); blank and # lines are skipped."""
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if line and "=" in line:
+            if line and not line.startswith("#") and "=" in line:
                 k, v = line.split("=", 1)
-                out[k] = v
+                out[k.strip()] = v.strip()
     return out
 
 
@@ -294,15 +285,6 @@ def _read_run_csv(path):
     f = np.array([float(r["f"]) for r in rows])
     fn = np.array([float(r["f_normalized"]) for r in rows])
     return wall, f, fn
-
-
-def _time_to(wall, fnorm, target_fraction):
-    best = np.minimum.accumulate(fnorm)
-    f0 = fnorm[0]
-    fmin = best[-1]
-    target = fmin + (1.0 - target_fraction) * (f0 - fmin)
-    hit = np.flatnonzero(best <= target + 1e-15)
-    return float(wall[hit[0]]) if hit.size else None
 
 
 def summarize(outdir, write_csv=True):
@@ -316,7 +298,6 @@ def summarize(outdir, write_csv=True):
     if not os.path.exists(manifest_path):
         warnings.append("manifest.txt missing")
     rows = []
-    per_run = {}
     for name in sorted(os.listdir(runs_dir)):
         if not name.endswith(".csv"):
             continue
@@ -325,21 +306,17 @@ def summarize(outdir, write_csv=True):
         w = int(wtag[1:])
         seed = int(stag[1:])
         wall, f, fn = _read_run_csv(os.path.join(runs_dir, name))
-        per_run[(algo, w, seed)] = (wall, f, fn)
         rows.append({
             "algo": algo, "workers": w, "seed": seed,
             "best_normalized": float(fn.min()),
-            "time_999": _time_to(wall, fn, 0.999),
+            "time_999": time_to_progress(wall, fn, 0.999),
             "wall_total": float(wall[-1]),
         })
     # speedups relative to the 1-worker run of the same algo/seed
+    times = {(r["algo"], r["workers"], r["seed"]): r["time_999"] for r in rows}
     for row in rows:
-        base = per_run.get((row["algo"], 1, row["seed"]))
-        if base is not None and row["time_999"]:
-            b = _time_to(base[0], base[2], 0.999)
-            row["speedup_999"] = (b / row["time_999"]) if b and row["time_999"] else None
-        else:
-            row["speedup_999"] = None
+        base, t = times.get((row["algo"], 1, row["seed"])), row["time_999"]
+        row["speedup_999"] = base / t if base and t else None
     # headline comparison: kromagnon vs dense SVRG time-to-99.9%
     ratio = None
     k1 = [(r["time_999"]) for r in rows if r["algo"] == "kromagnon" and r["workers"] == 1]

@@ -3,26 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-import numpy as np
-
-from .bench import BenchPlan, build_objective, default_gamma, run_plan, summarize
+from .bench import (
+    BenchPlan,
+    build_objective,
+    conflict_summary,
+    read_key_values,
+    run_plan,
+    run_solver,
+    summarize,
+)
 from .data import SyntheticSpec
-from .engine import run_ascd, run_hogwild, run_kromagnon
-from .hypergraph import (
-    conflict_stats,
-    intersection_probability_bound,
-    tau_bound_comparison,
-)
-from .serial import (
-    SolverConfig,
-    run_scd,
-    run_sgm,
-    run_svrg_dense,
-    run_svrg_sparse,
-    trace_to_csv,
-)
+from .engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT
+from .serial import EPOCHAL_ALGOS, THEOREM_RULE, SolverConfig, resolve_config, trace_to_csv
 from .vectors import LinfBall
 
 
@@ -38,77 +33,57 @@ def _add_data_args(p):
     p.add_argument("--beta", type=float, default=1.0)
 
 
-def _plan_from_args(args, **overrides):
+def _synthetic_spec(shape, problem, seed):
+    n, d, nnz = (int(t) for t in shape.split(","))
+    model = "logistic" if problem == "logreg" else "linear"
+    return SyntheticSpec(n=n, d=d, nnz=nnz, label_model=model, seed=seed)
+
+
+def _plan_from_args(args):
     synthetic = None
     if args.synthetic:
-        n, d, nnz = (int(t) for t in args.synthetic.split(","))
-        model = "logistic" if args.problem == "logreg" else "linear"
-        synthetic = SyntheticSpec(
-            n=n, d=d, nnz=nnz, label_model=model, seed=args.synthetic_seed
-        )
+        synthetic = _synthetic_spec(args.synthetic, args.problem, args.synthetic_seed)
     return BenchPlan(
         problem=args.problem, dataset=args.data, synthetic=synthetic,
-        l2_reg=args.l2_reg, beta=args.beta, **overrides,
+        l2_reg=args.l2_reg, beta=args.beta,
     )
 
 
 def cmd_stats(args):
     plan = _plan_from_args(args)
     obj = build_objective(plan)
-    edges = [obj.term_support(i) for i in range(obj.n)]
-    st = conflict_stats(edges, obj.d)
-    this_tau, prior_tau = tau_bound_comparison(st, obj.n)
+    st = conflict_summary(obj)
     print(f"terms (n):              {obj.n}")
     print(f"coordinates (d):        {obj.d}")
-    print(f"avg conflict degree:    {st.avg_conflict_degree:.4f}")
-    print(f"max conflict degree:    {st.max_conflict_degree}")
-    print(f"max left degree:        {st.max_left_degree}")
-    print(f"max right degree:       {st.max_right_degree}")
-    print(f"intersection P bound:   {intersection_probability_bound(st, obj.n):.6f}")
-    print(f"tau budget (avg deg):   {this_tau:.4f}")
-    print(f"tau budget (bipartite): {prior_tau:.4f}")
+    print(f"avg conflict degree:    {st['avg_conflict_degree']:.4f}")
+    print(f"max conflict degree:    {st['max_conflict_degree']}")
+    print(f"max left degree:        {st['max_left_degree']}")
+    print(f"max right degree:       {st['max_right_degree']}")
+    print(f"intersection P bound:   {st['intersection_prob_bound']:.6f}")
+    print(f"tau budget (avg deg):   {st['tau_budget_avg_degree']:.4f}")
+    print(f"tau budget (bipartite): {st['tau_budget_bipartite']:.4f}")
     return 0
 
 
 def cmd_run(args):
     plan = _plan_from_args(args)
     obj = build_objective(plan)
-    gamma = args.gamma
-    if gamma is None:
-        gamma, rule = default_gamma(args.mode, obj.constants)
-        print(f"step size {gamma:.3e} from rule {rule}", file=sys.stderr)
-    linf = LinfBall(args.linf_radius)
-    epochal = args.mode in ("kromagnon", "svrg_dense", "svrg_sparse")
-    if epochal:
+    rule = "explicit" if args.gamma is not None else THEOREM_RULE[args.mode]
+    common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
+                  linf=LinfBall(args.linf_radius))
+    if args.mode in EPOCHAL_ALGOS:
         S = args.epoch_size or obj.n
         E = args.epochs or 5
-        cfg = SolverConfig(gamma=gamma, epoch_size=S, epochs=E, seed=args.seed,
-                           linf=linf, log_every=args.log_every)
+        cfg = SolverConfig(epoch_size=S, epochs=E, log_every=args.log_every, **common)
     else:
         T = args.iters or (args.epochs or 5) * (args.epoch_size or obj.n)
-        cfg = SolverConfig(gamma=gamma, total_iters=T, seed=args.seed, linf=linf,
-                           log_every=args.log_every or max(1, T // 20))
-    x0 = np.zeros(obj.d)
-    if args.mode == "hogwild":
-        res, rep = run_hogwild(obj, cfg, x0, workers=args.workers,
-                               mode=args.read_mode(), track_f=True,
-                               log_updates=False)
-    elif args.mode == "ascd":
-        res, rep = run_ascd(obj, cfg, x0, workers=args.workers,
-                            mode=args.read_mode(), track_f=True,
-                            log_updates=False)
-    elif args.mode == "kromagnon":
-        res, rep = run_kromagnon(obj, None, cfg, x0, workers=args.workers,
-                                 mode=args.read_mode(), track_f=True,
-                                 log_updates=False)
-    else:
-        rep = None
-        runner = {"sgm": run_sgm, "scd": run_scd,
-                  "svrg_dense": run_svrg_dense}.get(args.mode)
-        if runner is not None:
-            res = runner(obj, cfg, x0, track_f=True)
-        else:
-            res = run_svrg_sparse(obj, None, cfg, x0, track_f=True)
+        cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
+                           **common)
+    if rule != "explicit":
+        cfg = resolve_config(cfg, obj, args.mode)
+        print(f"step size {cfg.gamma:.3e} from rule {rule}", file=sys.stderr)
+    mode = FULL_SNAPSHOT if args.read == "full" else SPARSE_INCONSISTENT
+    res, rep = run_solver(obj, args.mode, cfg, args.workers, mode)
     final_f = obj.value(res.x)
     print(f"iterations: {res.iters}")
     print(f"final objective: {final_f:.10g}")
@@ -122,60 +97,34 @@ def cmd_run(args):
     return 1 if res.diverged else 0
 
 
-def _parse_config_file(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
+def _plan_value(field, value):
+    """A BenchPlan field value from its config-file or command-line text."""
+    if not isinstance(value, str):
+        return value
+    kind = field.type.split(" |")[0]
+    if kind == "tuple":
+        return tuple(type(field.default[0])(t) for t in value.split(","))
+    if kind == "SyntheticSpec":
+        return value  # its label model depends on the final problem
+    return {"str": str, "int": int, "float": float}[kind](value)
 
 
 def cmd_bench(args):
-    overrides = {}
-    if args.config:
-        raw = _parse_config_file(args.config)
-        for key in ("problem", "dataset", "outdir"):
-            if key in raw:
-                overrides[key] = raw[key]
-        for key in ("epochs", "epoch_size", "snapshot_interval", "stats_budget"):
-            if key in raw:
-                overrides[key] = int(raw[key])
-        for key in ("l2_reg", "beta", "eps", "gamma"):
-            if key in raw:
-                overrides[key] = float(raw[key])
-        if "algorithms" in raw:
-            overrides["algorithms"] = tuple(raw["algorithms"].split(","))
-        if "workers" in raw:
-            overrides["workers"] = tuple(int(t) for t in raw["workers"].split(","))
-        if "seeds" in raw:
-            overrides["seeds"] = tuple(int(t) for t in raw["seeds"].split(","))
-        if "synthetic" in raw:
-            n, d, nnz = (int(t) for t in raw["synthetic"].split(","))
-            model = "logistic" if overrides.get("problem", "logreg") == "logreg" else "linear"
-            overrides["synthetic"] = SyntheticSpec(n=n, d=d, nnz=nnz, label_model=model)
-    if args.algorithms:
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
-    if args.workers:
-        overrides["workers"] = tuple(int(t) for t in args.workers.split(","))
-    if args.seeds:
-        overrides["seeds"] = tuple(int(t) for t in args.seeds.split(","))
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.epoch_size is not None:
-        overrides["epoch_size"] = args.epoch_size
-    if args.outdir:
-        overrides["outdir"] = args.outdir
-    if "problem" in overrides or "dataset" in overrides:
-        plan = BenchPlan(
-            synthetic=overrides.pop("synthetic", None), **overrides
+    # config-file values first, then command-line flags; unset flags are None
+    raw = read_key_values(args.config) if args.config else {}
+    flags = vars(args)
+    values = {}
+    for f in dataclasses.fields(BenchPlan):
+        v = flags.get("data" if f.name == "dataset" else f.name)
+        if v is None:
+            v = raw.get(f.name)
+        if v is not None:
+            values[f.name] = _plan_value(f, v)
+    if "synthetic" in values:
+        values["synthetic"] = _synthetic_spec(
+            values["synthetic"], values.get("problem", BenchPlan.problem), args.synthetic_seed
         )
-    else:
-        plan = _plan_from_args(args, **overrides)
-    outdir = run_plan(plan)
+    outdir = run_plan(BenchPlan(**values))
     print(f"benchmark artifacts in {outdir}")
     return 0
 
@@ -229,6 +178,8 @@ def main(argv=None):
 
     p = sub.add_parser("bench", help="run a benchmark grid")
     _add_data_args(p)
+    # unset flags leave the config file's value or BenchPlan's default
+    p.set_defaults(problem=None, l2_reg=None, beta=None)
     p.add_argument("--config", default=None, help="key=value plan file")
     p.add_argument("--algorithms", default=None)
     p.add_argument("--workers", default=None)
@@ -243,10 +194,6 @@ def main(argv=None):
     p.set_defaults(func=cmd_summarize)
 
     args = parser.parse_args(argv)
-    if hasattr(args, "read"):
-        args.read_mode = lambda: (
-            "full_consistent_snapshot" if args.read == "full" else "sparse_inconsistent"
-        )
     return args.func(args)
 
 

@@ -5,38 +5,41 @@ workers sample, read, and write concurrently with no coordination beyond
 per-coordinate write indivisibility.  Coordinate writes go through a striped
 lock table, which is how an indivisible read-modify-write on one float64
 cell is realized in Python (the GIL does not make `x[v] += u` atomic).
-KroMagnon additionally barriers at epoch boundaries to refresh its snapshot.
+
+Hogwild!, ASCD and KroMagnon are the step kernels ``sgm``, ``scd`` and
+``svrg_sparse`` of asyncopt.serial with a perturbed read and a striped-lock
+write: one worker loop runs any kernel, and one driver runs the workers
+between checkpoints.  KroMagnon's checkpoints are its epoch barriers, where
+the driver refreshes the snapshot.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
-counterpart, because the update kernels are shared with asyncopt.serial and
-worker 0 uses the serial RNG stream.
+counterpart, because the kernels are the serial ones and worker 0 uses the
+serial RNG stream.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .hypergraph import CoordinateWeights
-from .objectives import DecomposableObjective
 from .serial import (
-    RunResult,
+    EPOCHAL_KERNELS,
     SolverConfig,
-    draw_coord,
-    draw_term,
+    _Tracer,
+    clamp_bounds,
     resolve_config,
-    scd_direction,
-    sgm_direction,
-    svrg_sparse_direction,
+    scd,
+    sgm,
+    svrg_sparse,
     worker_rng,
 )
-from .vectors import sq_distance
 
 __all__ = [
-    "ReadMode",
     "SharedIterate",
     "SampleLog",
     "OverlapReport",
@@ -45,11 +48,11 @@ __all__ = [
     "run_kromagnon",
     "measure_speedup",
     "overlap_report",
+    "time_to_progress",
 ]
 
 SPARSE_INCONSISTENT = "sparse_inconsistent"
 FULL_SNAPSHOT = "full_consistent_snapshot"
-ReadMode = str  # one of the two constants above
 
 _N_STRIPES = 64
 
@@ -86,9 +89,6 @@ class SharedIterate:
         self.x = np.array(x0, dtype=np.float64, copy=True)
         self._locks = [threading.Lock() for _ in range(_N_STRIPES)]
 
-    def read(self, idx):
-        return self.x[idx]
-
     def snapshot(self):
         return self.x.copy()
 
@@ -124,6 +124,17 @@ class SampleLog:
     def __len__(self):
         return int(self.edge.size)
 
+    @classmethod
+    def empty(cls, total, log_updates):
+        return cls(
+            np.zeros(total, dtype=np.int64), np.zeros(total, dtype=np.int32),
+            np.zeros(total), np.zeros(total), [None] * total if log_updates else None,
+        )
+
+    def head(self, count):
+        """The records of the first count samples."""
+        return SampleLog(*(v if v is None else v[:count] for v in vars(self).values()))
+
 
 @dataclass
 class OverlapReport:
@@ -149,37 +160,8 @@ def overlap_report(log: SampleLog) -> OverlapReport:
     )
 
 
-def _bounds(obj, cfg):
-    lo = hi = None
-    if cfg.linf.bounded:
-        lo, hi = -cfg.linf.radius, cfg.linf.radius
-    if obj.box is not None:
-        blo, bhi = obj.box
-        lo = blo if lo is None else max(lo, blo)
-        hi = bhi if hi is None else min(hi, bhi)
-    return lo, hi
-
-
-class _Log:
-    def __init__(self, total, log_updates):
-        self.edge = np.zeros(total, dtype=np.int64)
-        self.worker = np.zeros(total, dtype=np.int32)
-        self.t_sample = np.zeros(total)
-        self.t_last_write = np.zeros(total)
-        self.updates = [None] * total if log_updates else None
-
-    def finish(self, count):
-        upd = self.updates[:count] if self.updates is not None else None
-        return SampleLog(
-            edge=self.edge[:count],
-            worker=self.worker[:count],
-            t_sample=self.t_sample[:count],
-            t_last_write=self.t_last_write[:count],
-            updates=upd,
-        )
-
-
-def _hogwild_worker(obj, shared, gamma, lo, hi, counter, limit, rng, wid, log, mode):
+def _worker(step, shared, lo, hi, counter, limit, rng, wid, log, mode):
+    """Run kernel steps against the shared iterate until the counter hits limit."""
     x = shared.x
     while True:
         j = counter.next(limit)
@@ -187,14 +169,11 @@ def _hogwild_worker(obj, shared, gamma, lo, hi, counter, limit, rng, wid, log, m
             return
         t0 = time.perf_counter()
         # the snapshot variant reads the whole vector before sampling
-        snap = shared.snapshot() if mode == FULL_SNAPSHOT else None
-        i = draw_term(rng, obj.n)
-        idx = obj.term_support(i)
-        vals = snap[idx] if snap is not None else x[idx]
-        g = sgm_direction(obj, i, vals)
-        applied = shared.add_clamped(idx, -gamma * g, lo, hi)
+        src = shared.snapshot() if mode == FULL_SNAPSHOT else x
+        e, idx, delta = step(rng, src)
+        applied = shared.add_clamped(idx, delta, lo, hi)
         t1 = time.perf_counter()
-        log.edge[j] = i
+        log.edge[j] = e
         log.worker[j] = wid
         log.t_sample[j] = t0
         log.t_last_write[j] = t1
@@ -202,66 +181,50 @@ def _hogwild_worker(obj, shared, gamma, lo, hi, counter, limit, rng, wid, log, m
             log.updates[j] = (idx, applied)
 
 
-def _ascd_worker(obj, shared, gamma, lo, hi, counter, limit, rng, wid, log, mode, scratch):
-    x = shared.x
-    while True:
-        j = counter.next(limit)
-        if j is None:
-            return
-        t0 = time.perf_counter()
-        snap = shared.snapshot() if mode == FULL_SNAPSHOT else None
-        v = draw_coord(rng, obj.d)
-        if snap is not None:
-            point = snap
-        else:
-            union = obj.coord_read_support(v)
-            scratch[union] = x[union]
-            point = scratch
-        u = scd_direction(obj, v, point)
-        idx = np.array([v], dtype=np.int64)
-        applied = shared.add_clamped(idx, np.array([-gamma * u]), lo, hi)
-        t1 = time.perf_counter()
-        log.edge[j] = v
-        log.worker[j] = wid
-        log.t_sample[j] = t0
-        log.t_last_write[j] = t1
-        if log.updates is not None:
-            log.updates[j] = (idx, applied)
+def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel, bounds):
+    """The one threaded driver: workers share a sample counter and stop at
+    each bound, where the run takes a checkpoint.  An epochal kernel is
+    rebuilt from a fresh snapshot at every snapshot_interval-th bound; the
+    workers are joined there, so the snapshot is consistent.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    epochal = kernel in EPOCHAL_KERNELS
+    lo, hi = clamp_bounds(obj, cfg)
+    tracer = _Tracer(obj, xstar, track_f, epochal)
+    shared = SharedIterate(x0)
+    counter = AtomicCounter()
+    log = SampleLog.empty(bounds[-1], log_updates)
+    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
+    steps = None if epochal else [kernel(obj, cfg.gamma) for _ in range(workers)]
+    for k, bound in enumerate(bounds):
+        if epochal and k % cfg.snapshot_interval == 0:
+            y = shared.snapshot()
+            z = obj.full_grad(y)
+            steps = [kernel(obj, cfg.gamma, y, z) for _ in range(workers)]
+        threads = [
+            threading.Thread(
+                target=_worker,
+                args=(steps[w], shared, lo, hi, counter, bound, rngs[w], w, log, mode),
+            )
+            for w in range(workers)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if not tracer.record(bound, shared.x):
+            break
+        tracer.end_epoch(bound, shared.x)
+    result = tracer.result(shared.x, cfg)
+    return result, overlap_report(log.head(result.iters))
 
 
-def _kromagnon_worker(obj, shared, gamma, lo, hi, counter, limit, rng, wid, log, mode, y, z):
-    x = shared.x
-    while True:
-        j = counter.next(limit)
-        if j is None:
-            return
-        t0 = time.perf_counter()
-        snap = shared.snapshot() if mode == FULL_SNAPSHOT else None
-        i = draw_term(rng, obj.n)
-        idx = obj.term_support(i)
-        vals = snap[idx] if snap is not None else x[idx]
-        g = svrg_sparse_direction(obj, i, vals, y[idx], z, idx)
-        applied = shared.add_clamped(idx, -gamma * g, lo, hi)
-        t1 = time.perf_counter()
-        log.edge[j] = i
-        log.worker[j] = wid
-        log.t_sample[j] = t0
-        log.t_last_write[j] = t1
-        if log.updates is not None:
-            log.updates[j] = (idx, applied)
-
-
-def _checkpoint(obj, x, xstar, track_f):
-    a = sq_distance(x, xstar) if xstar is not None else None
-    f = obj.value(x) if track_f else None
-    return a, f
-
-
-def _collect(iters_list, a_list, f_list, walls):
-    trace_iter = np.asarray(iters_list, dtype=np.int64)
-    trace_a = np.asarray(a_list) if a_list and a_list[0] is not None else None
-    trace_f = np.asarray(f_list) if f_list and f_list[0] is not None else None
-    return trace_iter, trace_a, trace_f, np.asarray(walls)
+def _flat_bounds(cfg):
+    """Checkpoints every log_every samples and after the last one."""
+    T = cfg.total_iters
+    chunk = cfg.log_every if cfg.log_every > 0 else T
+    return list(range(chunk, T, chunk)) + [T]
 
 
 def run_hogwild(
@@ -269,8 +232,8 @@ def run_hogwild(
     xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "sgm")
-    return _run_flat(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, algo="hogwild"
+    return _run_async(
+        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, sgm, _flat_bounds(cfg)
     )
 
 
@@ -279,61 +242,10 @@ def run_ascd(
     xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "scd")
-    return _run_flat(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, algo="ascd"
+    kernel = partial(scd, gather=mode != FULL_SNAPSHOT)
+    return _run_async(
+        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel, _flat_bounds(cfg)
     )
-
-
-def _run_flat(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, algo):
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    T = cfg.total_iters
-    gamma = cfg.gamma
-    lo, hi = _bounds(obj, cfg)
-    shared = SharedIterate(x0)
-    counter = AtomicCounter()
-    log = _Log(T, log_updates)
-    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
-    chunk = cfg.log_every if cfg.log_every > 0 else T
-    bounds = list(range(chunk, T, chunk)) + [T]
-    iters_list, a_list, f_list, walls = [], [], [], []
-    if algo == "hogwild":
-        def run_target(bound, rng, wid):
-            _hogwild_worker(obj, shared, gamma, lo, hi, counter, bound, rng, wid, log, mode)
-    else:
-        scratches = [np.zeros(obj.d) for _ in range(workers)]
-
-        def run_target(bound, rng, wid):
-            _ascd_worker(
-                obj, shared, gamma, lo, hi, counter, bound, rng, wid, log, mode,
-                scratches[wid],
-            )
-
-    elapsed = 0.0
-    for bound in bounds:
-        t0 = time.perf_counter()
-        threads = [
-            threading.Thread(target=run_target, args=(bound, rngs[w], w))
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed += time.perf_counter() - t0
-        a, f = _checkpoint(obj, shared.x, xstar, track_f)
-        iters_list.append(bound)
-        a_list.append(a)
-        f_list.append(f)
-        walls.append(elapsed)
-
-    trace_iter, trace_a, trace_f, trace_wall = _collect(iters_list, a_list, f_list, walls)
-    result = RunResult(
-        x=shared.x, iters=T, gamma=gamma, seed=cfg.seed, trace_iter=trace_iter,
-        trace_a=trace_a, trace_f=trace_f, trace_wall=trace_wall,
-        wall_time=elapsed, diverged=not np.all(np.isfinite(shared.x)),
-    )
-    return result, overlap_report(log.finish(T))
 
 
 def run_kromagnon(
@@ -341,61 +253,23 @@ def run_kromagnon(
     mode=SPARSE_INCONSISTENT, xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "kromagnon")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     w_cov = weights if weights is not None else obj.weights
     if not w_cov.all_covered:
         raise ValueError("KroMagnon requires every coordinate covered")
-    S, E = cfg.epoch_size, cfg.epochs
-    gamma = cfg.gamma
-    lo, hi = _bounds(obj, cfg)
-    shared = SharedIterate(x0)
-    counter = AtomicCounter()
-    T = S * E
-    log = _Log(T, log_updates)
-    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
-    iters_list, a_list, f_list, walls, epoch_a = [], [], [], [], []
-    elapsed = 0.0
-    y = shared.snapshot()
-    z = obj.full_grad(y)
-    for k in range(E):
-        t0 = time.perf_counter()
-        if k > 0 and k % cfg.snapshot_interval == 0:
-            # epoch barrier: all workers are joined here, snapshot is safe
-            y = shared.snapshot()
-            z = obj.full_grad(y)
-        bound = (k + 1) * S
-        threads = [
-            threading.Thread(
-                target=_kromagnon_worker,
-                args=(obj, shared, gamma, lo, hi, counter, bound, rngs[w], w,
-                      log, mode, y, z),
-            )
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed += time.perf_counter() - t0
-        if not np.all(np.isfinite(shared.x)):
-            break
-        a, f = _checkpoint(obj, shared.x, xstar, track_f)
-        iters_list.append(bound)
-        a_list.append(a)
-        f_list.append(f)
-        walls.append(elapsed)
-        if xstar is not None:
-            epoch_a.append(a)
-    trace_iter, trace_a, trace_f, trace_wall = _collect(iters_list, a_list, f_list, walls)
-    done = int(trace_iter[-1]) if trace_iter.size else 0
-    result = RunResult(
-        x=shared.x, iters=done, gamma=gamma, seed=cfg.seed, trace_iter=trace_iter,
-        trace_a=trace_a, trace_f=trace_f, trace_wall=trace_wall,
-        epoch_a=np.asarray(epoch_a) if xstar is not None else None,
-        wall_time=elapsed, diverged=not np.all(np.isfinite(shared.x)),
+    bounds = [(k + 1) * cfg.epoch_size for k in range(cfg.epochs)]  # one checkpoint per epoch
+    return _run_async(
+        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, svrg_sparse, bounds
     )
-    return result, overlap_report(log.finish(done))
+
+
+def time_to_progress(wall, f, target_fraction):
+    """First wall time at which the running best of f has made target_fraction
+    of its own progress from f[0] to its minimum; None if it never does."""
+    best = np.minimum.accumulate(f)
+    fmin = best[-1]
+    target = fmin + (1.0 - target_fraction) * (f[0] - fmin)
+    hit = np.flatnonzero(best <= target + 1e-15)
+    return float(wall[hit[0]]) if hit.size else None
 
 
 def measure_speedup(runs: dict, target_fraction: float) -> dict:
@@ -409,21 +283,11 @@ def measure_speedup(runs: dict, target_fraction: float) -> dict:
         raise ValueError("target_fraction must be in (0, 1]")
     times = {}
     for w, run in runs.items():
-        f = run.trace_f
-        wall = run.trace_wall
-        if f is None or wall is None:
+        if run.trace_f is None or run.trace_wall is None:
             raise ValueError("measure_speedup needs trace_f and trace_wall")
-        best = np.minimum.accumulate(f)
-        f0 = f[0]
-        fmin = best[-1]
-        target = fmin + (1.0 - target_fraction) * (f0 - fmin)
-        hit = np.flatnonzero(best <= target + 1e-15)
-        times[w] = float(wall[hit[0]]) if hit.size else None
+        times[w] = time_to_progress(run.trace_wall, run.trace_f, target_fraction)
     base = times.get(1)
-    table = {}
-    for w, t in times.items():
-        if t is None or base is None or t == 0.0:
-            table[w] = {"time_to_target": t, "speedup": None}
-        else:
-            table[w] = {"time_to_target": t, "speedup": base / t}
-    return table
+    return {
+        w: {"time_to_target": t, "speedup": base / t if t and base is not None else None}
+        for w, t in times.items()
+    }

@@ -28,7 +28,6 @@ __all__ = [
     "least_squares_objective",
     "logistic_objective",
     "vertex_cover_objective",
-    "full_gradient",
     "solve_reference",
     "ReferenceSolveError",
 ]
@@ -129,9 +128,6 @@ class DecomposableObjective:
     def hyperedge(self, i) -> Hyperedge:
         return Hyperedge(i, self.term_support(i))
 
-    def hyperedges(self):
-        return [self.hyperedge(i) for i in range(self.n)]
-
     # -- full-function interface --------------------------------------------
     def value(self, x) -> float:
         raise NotImplementedError
@@ -143,9 +139,19 @@ class DecomposableObjective:
         """Coordinate v of the full gradient, touching only incident terms."""
         raise NotImplementedError
 
+    def _incident_terms(self, v) -> np.ndarray:
+        """Ids of the terms whose support contains coordinate v."""
+        raise NotImplementedError
+
     def coord_read_support(self, v) -> np.ndarray:
         """Coordinates needed to evaluate full_grad_coord(v, .)."""
-        raise NotImplementedError
+        u = self._union_cache.get(v)
+        if u is None:
+            parts = [self.term_support(int(i)) for i in self._incident_terms(v)]
+            parts.append(np.array([v], dtype=np.int64))
+            u = np.unique(np.concatenate(parts))
+            self._union_cache[v] = u
+        return u
 
     def grad_norm_bound(self, center, radius) -> float:
         """Uniform bound on per-term gradient norms over an l2 ball."""
@@ -192,15 +198,8 @@ class _RegressionObjective(DecomposableObjective):
     def _row_vals(self, i):
         return self.X.data[self.X.indptr[i] : self.X.indptr[i + 1]]
 
-    def coord_read_support(self, v):
-        u = self._union_cache.get(v)
-        if u is None:
-            rows = self.Xc.indices[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
-            parts = [self.term_support(int(i)) for i in rows]
-            parts.append(np.array([v], dtype=np.int64))
-            u = np.unique(np.concatenate(parts))
-            self._union_cache[v] = u
-        return u
+    def _incident_terms(self, v):
+        return self.Xc.indices[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
 
     def _reg_grad_vals(self, idx, w_vals):
         if self.lam == 0.0:
@@ -239,7 +238,7 @@ class LeastSquaresObjective(_RegressionObjective):
         return self.X.T @ r / self.n + self.lam * x
 
     def full_grad_coord(self, v, x):
-        rows = self.Xc.indices[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
+        rows = self._incident_terms(v)
         col = self.Xc.data[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
         total = 0.0
         for a_iv, i in zip(col, rows):
@@ -302,7 +301,7 @@ class LogisticObjective(_RegressionObjective):
         return self.X.T @ coef / self.n + self.lam * x
 
     def full_grad_coord(self, v, x):
-        rows = self.Xc.indices[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
+        rows = self._incident_terms(v)
         col = self.Xc.data[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
         total = 0.0
         for a_iv, i in zip(col, rows):
@@ -454,15 +453,6 @@ class VertexCoverObjective(DecomposableObjective):
             total += float(g[idx == v][0])
         return total / self.n
 
-    def coord_read_support(self, v):
-        u = self._union_cache.get(v)
-        if u is None:
-            parts = [self.term_support(int(i)) for i in self._incident_terms(v)]
-            parts.append(np.array([v], dtype=np.int64))
-            u = np.unique(np.concatenate(parts))
-            self._union_cache[v] = u
-        return u
-
     def grad_norm_bound(self, center, radius):
         best = 0.0
         op = self.n * (3.0 * self.beta + max(2.0, 1.0 / self.beta))
@@ -482,10 +472,6 @@ def logistic_objective(data: RegressionDataset) -> LogisticObjective:
 
 def vertex_cover_objective(p: VertexCoverProblem, box=True) -> VertexCoverObjective:
     return VertexCoverObjective(p, box=box)
-
-
-def full_gradient(obj: DecomposableObjective, x):
-    return obj.full_grad(np.asarray(x, dtype=np.float64))
 
 
 def _projected_grad_norm(obj, x):

@@ -1,8 +1,13 @@
 """Serial baseline solvers: SGM, SCD, dense SVRG, and sparse SVRG.
 
-The per-step update kernels live here and are shared verbatim by the
-asynchronous engine and the staleness simulator, so a 1-worker async run or
-a zero-delay simulation reproduces the serial trajectory bit for bit.
+Each algorithm is one step kernel here: ``sgm``, ``scd``, ``svrg_sparse``
+and ``svrg_dense`` build ``step(rng, src) -> (edge_id, idx, delta)`` with
+``delta = -gamma * direction`` read from ``src``.  The serial solvers drive
+the kernels with one sampling loop that writes ``x[idx] += delta`` with
+plain NumPy; asyncopt.engine drives the same kernels from worker threads
+that write through striped locks.  The staleness simulator uses the same
+``*_direction`` helpers, so a 1-worker async run or a zero-delay simulation
+reproduces the serial trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ __all__ = [
 ]
 
 STEP_RULES = ("explicit", "hogwild_theorem1", "scd_theorem2", "svrg_theorem3")
+EPOCHAL_ALGOS = ("svrg_dense", "svrg_sparse", "kromagnon")  # configured by epochs
+# the theorem step rule of each solver, used when no gamma is given
+THEOREM_RULE = {
+    "sgm": "hogwild_theorem1", "hogwild": "hogwild_theorem1",
+    "scd": "scd_theorem2", "ascd": "scd_theorem2",
+    "svrg_dense": "svrg_theorem3", "svrg_sparse": "svrg_theorem3",
+    "kromagnon": "svrg_theorem3",
+}
 
 
 @dataclass(frozen=True)
@@ -99,12 +112,14 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
     if cfg.step_rule == "explicit":
         out = cfg
     elif cfg.step_rule == "hogwild_theorem1":
-        if cfg.eps is None or cfg.a0 is None:
-            raise ValueError("hogwild_theorem1 needs eps and a0")
+        if cfg.eps is None:
+            raise ValueError("hogwild_theorem1 needs eps")
         M = cfg.M if cfg.M is not None else c.M
         gamma = cfg.eps * c.m / (2.0 * M**2)
         T = cfg.total_iters
         if T is None:
+            if cfg.a0 is None:
+                raise ValueError("hogwild_theorem1 needs total_iters or a0")
             T = math.ceil(
                 (2.0 * M**2 / (cfg.eps * c.m**2)) * math.log(2.0 * cfg.a0 / cfg.eps)
             )
@@ -132,7 +147,7 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
         raise ValueError(
             f"divergent configuration: gamma*m = {out.gamma * c.m:.3g} >= 1"
         )
-    if algo in ("svrg_dense", "svrg_sparse", "kromagnon"):
+    if algo in EPOCHAL_ALGOS:
         if out.epoch_size is None or out.epochs is None:
             raise ValueError(f"{algo} needs epoch_size and epochs")
     elif out.total_iters is None:
@@ -141,7 +156,7 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
 
 
 # ---------------------------------------------------------------------------
-# update kernels, shared with the async engine and the simulator
+# update directions, shared with the simulator
 # ---------------------------------------------------------------------------
 
 def draw_term(rng, n):
@@ -174,12 +189,70 @@ def svrg_dense_direction(obj, i, x_vals, y_vals):
     return obj.term_grad_vals(i, x_vals) - obj.term_grad_vals(i, y_vals)
 
 
-def _clamp(obj, x, idx, ball: LinfBall):
-    if ball.bounded:
-        x[idx] = np.clip(x[idx], -ball.radius, ball.radius)
+# ---------------------------------------------------------------------------
+# step kernels: step(rng, src) -> (edge_id, idx, delta), delta = -gamma * direction
+# read from src; the serial loop and the async engine differ only in the write
+# ---------------------------------------------------------------------------
+
+def sgm(obj, gamma):
+    """SGM, and Hogwild! when the engine drives it."""
+    def step(rng, src):
+        i = draw_term(rng, obj.n)
+        idx = obj.term_support(i)
+        return i, idx, -gamma * sgm_direction(obj, i, src[idx])
+    return step
+
+
+def scd(obj, gamma, gather=False):
+    """SCD, and ASCD when the engine drives it.
+
+    With gather=True the coordinate's read set is first copied into a private
+    buffer, so the direction is computed from one read of each value.
+    """
+    scratch = np.zeros(obj.d) if gather else None
+
+    def step(rng, src):
+        v = draw_coord(rng, obj.d)
+        if scratch is not None:
+            union = obj.coord_read_support(v)
+            scratch[union] = src[union]
+            src = scratch
+        u = scd_direction(obj, v, src)
+        return v, np.array([v], dtype=np.int64), np.array([-gamma * u])
+    return step
+
+
+def svrg_sparse(obj, gamma, y, z):
+    """Sparse SVRG around the snapshot y with z = grad f(y); KroMagnon in the engine."""
+    def step(rng, src):
+        i = draw_term(rng, obj.n)
+        idx = obj.term_support(i)
+        return i, idx, -gamma * svrg_sparse_direction(obj, i, src[idx], y[idx], z, idx)
+    return step
+
+
+def svrg_dense(obj, gamma, y, z):
+    """Sparse part of dense SVRG; the serial loop adds the dense -gamma * z after it."""
+    def step(rng, src):
+        i = draw_term(rng, obj.n)
+        idx = obj.term_support(i)
+        return i, idx, -gamma * svrg_dense_direction(obj, i, src[idx], y[idx])
+    return step
+
+
+EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
+
+
+def clamp_bounds(obj, cfg):
+    """(lo, hi) of the l-inf ball intersected with the objective's box, or (None, None)."""
+    lo = hi = None
+    if cfg.linf.bounded:
+        lo, hi = -cfg.linf.radius, cfg.linf.radius
     if obj.box is not None:
-        lo, hi = obj.box
-        x[idx] = np.clip(x[idx], lo, hi)
+        blo, bhi = obj.box
+        lo = blo if lo is None else max(lo, blo)
+        hi = bhi if hi is None else min(hi, bhi)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -187,142 +260,125 @@ def _clamp(obj, x, idx, ball: LinfBall):
 # ---------------------------------------------------------------------------
 
 class _Tracer:
-    """Checkpoint recorder; wall clock excludes the measurement itself."""
+    """Checkpoint recorder of the serial loop and the async driver.
 
-    def __init__(self, cfg, total, xstar, obj, track_f=False):
+    The wall clock starts at construction and excludes the measurements.  A
+    checkpoint whose iterate is not finite ends the run: it is not recorded,
+    the run is marked diverged, and its iteration count is that of the last
+    finite checkpoint.
+    """
+
+    def __init__(self, obj, xstar, track_f, epochal):
+        self.obj = obj
         self.xstar = xstar
-        self.obj = obj if track_f else None
-        self.every = cfg.log_every if cfg.log_every > 0 else max(1, total)
+        self.track_f = track_f
         self.iters, self.a, self.f, self.wall = [], [], [], []
+        self.epoch_a = [] if epochal and xstar is not None else None
+        self.diverged = False
         self.elapsed = 0.0
         self.seg_start = time.perf_counter()
 
-    def maybe(self, t, x):
-        if t % self.every == 0:
-            self.record(t, x)
-
     def record(self, t, x):
-        now = time.perf_counter()
-        self.elapsed += now - self.seg_start
+        """Checkpoint after t samples; False when x is not finite."""
+        self.elapsed += time.perf_counter() - self.seg_start
+        if not np.isfinite(x).all():
+            self.diverged = True
+            return False
         self.iters.append(t)
         if self.xstar is not None:
             self.a.append(sq_distance(x, self.xstar))
-        if self.obj is not None:
+        if self.track_f:
             self.f.append(self.obj.value(x))
         self.wall.append(self.elapsed)
         self.seg_start = time.perf_counter()
+        return True
 
-    def arrays(self):
-        it = np.asarray(self.iters, dtype=np.int64)
-        a = np.asarray(self.a) if self.a else None
-        f = np.asarray(self.f) if self.f else None
-        return it, a, f
+    def end_epoch(self, t, x):
+        """||x - x*||^2 at an epoch end, reusing a checkpoint taken there."""
+        if self.epoch_a is None:
+            return
+        if self.iters and self.iters[-1] == t:
+            self.epoch_a.append(self.a[-1])
+        else:
+            self.epoch_a.append(sq_distance(x, self.xstar))
+
+    def result(self, x, cfg) -> RunResult:
+        return RunResult(
+            x=x, iters=self.iters[-1] if self.iters else 0, gamma=cfg.gamma,
+            seed=cfg.seed, trace_iter=np.asarray(self.iters, dtype=np.int64),
+            trace_a=np.asarray(self.a) if self.a else None,
+            trace_f=np.asarray(self.f) if self.f else None,
+            epoch_a=np.asarray(self.epoch_a) if self.epoch_a is not None else None,
+            trace_wall=np.asarray(self.wall), wall_time=self.elapsed,
+            diverged=self.diverged,
+        )
+
+
+def _run_serial(obj, cfg, x0, xstar, track_f, kernel) -> RunResult:
+    """The one sampling loop: kernel steps written to x with plain NumPy.
+
+    Epochal kernels are rebuilt from a fresh snapshot every
+    snapshot_interval epochs; checkpoints fall every log_every samples and
+    after the last one.
+    """
+    epochal = kernel in EPOCHAL_KERNELS
+    dense = kernel is svrg_dense
+    S, E = (cfg.epoch_size, cfg.epochs) if epochal else (cfg.total_iters, 1)
+    every = cfg.log_every if cfg.log_every > 0 else S * E
+    gamma = cfg.gamma
+    lo, hi = clamp_bounds(obj, cfg)
+    rng = worker_rng(cfg.seed, 0)
+    x = np.array(x0, dtype=np.float64, copy=True)
+    tracer = _Tracer(obj, xstar, track_f, epochal)
+    step = None if epochal else kernel(obj, gamma)
+    t = 0
+    for k in range(E):
+        if epochal and k % cfg.snapshot_interval == 0:
+            y = x.copy()
+            z = obj.full_grad(y)
+            step = kernel(obj, gamma, y, z)
+        for _ in range(S):
+            _, idx, delta = step(rng, x)
+            x[idx] += delta
+            if dense:
+                x += -gamma * z
+                if lo is not None:
+                    np.clip(x, lo, hi, out=x)
+            elif lo is not None:
+                x[idx] = np.clip(x[idx], lo, hi)
+            t += 1
+            if t % every == 0 and not tracer.record(t, x):
+                return tracer.result(x, cfg)
+        tracer.end_epoch(t, x)
+    if t % every:
+        tracer.record(t, x)
+    return tracer.result(x, cfg)
 
 
 def run_sgm(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
     cfg = resolve_config(cfg, obj, "sgm")
-    rng = worker_rng(cfg.seed, 0)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    gamma, T = cfg.gamma, cfg.total_iters
-    tracer = _Tracer(cfg, T, xstar, obj, track_f=track_f)
-    for t in range(T):
-        i = draw_term(rng, obj.n)
-        idx = obj.term_support(i)
-        g = sgm_direction(obj, i, x[idx])
-        x[idx] += -gamma * g
-        _clamp(obj, x, idx, cfg.linf)
-        tracer.maybe(t + 1, x)
-    if not tracer.iters or tracer.iters[-1] != T:
-        tracer.record(T, x)
-    it, a, f = tracer.arrays()
-    return RunResult(
-        x=x, iters=T, gamma=gamma, seed=cfg.seed, trace_iter=it, trace_a=a,
-        trace_f=f, trace_wall=np.asarray(tracer.wall), wall_time=tracer.elapsed,
-        diverged=not np.all(np.isfinite(x)),
-    )
+    return _run_serial(obj, cfg, x0, xstar, track_f, sgm)
 
 
 def run_scd(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
     cfg = resolve_config(cfg, obj, "scd")
-    rng = worker_rng(cfg.seed, 0)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    gamma, T = cfg.gamma, cfg.total_iters
-    tracer = _Tracer(cfg, T, xstar, obj, track_f=track_f)
-    idx1 = np.empty(1, dtype=np.int64)
-    for t in range(T):
-        v = draw_coord(rng, obj.d)
-        u = scd_direction(obj, v, x)
-        x[v] += -gamma * u
-        idx1[0] = v
-        _clamp(obj, x, idx1, cfg.linf)
-        tracer.maybe(t + 1, x)
-    if not tracer.iters or tracer.iters[-1] != T:
-        tracer.record(T, x)
-    it, a, f = tracer.arrays()
-    return RunResult(
-        x=x, iters=T, gamma=gamma, seed=cfg.seed, trace_iter=it, trace_a=a,
-        trace_f=f, trace_wall=np.asarray(tracer.wall), wall_time=tracer.elapsed,
-        diverged=not np.all(np.isfinite(x)),
-    )
-
-
-def _run_svrg(obj, cfg, x0, xstar, sparse: bool, track_f=False):
-    cfg = resolve_config(cfg, obj, "svrg_sparse" if sparse else "svrg_dense")
-    if sparse and not obj.weights.all_covered:
-        raise ValueError("sparse SVRG requires every coordinate covered")
-    rng = worker_rng(cfg.seed, 0)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    gamma, S, E = cfg.gamma, cfg.epoch_size, cfg.epochs
-    tracer = _Tracer(cfg, S * E, xstar, obj, track_f=track_f)
-    epoch_a = [] if xstar is not None else None
-    y = x.copy()
-    z = obj.full_grad(y)
-    t = 0
-    for k in range(E):
-        if k > 0 and k % cfg.snapshot_interval == 0:
-            y = x.copy()
-            z = obj.full_grad(y)
-        for _ in range(S):
-            i = draw_term(rng, obj.n)
-            idx = obj.term_support(i)
-            if sparse:
-                g = svrg_sparse_direction(obj, i, x[idx], y[idx], z, idx)
-                x[idx] += -gamma * g
-                _clamp(obj, x, idx, cfg.linf)
-            else:
-                g = svrg_dense_direction(obj, i, x[idx], y[idx])
-                x[idx] += -gamma * g
-                x += -gamma * z
-                if cfg.linf.bounded:
-                    np.clip(x, -cfg.linf.radius, cfg.linf.radius, out=x)
-                if obj.box is not None:
-                    np.clip(x, obj.box[0], obj.box[1], out=x)
-            t += 1
-            tracer.maybe(t, x)
-        if epoch_a is not None:
-            epoch_a.append(sq_distance(x, xstar))
-    if not tracer.iters or tracer.iters[-1] != t:
-        tracer.record(t, x)
-    it, a, f = tracer.arrays()
-    return RunResult(
-        x=x, iters=t, gamma=gamma, seed=cfg.seed, trace_iter=it, trace_a=a,
-        trace_f=f, epoch_a=np.asarray(epoch_a) if epoch_a is not None else None,
-        trace_wall=np.asarray(tracer.wall), wall_time=tracer.elapsed,
-        diverged=not np.all(np.isfinite(x)),
-    )
+    return _run_serial(obj, cfg, x0, xstar, track_f, scd)
 
 
 def run_svrg_dense(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
-    return _run_svrg(obj, cfg, x0, xstar, sparse=False, track_f=track_f)
+    cfg = resolve_config(cfg, obj, "svrg_dense")
+    return _run_serial(obj, cfg, x0, xstar, track_f, svrg_dense)
 
 
 def run_svrg_sparse(
     obj, weights: CoordinateWeights | None, cfg: SolverConfig, x0, xstar=None,
     track_f=False,
 ) -> RunResult:
-    if weights is not None and not weights.all_covered:
-        raise ValueError("sparse SVRG requires every coordinate covered")
-    return _run_svrg(obj, cfg, x0, xstar, sparse=True, track_f=track_f)
+    cfg = resolve_config(cfg, obj, "svrg_sparse")
+    for w in (weights, obj.weights):
+        if w is not None and not w.all_covered:
+            raise ValueError("sparse SVRG requires every coordinate covered")
+    return _run_serial(obj, cfg, x0, xstar, track_f, svrg_sparse)
 
 
 class VarianceCheck(NamedTuple):
@@ -362,13 +418,9 @@ def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
     return VarianceCheck(lhs=lhs / n, rhs=rhs, dz_quadratic=dz)
 
 
-def enumerated_mean_direction(obj, x, algo, y=None, weights=None):
+def enumerated_mean_direction(obj, x, algo, y=None):
     """Average update direction over all samples; equals grad f(x) when unbiased."""
-    d_inv = None
-    if algo == "svrg_sparse":
-        d_inv = weights.d_inv if weights is not None else obj.d_inv
-        z = obj.full_grad(y)
-    elif algo == "svrg_dense":
+    if algo in ("svrg_dense", "svrg_sparse"):
         z = obj.full_grad(y)
     out = np.zeros(obj.d)
     if algo == "scd":
@@ -400,8 +452,5 @@ def trace_to_csv(result: RunResult, path, epoch_size=None):
             epoch = it // epoch_size if epoch_size else 0
             a = result.trace_a[k] if result.trace_a is not None else ""
             f = result.trace_f[k] if result.trace_f is not None else ""
-            if result.trace_wall is not None:
-                wall_ns = int(result.trace_wall[k] * 1e9)
-            else:
-                wall_ns = int(result.wall_time * 1e9)
+            wall_ns = int(result.trace_wall[k] * 1e9)
             w.writerow([int(it), int(epoch), result.seed, a, f, wall_ns])

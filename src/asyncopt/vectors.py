@@ -1,4 +1,5 @@
-"""Sparse/dense vector primitives shared by every solver.
+"""Value types shared by every layer: hyperedges, problem constants, the
+l-inf clamp region, and the squared distance.
 
 The shared iterate is always a dense float64 array; per-step gradients and
 updates are sparse (index/value pairs restricted to a hyperedge's support).
@@ -6,74 +7,20 @@ updates are sparse (index/value pairs restricted to a hyperedge's support).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SparseVector",
     "Hyperedge",
     "ProblemConstants",
     "LinfBall",
-    "sparse_axpy",
-    "project_linf",
-    "clamp_box",
     "sq_distance",
 ]
 
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Index/value pairs over a d-dimensional space.
-
-    Indices are strictly increasing and zero values are dropped at
-    construction, so the stored index set is exactly the nonzero support.
-    """
-
-    dim: int
-    idx: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=np.int64)
-        vals = np.asarray(self.vals, dtype=np.float64)
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if idx.shape != vals.shape or idx.ndim != 1:
-            raise ValueError("idx and vals must be 1-d arrays of equal length")
-        order = np.argsort(idx, kind="stable")
-        idx = idx[order]
-        vals = vals[order]
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
-            raise ValueError("index out of range")
-        if np.any(np.diff(idx) == 0):
-            raise ValueError("duplicate indices")
-        keep = vals != 0.0
-        object.__setattr__(self, "idx", idx[keep])
-        object.__setattr__(self, "vals", vals[keep])
-
-    @classmethod
-    def from_pairs(cls, dim, pairs):
-        pairs = list(pairs)
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        vals = np.array([p[1] for p in pairs], dtype=np.float64)
-        return cls(dim, idx, vals)
-
-    @property
-    def nnz(self):
-        return int(self.idx.size)
-
-    def to_dense(self):
-        x = np.zeros(self.dim)
-        x[self.idx] = self.vals
-        return x
-
-    def support(self):
-        return self.idx
 
 
 @dataclass(frozen=True)
@@ -145,33 +92,6 @@ class LinfBall:
     @property
     def bounded(self):
         return self.radius is not None
-
-    def bounds(self):
-        if self.radius is None:
-            return None
-        return (-self.radius, self.radius)
-
-
-def sparse_axpy(x, alpha, g: SparseVector):
-    """In-place x[v] += alpha * g[v] over support(g); returns cells touched."""
-    if g.dim != x.shape[0]:
-        raise DimensionMismatchError(
-            f"vector has dim {x.shape[0]}, update has dim {g.dim}"
-        )
-    x[g.idx] += alpha * g.vals
-    return g.nnz
-
-
-def project_linf(x, ball: LinfBall):
-    """Component-wise clamp of x into the ball; identity when unbounded."""
-    if not ball.bounded:
-        return x
-    return np.clip(x, -ball.radius, ball.radius)
-
-
-def clamp_box(x, lo, hi):
-    """Component-wise clamp into [lo, hi] (used for box-constrained problems)."""
-    return np.clip(x, lo, hi)
 
 
 def sq_distance(x, y):

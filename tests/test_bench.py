@@ -1,17 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import asyncopt as ao
 from asyncopt.bench import (
     BenchPlan,
-    _read_manifest,
+    read_key_values,
     _read_run_csv,
-    _time_to,
     build_objective,
-    default_gamma,
     run_plan,
     summarize,
 )
+from asyncopt.engine import time_to_progress
+from asyncopt.serial import THEOREM_RULE, SolverConfig, resolve_config
 
 
 def small_plan(tmp_path, **kw):
@@ -54,7 +56,7 @@ def test_run_plan_artifacts(tmp_path):
         mins.append(fn.min())
     assert min(mins) == pytest.approx(0.0, abs=1e-12)
 
-    man = _read_manifest(tmp_path / "out" / "manifest.txt")
+    man = read_key_values(tmp_path / "out" / "manifest.txt")
     assert man["problem"] == "linreg"
     assert float(man["gamma_hogwild"]) > 0
     assert man["gamma_rule_hogwild"] == "hogwild_theorem1"
@@ -93,26 +95,48 @@ def test_stats_budget_gate(tmp_path):
     assert "avg_conflict_degree" not in stats
 
 
-def test_default_gamma_rules():
+def test_default_gamma_rules(tmp_path):
     c = ao.ProblemConstants(L=4.0, m=1.0, M=3.0, n=100, d=10, L_term=5.0)
-    g, rule = default_gamma("hogwild", c, eps=1e-2)
+    obj = SimpleNamespace(constants=c)
+
+    def theorem(algo, **kw):
+        rule = THEOREM_RULE[algo]
+        cfg = SolverConfig(step_rule=rule, total_iters=10, epoch_size=10, epochs=1, **kw)
+        return resolve_config(cfg, obj, algo).gamma, rule
+
+    g, rule = theorem("hogwild", eps=1e-2)
     assert rule == "hogwild_theorem1"
     assert g == pytest.approx(1e-2 * 1.0 / (2 * 9.0))
-    g, rule = default_gamma("kromagnon", c)
+    g, rule = theorem("kromagnon")
     assert rule == "svrg_theorem3"
     assert g == pytest.approx(1.0 / (4 * 4.0 * 4.0))
-    g, rule = default_gamma("ascd", c)
+    g, rule = theorem("ascd")
     assert rule == "scd_theorem2"
-    g, rule = default_gamma("scd", c)
+    assert g == pytest.approx(1.0 / (6 * 10 * 4.0 * 4.0))
+    g, rule = theorem("scd")
     assert rule == "scd_theorem2"
+
+    # the manifest records the gamma resolve_config derives, with its rule
+    plan = small_plan(tmp_path, algorithms=("sgm", "ascd", "svrg_sparse"), workers=(1,),
+                      epochs=2, eps=1e-2)
+    run_plan(plan)
+    man = read_key_values(tmp_path / "out" / "manifest.txt")
+    obj = build_objective(plan)
+    for algo in plan.algorithms:
+        g, rule = theorem(algo, eps=1e-2)
+        assert man[f"gamma_rule_{algo}"] == rule
+        g = resolve_config(SolverConfig(step_rule=rule, eps=1e-2, total_iters=1,
+                                        epoch_size=1, epochs=1), obj, algo).gamma
+        assert float(man[f"gamma_{algo}"]) == g
 
 
 def test_time_to_target_arithmetic():
     wall = np.array([0.0, 1.0, 2.0, 3.0])
     fn = np.array([1.0, 0.5, 0.0009, 0.0])
     # target at 99.9% progress is fn <= 0.001, first reached at t=2
-    assert _time_to(wall, fn, 0.999) == 2.0
-    assert _time_to(wall, fn, 0.9999) == 3.0
+    assert time_to_progress(wall, fn, 0.999) == 2.0
+    assert time_to_progress(wall, fn, 0.9999) == 3.0
+    assert time_to_progress(wall, np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 0.0
 
 
 def test_summarize_empty_dir(tmp_path):
@@ -145,7 +169,7 @@ def test_vertexcover_plan(tmp_path):
         outdir=str(tmp_path / "out"), gamma=1e-4,
     )
     outdir = run_plan(plan)
-    man = _read_manifest(tmp_path / "out" / "manifest.txt")
+    man = read_key_values(tmp_path / "out" / "manifest.txt")
     assert man["gamma_rule_hogwild"] == "explicit"
     digest = summarize(outdir)
     assert digest["rows"]

@@ -108,3 +108,37 @@ def test_bench_config_file(tmp_path):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_bench_config_without_problem(tmp_path):
+    # a plan file that sets l2_reg and synthetic but leaves problem at its default
+    cfgfile = tmp_path / "plan.txt"
+    outdir = tmp_path / "bench"
+    cfgfile.write_text(
+        "synthetic=60,12,3\n"
+        "l2_reg=0.5\n"
+        "algorithms=hogwild\n"
+        "workers=1\n"
+        "epochs=2\n"
+        "epoch_size=60\n"
+        f"outdir={outdir}\n"
+    )
+    rc = main(["bench", "--config", str(cfgfile)])
+    assert rc == 0
+    man = (outdir / "manifest.txt").read_text()
+    assert "problem=logreg" in man and "l2_reg=0.5" in man
+
+
+def test_bench_flags_override_config_file(tmp_path):
+    cfgfile = tmp_path / "plan.txt"
+    outdir = tmp_path / "bench"
+    cfgfile.write_text("l2_reg=0.5\nalgorithms=svrg_dense\nepochs=3\n")
+    rc = main([
+        "bench", "--problem", "linreg", "--synthetic", "60,12,3",
+        "--config", str(cfgfile), "--epochs", "2", "--epoch-size", "60",
+        "--workers", "1", "--outdir", str(outdir),
+    ])
+    assert rc == 0
+    man = (outdir / "manifest.txt").read_text()
+    assert "l2_reg=0.5" in man and "epochs=2" in man and "problem=linreg" in man
+    assert (outdir / "runs" / "svrg_dense_w1_s0.csv").exists()

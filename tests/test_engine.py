@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -197,3 +198,17 @@ def test_multi_worker_run_converges(ridge_small):
     a_final = float((res.x - xstar) @ (res.x - xstar))
     assert a_final < 0.1 * float(xstar @ xstar)
     assert not res.diverged
+
+
+def test_kromagnon_clock_includes_first_snapshot(ridge_small, monkeypatch):
+    obj, _ = ridge_small
+    full_grad = obj.full_grad
+
+    def slow_full_grad(x):
+        time.sleep(0.05)
+        return full_grad(x)
+
+    monkeypatch.setattr(obj, "full_grad", slow_full_grad)
+    cfg = SolverConfig(gamma=0.01, epoch_size=30, epochs=1, seed=0)
+    res, _ = run_kromagnon(obj, obj.weights, cfg, x0=np.zeros(obj.d), workers=1)
+    assert res.trace_wall[0] >= 0.05

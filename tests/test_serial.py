@@ -129,6 +129,17 @@ def test_resolve_config_rules(ridge_small):
     assert cfg.epochs == math.ceil(math.log(a0 / 1e-2) / math.log(4.0 / 3.0))
 
 
+def test_hogwild_rule_needs_a0_only_without_horizon(ridge_small):
+    obj, _ = ridge_small
+    cfg = resolve_config(
+        SolverConfig(step_rule="hogwild_theorem1", eps=1e-2, total_iters=50), obj, "sgm"
+    )
+    assert cfg.total_iters == 50
+    assert cfg.gamma == pytest.approx(1e-2 * obj.constants.m / (2 * obj.constants.M**2))
+    with pytest.raises(ValueError, match="a0"):
+        resolve_config(SolverConfig(step_rule="hogwild_theorem1", eps=1e-2), obj, "sgm")
+
+
 def test_resolve_config_rejects_divergent_gamma():
     obj = single_term_quadratic(curv=2.0)
     with pytest.raises(ValueError, match="divergent"):

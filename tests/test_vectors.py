@@ -1,46 +1,13 @@
 import numpy as np
 import pytest
 
+from asyncopt.serial import SolverConfig, clamp_bounds
 from asyncopt.vectors import (
     Hyperedge,
     LinfBall,
     ProblemConstants,
-    SparseVector,
-    project_linf,
-    sparse_axpy,
     sq_distance,
 )
-
-
-def test_sparse_vector_sorts_and_drops_zeros():
-    v = SparseVector(5, np.array([3, 1, 2]), np.array([1.0, 0.0, 2.0]))
-    assert v.idx.tolist() == [2, 3]
-    assert v.vals.tolist() == [2.0, 1.0]
-    assert v.nnz == 2
-    dense = v.to_dense()
-    assert dense.tolist() == [0.0, 0.0, 2.0, 1.0, 0.0]
-
-
-def test_sparse_vector_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SparseVector(3, np.array([0, 0]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseVector(3, np.array([3]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseVector(3, np.array([-1]), np.array([1.0]))
-
-
-def test_sparse_axpy_counts_cells():
-    x = np.zeros(4)
-    g = SparseVector.from_pairs(4, [(1, 2.0), (3, -1.0)])
-    touched = sparse_axpy(x, 0.5, g)
-    assert touched == 2
-    assert x.tolist() == [0.0, 1.0, 0.0, -0.5]
-
-
-def test_sparse_axpy_dimension_mismatch():
-    with pytest.raises(ValueError):
-        sparse_axpy(np.zeros(3), 1.0, SparseVector.from_pairs(4, [(0, 1.0)]))
 
 
 def test_hyperedge_dedups_and_validates():
@@ -64,11 +31,15 @@ def test_problem_constants():
 
 
 def test_linf_ball_projection():
-    unbounded = LinfBall()
-    x = np.array([5.0, -7.0])
-    assert project_linf(x, unbounded) is x
-    ball = LinfBall(2.0)
-    assert project_linf(x, ball).tolist() == [2.0, -2.0]
+    class Obj:
+        box = None
+
+    assert not LinfBall().bounded
+    assert clamp_bounds(Obj, SolverConfig(gamma=0.1)) == (None, None)
+    ball = SolverConfig(gamma=0.1, linf=LinfBall(2.0))
+    assert clamp_bounds(Obj, ball) == (-2.0, 2.0)
+    Obj.box = (0.0, 1.0)  # the ball intersected with the objective's box
+    assert clamp_bounds(Obj, ball) == (0.0, 1.0)
     with pytest.raises(ValueError):
         LinfBall(-1.0)
 
