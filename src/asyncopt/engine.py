@@ -22,7 +22,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -191,12 +190,12 @@ def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel,
         raise ValueError("workers must be >= 1")
     epochal = kernel in EPOCHAL_KERNELS
     lo, hi = clamp_bounds(obj, cfg)
-    tracer = _Tracer(obj, xstar, track_f, epochal)
     shared = SharedIterate(x0)
     counter = AtomicCounter()
     log = SampleLog.empty(bounds[-1], log_updates)
     rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
     steps = None if epochal else [kernel(obj, cfg.gamma) for _ in range(workers)]
+    tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
     for k, bound in enumerate(bounds):
         if epochal and k % cfg.snapshot_interval == 0:
             y = shared.snapshot()
@@ -242,9 +241,8 @@ def run_ascd(
     xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "scd")
-    kernel = partial(scd, gather=mode != FULL_SNAPSHOT)
     return _run_async(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel, _flat_bounds(cfg)
+        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, scd, _flat_bounds(cfg)
     )
 
 

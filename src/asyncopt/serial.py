@@ -203,21 +203,19 @@ def sgm(obj, gamma):
     return step
 
 
-def scd(obj, gamma, gather=False):
+def scd(obj, gamma):
     """SCD, and ASCD when the engine drives it.
 
-    With gather=True the coordinate's read set is first copied into a private
-    buffer, so the direction is computed from one read of each value.
+    The coordinate's read set is first copied into a private buffer, so the
+    direction is computed from one read of each value.
     """
-    scratch = np.zeros(obj.d) if gather else None
+    scratch = np.zeros(obj.d)
 
     def step(rng, src):
         v = draw_coord(rng, obj.d)
-        if scratch is not None:
-            union = obj.coord_read_support(v)
-            scratch[union] = src[union]
-            src = scratch
-        u = scd_direction(obj, v, src)
+        union = obj.coord_read_support(v)
+        scratch[union] = src[union]
+        u = scd_direction(obj, v, scratch)
         return v, np.array([v], dtype=np.int64), np.array([-gamma * u])
     return step
 
@@ -306,8 +304,8 @@ class _Tracer:
         return RunResult(
             x=x, iters=self.iters[-1] if self.iters else 0, gamma=cfg.gamma,
             seed=cfg.seed, trace_iter=np.asarray(self.iters, dtype=np.int64),
-            trace_a=np.asarray(self.a) if self.a else None,
-            trace_f=np.asarray(self.f) if self.f else None,
+            trace_a=np.asarray(self.a) if self.xstar is not None else None,
+            trace_f=np.asarray(self.f) if self.track_f else None,
             epoch_a=np.asarray(self.epoch_a) if self.epoch_a is not None else None,
             trace_wall=np.asarray(self.wall), wall_time=self.elapsed,
             diverged=self.diverged,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,23 @@ def test_replay_is_deterministic(tmp_path):
     _, fb, fnb = _read_run_csv(tmp_path / "b" / "out" / "runs" / "svrg_dense_w1_s0.csv")
     np.testing.assert_array_equal(fa, fb)
     np.testing.assert_array_equal(fna, fnb)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_with_runs_diverging_before_first_checkpoint(tmp_path):
+    # one epoch of 2000 samples, so each run's only checkpoint is its last
+    # sample, and every solver has overflowed by then
+    algos = ("sgm", "scd", "svrg_dense", "svrg_sparse", "hogwild", "ascd", "kromagnon")
+    plan = small_plan(tmp_path, l2_reg=0.01, algorithms=algos, workers=(1,),
+                      epochs=1, epoch_size=2000)
+    gamma = 90.0 / build_objective(plan).constants.L_term
+    outdir = run_plan(replace(plan, gamma=gamma))
+    man = read_key_values(tmp_path / "out" / "manifest.txt")
+    assert set(man["diverged"].split(";")) == {f"{a}_w1_s0" for a in algos}
+    for a in algos:  # only the t=0 origin is written
+        wall, f, _ = _read_run_csv(tmp_path / "out" / "runs" / f"{a}_w1_s0.csv")
+        assert wall.tolist() == [0.0] and f.size == 1
+    assert {r["algo"] for r in summarize(outdir)["rows"]} == set(algos)
 
 
 def test_stats_budget_gate(tmp_path):
