@@ -35,7 +35,6 @@ from .objectives import (
     vertex_cover_objective,
 )
 from .serial import (
-    EPOCHAL_ALGOS,
     THEOREM_RULE,
     SolverConfig,
     resolve_config,
@@ -166,12 +165,10 @@ def run_plan(plan: BenchPlan) -> str:
     for algo in plan.algorithms:
         worker_list = plan.workers if algo in ASYNC_ALGOS else (1,)
         rule = "explicit" if plan.gamma is not None else THEOREM_RULE[algo]
-        step = dict(gamma=plan.gamma, step_rule=rule, eps=plan.eps)
-        if algo in EPOCHAL_ALGOS:
-            cfg = SolverConfig(epoch_size=S, epochs=E,
-                               snapshot_interval=plan.snapshot_interval, **step)
-        else:
-            cfg = SolverConfig(total_iters=S * E, log_every=S, **step)
+        # flat runs take S * E samples with a checkpoint every S, the epochal runs' grid
+        cfg = SolverConfig(gamma=plan.gamma, step_rule=rule, eps=plan.eps, total_iters=S * E,
+                           epoch_size=S, epochs=E, snapshot_interval=plan.snapshot_interval,
+                           log_every=S)
         cfg = resolve_config(cfg, obj, algo)
         gammas[algo] = (cfg.gamma, rule)
         for w in worker_list:

@@ -6,11 +6,12 @@ per-coordinate write indivisibility.  Coordinate writes go through a striped
 lock table, which is how an indivisible read-modify-write on one float64
 cell is realized in Python (the GIL does not make `x[v] += u` atomic).
 
-Hogwild!, ASCD and KroMagnon are the step kernels ``sgm``, ``scd`` and
+Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
 ``svrg_sparse`` of asyncopt.serial with a perturbed read and a striped-lock
-write: one worker loop runs any kernel, and one driver runs the workers
-between checkpoints.  KroMagnon's checkpoints are its epoch barriers, where
-the driver refreshes the snapshot.
+write of ``-gamma * g``: one worker loop runs any kernel, and one driver runs
+the workers between the checkpoints of the serial loop's schedule.  The
+workers are joined at each checkpoint, so KroMagnon's snapshot, refreshed at
+an epoch start, is consistent.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
 counterpart, because the kernels are the serial ones and worker 0 uses the
@@ -29,6 +30,8 @@ from .hypergraph import CoordinateWeights
 from .serial import (
     EPOCHAL_KERNELS,
     SolverConfig,
+    _checkpoints,
+    _epochs,
     _Tracer,
     clamp_bounds,
     resolve_config,
@@ -159,9 +162,10 @@ def overlap_report(log: SampleLog) -> OverlapReport:
     )
 
 
-def _worker(step, shared, lo, hi, counter, limit, rng, wid, log, mode):
-    """Run kernel steps against the shared iterate until the counter hits limit."""
+def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
+    """Apply -gamma * g of kernel steps to the shared iterate until the counter hits limit."""
     x = shared.x
+    samples, direction, _ = kernel
     while True:
         j = counter.next(limit)
         if j is None:
@@ -169,10 +173,11 @@ def _worker(step, shared, lo, hi, counter, limit, rng, wid, log, mode):
         t0 = time.perf_counter()
         # the snapshot variant reads the whole vector before sampling
         src = shared.snapshot() if mode == FULL_SNAPSHOT else x
-        e, idx, delta = step(rng, src)
-        applied = shared.add_clamped(idx, delta, lo, hi)
+        s = int(rng.integers(samples))
+        idx, g = direction(s, src)
+        applied = shared.add_clamped(idx, -gamma * g, lo, hi)
         t1 = time.perf_counter()
-        log.edge[j] = e
+        log.edge[j] = s
         log.worker[j] = wid
         log.t_sample[j] = t0
         log.t_last_write[j] = t1
@@ -180,31 +185,26 @@ def _worker(step, shared, lo, hi, counter, limit, rng, wid, log, mode):
             log.updates[j] = (idx, applied)
 
 
-def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel, bounds):
+def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, factory):
     """The one threaded driver: workers share a sample counter and stop at
-    each bound, where the run takes a checkpoint.  An epochal kernel is
-    rebuilt from a fresh snapshot at every snapshot_interval-th bound; the
-    workers are joined there, so the snapshot is consistent.
-    """
+    each checkpoint of serial._checkpoints.  Each worker builds its own
+    kernel, since SCD's read buffer is private."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    epochal = kernel in EPOCHAL_KERNELS
+    epochal = factory in EPOCHAL_KERNELS
     lo, hi = clamp_bounds(obj, cfg)
-    shared = SharedIterate(x0)
+    shared = SharedIterate(x0 if lo is None else np.clip(x0, lo, hi))
     counter = AtomicCounter()
-    log = SampleLog.empty(bounds[-1], log_updates)
+    S, E = _epochs(cfg, epochal)
+    log = SampleLog.empty(S * E, log_updates)
     rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
-    steps = None if epochal else [kernel(obj, cfg.gamma) for _ in range(workers)]
     tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
-    for k, bound in enumerate(bounds):
-        if epochal and k % cfg.snapshot_interval == 0:
-            y = shared.snapshot()
-            z = obj.full_grad(y)
-            steps = [kernel(obj, cfg.gamma, y, z) for _ in range(workers)]
+    for _, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
         threads = [
             threading.Thread(
                 target=_worker,
-                args=(steps[w], shared, lo, hi, counter, bound, rngs[w], w, log, mode),
+                args=(factory(obj, *snap), cfg.gamma, shared, lo, hi, counter, bound,
+                      rngs[w], w, log, mode),
             )
             for w in range(workers)
         ]
@@ -214,16 +214,8 @@ def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, kernel,
             t.join()
         if not tracer.record(bound, shared.x):
             break
-        tracer.end_epoch(bound, shared.x)
     result = tracer.result(shared.x, cfg)
     return result, overlap_report(log.head(result.iters))
-
-
-def _flat_bounds(cfg):
-    """Checkpoints every log_every samples and after the last one."""
-    T = cfg.total_iters
-    chunk = cfg.log_every if cfg.log_every > 0 else T
-    return list(range(chunk, T, chunk)) + [T]
 
 
 def run_hogwild(
@@ -231,9 +223,7 @@ def run_hogwild(
     xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "sgm")
-    return _run_async(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, sgm, _flat_bounds(cfg)
-    )
+    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, sgm)
 
 
 def run_ascd(
@@ -241,9 +231,7 @@ def run_ascd(
     xstar=None, log_updates=True, track_f=False,
 ):
     cfg = resolve_config(cfg, obj, "scd")
-    return _run_async(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, scd, _flat_bounds(cfg)
-    )
+    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, scd)
 
 
 def run_kromagnon(
@@ -254,10 +242,7 @@ def run_kromagnon(
     w_cov = weights if weights is not None else obj.weights
     if not w_cov.all_covered:
         raise ValueError("KroMagnon requires every coordinate covered")
-    bounds = [(k + 1) * cfg.epoch_size for k in range(cfg.epochs)]  # one checkpoint per epoch
-    return _run_async(
-        obj, cfg, x0, workers, mode, xstar, log_updates, track_f, svrg_sparse, bounds
-    )
+    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, svrg_sparse)
 
 
 def time_to_progress(wall, f, target_fraction):

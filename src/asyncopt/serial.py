@@ -1,13 +1,15 @@
 """Serial baseline solvers: SGM, SCD, dense SVRG, and sparse SVRG.
 
-Each algorithm is one step kernel here: ``sgm``, ``scd``, ``svrg_sparse``
-and ``svrg_dense`` build ``step(rng, src) -> (edge_id, idx, delta)`` with
-``delta = -gamma * direction`` read from ``src``.  The serial solvers drive
-the kernels with one sampling loop that writes ``x[idx] += delta`` with
-plain NumPy; asyncopt.engine drives the same kernels from worker threads
-that write through striped locks.  The staleness simulator uses the same
-``*_direction`` helpers, so a 1-worker async run or a zero-delay simulation
-reproduces the serial trajectory bit for bit.
+Every method is x <- x - gamma * g(xhat, s) for a sampled s and a read
+xhat.  Each algorithm's direction g is one kernel here, and nowhere else:
+``sgm``, ``scd``, ``svrg_sparse`` and ``svrg_dense`` build ``Kernel(samples,
+direction)`` with ``direction(s, src) -> (idx, g)`` read from ``src``.  The
+kernels take no step size; each writer applies ``-gamma * g``.  The serial
+solvers write with plain NumPy in one sampling loop; asyncopt.engine writes
+from worker threads through striped locks; asyncopt.sim stores g under a
+delay schedule; the enumeration oracles average g over every s.  So a
+1-worker async run and a zero-delay simulation reproduce the serial
+trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,7 +71,7 @@ class SolverConfig:
     a0: float | None = None
     M: float | None = None  # overrides constants.M in the hogwild_theorem1 rule
     theta: float = 1.0  # O(1) constant in the SCD rule gamma = theta/(6 d L kappa)
-    log_every: int = 0  # 0 means log epoch boundaries / final only
+    log_every: int = 0  # checkpoint every log_every samples (0: never), every epoch end, and last
 
     def __post_init__(self):
         if self.step_rule not in STEP_RULES:
@@ -156,88 +158,65 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
 
 
 # ---------------------------------------------------------------------------
-# update directions, shared with the simulator
+# kernels: the only definition of each algorithm's direction g(x, s)
 # ---------------------------------------------------------------------------
 
-def draw_term(rng, n):
-    return int(rng.integers(n))
+class Kernel(NamedTuple):
+    """One algorithm's update direction.
+
+    A sample s is drawn as ``int(rng.integers(samples))``, and
+    ``direction(s, src) -> (idx, g)`` reads ``src`` on ``idx``.  ``dense``,
+    when set, is added to g on every coordinate (dense SVRG's grad f(y)); the
+    writer applies it after the sparse part.
+    """
+
+    samples: int
+    direction: Callable
+    dense: np.ndarray | None = None
 
 
-def draw_coord(rng, d):
-    return int(rng.integers(d))
-
-
-def sgm_direction(obj, i, x_vals):
-    """Gradient of term i evaluated at values aligned to its support."""
-    return obj.term_grad_vals(i, x_vals)
-
-
-def scd_direction(obj, v, x_like):
-    """d * [full gradient]_v; x_like only needs valid entries on the read set."""
-    return obj.d * obj.full_grad_coord(v, x_like)
-
-
-def svrg_sparse_direction(obj, i, x_vals, y_vals, z, idx):
-    """g(x,s) - g(y,s) + D_s z, values aligned to support idx."""
-    gx = obj.term_grad_vals(i, x_vals)
-    gy = obj.term_grad_vals(i, y_vals)
-    return gx - gy + obj.d_inv[idx] * z[idx]
-
-
-def svrg_dense_direction(obj, i, x_vals, y_vals):
-    """Sparse part of the dense SVRG update; the dense z is added by the caller."""
-    return obj.term_grad_vals(i, x_vals) - obj.term_grad_vals(i, y_vals)
-
-
-# ---------------------------------------------------------------------------
-# step kernels: step(rng, src) -> (edge_id, idx, delta), delta = -gamma * direction
-# read from src; the serial loop and the async engine differ only in the write
-# ---------------------------------------------------------------------------
-
-def sgm(obj, gamma):
-    """SGM, and Hogwild! when the engine drives it."""
-    def step(rng, src):
-        i = draw_term(rng, obj.n)
+def sgm(obj):
+    """SGM, and Hogwild! when the engine drives it: the gradient of term s."""
+    def direction(i, src):
         idx = obj.term_support(i)
-        return i, idx, -gamma * sgm_direction(obj, i, src[idx])
-    return step
+        return idx, obj.term_grad_vals(i, src[idx])
+    return Kernel(obj.n, direction)
 
 
-def scd(obj, gamma):
-    """SCD, and ASCD when the engine drives it.
+def scd(obj):
+    """SCD, and ASCD when the engine drives it: d times coordinate s of grad f.
 
     The coordinate's read set is first copied into a private buffer, so the
     direction is computed from one read of each value.
     """
     scratch = np.zeros(obj.d)
 
-    def step(rng, src):
-        v = draw_coord(rng, obj.d)
+    def direction(v, src):
         union = obj.coord_read_support(v)
         scratch[union] = src[union]
-        u = scd_direction(obj, v, scratch)
-        return v, np.array([v], dtype=np.int64), np.array([-gamma * u])
-    return step
+        return np.array([v], dtype=np.int64), np.array([obj.d * obj.full_grad_coord(v, scratch)])
+    return Kernel(obj.d, direction)
 
 
-def svrg_sparse(obj, gamma, y, z):
-    """Sparse SVRG around the snapshot y with z = grad f(y); KroMagnon in the engine."""
-    def step(rng, src):
-        i = draw_term(rng, obj.n)
+def svrg_sparse(obj, y, z):
+    """Sparse SVRG around the snapshot y with z = grad f(y), KroMagnon in the
+    engine: g(x, s) - g(y, s) + D_s z on the term's support."""
+    def direction(i, src):
         idx = obj.term_support(i)
-        return i, idx, -gamma * svrg_sparse_direction(obj, i, src[idx], y[idx], z, idx)
-    return step
+        gx = obj.term_grad_vals(i, src[idx])
+        return idx, gx - obj.term_grad_vals(i, y[idx]) + obj.d_inv[idx] * z[idx]
+    return Kernel(obj.n, direction)
 
 
-def svrg_dense(obj, gamma, y, z):
-    """Sparse part of dense SVRG; the serial loop adds the dense -gamma * z after it."""
-    def step(rng, src):
-        i = draw_term(rng, obj.n)
+def svrg_dense(obj, y, z):
+    """Dense SVRG: g(x, s) - g(y, s) on the term's support, plus z everywhere."""
+    def direction(i, src):
         idx = obj.term_support(i)
-        return i, idx, -gamma * svrg_dense_direction(obj, i, src[idx], y[idx])
-    return step
+        return idx, obj.term_grad_vals(i, src[idx]) - obj.term_grad_vals(i, y[idx])
+    return Kernel(obj.n, direction, dense=z)
 
 
+KERNELS = {"sgm": sgm, "scd": scd, "svrg_sparse": svrg_sparse, "svrg_dense": svrg_dense}
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
 
 
@@ -257,6 +236,35 @@ def clamp_bounds(obj, cfg):
 # solvers
 # ---------------------------------------------------------------------------
 
+def _epochs(cfg, epochal):
+    """(epoch_size, epochs) of a run; a flat run is one epoch of total_iters."""
+    return (cfg.epoch_size, cfg.epochs) if epochal else (cfg.total_iters, 1)
+
+
+def _checkpoints(obj, cfg, factory, x):
+    """The one checkpoint schedule of the serial loop, the async driver and
+    the simulator.
+
+    Yields (t, bound, snap): the run takes samples t..bound-1 with the kernel
+    factory(obj, *snap), then a checkpoint after bound samples.  Checkpoints
+    fall every log_every samples, at every epoch end, and after the last
+    sample.  An epochal kernel's snap = (y, grad f(y)) is a fresh copy y of
+    x at every snapshot_interval-th epoch start; a flat run has snap = ().
+    """
+    epochal = factory in EPOCHAL_KERNELS
+    S, E = _epochs(cfg, epochal)
+    marks = set(range(S, S * E + 1, S))
+    if cfg.log_every > 0:
+        marks.update(range(cfg.log_every, S * E, cfg.log_every))
+    t, snap = 0, ()
+    for bound in sorted(marks):
+        if epochal and t % S == 0 and t // S % cfg.snapshot_interval == 0:
+            y = x.copy()
+            snap = (y, obj.full_grad(y))
+        yield t, bound, snap
+        t = bound
+
+
 class _Tracer:
     """Checkpoint recorder of the serial loop and the async driver.
 
@@ -270,8 +278,8 @@ class _Tracer:
         self.obj = obj
         self.xstar = xstar
         self.track_f = track_f
+        self.epochal = epochal
         self.iters, self.a, self.f, self.wall = [], [], [], []
-        self.epoch_a = [] if epochal and xstar is not None else None
         self.diverged = False
         self.elapsed = 0.0
         self.seg_start = time.perf_counter()
@@ -291,65 +299,42 @@ class _Tracer:
         self.seg_start = time.perf_counter()
         return True
 
-    def end_epoch(self, t, x):
-        """||x - x*||^2 at an epoch end, reusing a checkpoint taken there."""
-        if self.epoch_a is None:
-            return
-        if self.iters and self.iters[-1] == t:
-            self.epoch_a.append(self.a[-1])
-        else:
-            self.epoch_a.append(sq_distance(x, self.xstar))
-
     def result(self, x, cfg) -> RunResult:
+        epoch_a = None
+        if self.epochal and self.xstar is not None:  # the epoch-end checkpoints
+            epoch_a = [a for t, a in zip(self.iters, self.a) if t % cfg.epoch_size == 0]
         return RunResult(
             x=x, iters=self.iters[-1] if self.iters else 0, gamma=cfg.gamma,
             seed=cfg.seed, trace_iter=np.asarray(self.iters, dtype=np.int64),
             trace_a=np.asarray(self.a) if self.xstar is not None else None,
             trace_f=np.asarray(self.f) if self.track_f else None,
-            epoch_a=np.asarray(self.epoch_a) if self.epoch_a is not None else None,
+            epoch_a=np.asarray(epoch_a) if epoch_a is not None else None,
             trace_wall=np.asarray(self.wall), wall_time=self.elapsed,
             diverged=self.diverged,
         )
 
 
-def _run_serial(obj, cfg, x0, xstar, track_f, kernel) -> RunResult:
-    """The one sampling loop: kernel steps written to x with plain NumPy.
-
-    Epochal kernels are rebuilt from a fresh snapshot every
-    snapshot_interval epochs; checkpoints fall every log_every samples and
-    after the last one.
-    """
-    epochal = kernel in EPOCHAL_KERNELS
-    dense = kernel is svrg_dense
-    S, E = (cfg.epoch_size, cfg.epochs) if epochal else (cfg.total_iters, 1)
-    every = cfg.log_every if cfg.log_every > 0 else S * E
+def _run_serial(obj, cfg, x0, xstar, track_f, factory) -> RunResult:
+    """The one sampling loop: x[idx] += -gamma * g with plain NumPy, then the
+    kernel's dense part on every coordinate, clamped to clamp_bounds (x0 too)."""
     gamma = cfg.gamma
     lo, hi = clamp_bounds(obj, cfg)
+    x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
     rng = worker_rng(cfg.seed, 0)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    tracer = _Tracer(obj, xstar, track_f, epochal)
-    step = None if epochal else kernel(obj, gamma)
-    t = 0
-    for k in range(E):
-        if epochal and k % cfg.snapshot_interval == 0:
-            y = x.copy()
-            z = obj.full_grad(y)
-            step = kernel(obj, gamma, y, z)
-        for _ in range(S):
-            _, idx, delta = step(rng, x)
-            x[idx] += delta
-            if dense:
-                x += -gamma * z
+    tracer = _Tracer(obj, xstar, track_f, factory in EPOCHAL_KERNELS)
+    for t, bound, snap in _checkpoints(obj, cfg, factory, x):
+        samples, direction, dense = factory(obj, *snap)
+        for _ in range(bound - t):
+            idx, g = direction(int(rng.integers(samples)), x)
+            x[idx] += -gamma * g
+            if dense is not None:
+                x += -gamma * dense
                 if lo is not None:
                     np.clip(x, lo, hi, out=x)
             elif lo is not None:
                 x[idx] = np.clip(x[idx], lo, hi)
-            t += 1
-            if t % every == 0 and not tracer.record(t, x):
-                return tracer.result(x, cfg)
-        tracer.end_epoch(t, x)
-    if t % every:
-        tracer.record(t, x)
+        if not tracer.record(bound, x):
+            break
     return tracer.result(x, cfg)
 
 
@@ -417,26 +402,18 @@ def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
 
 
 def enumerated_mean_direction(obj, x, algo, y=None):
-    """Average update direction over all samples; equals grad f(x) when unbiased."""
-    if algo in ("svrg_dense", "svrg_sparse"):
-        z = obj.full_grad(y)
+    """Average of the kernel's g(x, s) over every sample s, with the snapshot
+    y for SVRG; equals grad f(x) when the direction is unbiased."""
+    if algo not in KERNELS:
+        raise ValueError(f"unknown algo {algo!r}")
+    factory = KERNELS[algo]
+    kernel = factory(obj, y, obj.full_grad(y)) if factory in EPOCHAL_KERNELS else factory(obj)
     out = np.zeros(obj.d)
-    if algo == "scd":
-        for v in range(obj.d):
-            out[v] = obj.d * obj.full_grad_coord(v, x)
-        return out / obj.d
-    for i in range(obj.n):
-        idx = obj.term_support(i)
-        if algo == "sgm":
-            out[idx] += obj.term_grad_vals(i, x[idx])
-        elif algo == "svrg_dense":
-            out[idx] += svrg_dense_direction(obj, i, x[idx], y[idx])
-            out += z
-        elif algo == "svrg_sparse":
-            out[idx] += svrg_sparse_direction(obj, i, x[idx], y[idx], z, idx)
-        else:
-            raise ValueError(f"unknown algo {algo!r}")
-    return out / obj.n
+    for s in range(kernel.samples):
+        idx, g = kernel.direction(s, x)
+        out[idx] += g
+    out /= kernel.samples
+    return out if kernel.dense is None else out + kernel.dense
 
 
 def trace_to_csv(result: RunResult, path, epoch_size=None):

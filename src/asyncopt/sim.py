@@ -3,7 +3,9 @@
 Reconstructs the analysis objects of lock-free execution: the exact "fake"
 iterate sequence x_{j+1} = x_j - gamma * g(xhat_j, s_j), and the stale
 read iterates xhat_j built from an explicit per-coordinate visibility
-schedule.  Because the schedule is data, every identity and bound of the
+schedule.  g is the solvers' own kernel from asyncopt.serial, with their
+sample stream and epoch schedule, so a zero-delay simulation is the serial
+run.  Because the schedule is data, every identity and bound of the
 stale-read analysis becomes directly measurable:
 
   - the per-step expansion of ||x_{j+1} - x*||^2 (exact algebra),
@@ -21,19 +23,18 @@ same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .objectives import DecomposableObjective
 from .serial import (
+    EPOCHAL_KERNELS,
+    KERNELS,
     SolverConfig,
-    draw_coord,
-    draw_term,
+    _checkpoints,
+    _epochs,
     resolve_config,
-    scd_direction,
-    sgm_direction,
-    svrg_sparse_direction,
     worker_rng,
 )
 from .vectors import sq_distance
@@ -140,20 +141,16 @@ class SimTrace:
         return int(self.U.shape[0])
 
 
-def _cond_second_moment(obj, algo, xhat, y=None, z=None):
-    """E over the sample choice of ||update direction||^2 at a fixed read."""
-    if algo == "scd":
+def _cond_second_moment(obj, algo, kernel, xhat):
+    """E over the sample choice of ||g(xhat, s)||^2, by enumeration of s."""
+    if algo == "scd":  # closed form: d * ||grad f(xhat)||^2
         g = obj.full_grad(xhat)
         return float(obj.d * (g @ g))
     total = 0.0
-    for i in range(obj.n):
-        idx = obj.term_support(i)
-        if algo == "sgm":
-            v = obj.term_grad_vals(i, xhat[idx])
-        else:
-            v = svrg_sparse_direction(obj, i, xhat[idx], y[idx], z, idx)
-        total += float(v @ v)
-    return total / obj.n
+    for s in range(kernel.samples):
+        g = kernel.direction(s, xhat)[1]
+        total += float(g @ g)
+    return total / kernel.samples
 
 
 def simulate(
@@ -166,17 +163,17 @@ def simulate(
     record_q=True,
 ) -> SimTrace:
     """Run one seed of {sgm|scd|svrg_sparse} under the given visibility
-    schedule.  Projection/clamping is not simulated (the identities being
-    checked are for the unconstrained recursions)."""
+    schedule, with the solvers' kernel and epochs.  Projection/clamping is
+    not simulated (the identities being checked are for the unconstrained
+    recursions)."""
     if algo not in ("sgm", "scd", "svrg_sparse"):
         raise ValueError(f"unknown algo {algo!r}")
     if xstar is None:
         raise ValueError("simulate needs x* to record distances")
-    cfg = resolve_config(cfg, obj, algo)
-    if algo == "svrg_sparse":
-        T = cfg.epoch_size * cfg.epochs
-    else:
-        T = cfg.total_iters
+    cfg = replace(resolve_config(cfg, obj, algo), log_every=0)  # one segment per epoch
+    factory = KERNELS[algo]
+    S, E = _epochs(cfg, factory in EPOCHAL_KERNELS)
+    T = S * E
     if schedule.T < T or schedule.d != obj.d:
         raise ValueError("schedule does not cover this run (length or dim)")
     tau = schedule.tau
@@ -196,55 +193,33 @@ def simulate(
     x = np.array(x0, dtype=np.float64, copy=True)
     X[0] = x
     a[0] = sq_distance(x, xstar)
-    y = z = None
-    ep0 = 0
-    ya = 0.0
-    if algo == "svrg_sparse":
-        y = x.copy()
-        z = obj.full_grad(y)
-        ya = sq_distance(y, xstar)
-    for j in range(T):
-        if algo == "svrg_sparse" and j > 0 and j % cfg.epoch_size == 0:
-            k = j // cfg.epoch_size
-            ep0 = j
-            if k % cfg.snapshot_interval == 0:
-                y = x.copy()  # barrier: the fake iterate is the shared state
-                z = obj.full_grad(y)
-                ya = sq_distance(y, xstar)
-        epoch_start[j] = ep0
-        snapshot_a[j] = ya
-        # read iterate: add back the in-window writes marked missing
-        # (staleness does not cross the epoch barrier)
-        xhat = x.copy()
-        for lag in range(1, min(tau, j) + 1):
-            i = j - lag
-            if i < ep0:
-                break
-            mask = schedule.missing[j, lag - 1]
-            if mask.any():
-                xhat[mask] += gamma * U[i][mask]
-        Xhat[j] = xhat
-        if algo == "sgm":
-            i = draw_term(rng, obj.n)
-            idx = obj.term_support(i)
-            U[j, idx] = sgm_direction(obj, i, xhat[idx])
-        elif algo == "scd":
-            v = draw_coord(rng, d)
-            U[j, v] = scd_direction(obj, v, xhat)
-        else:
-            i = draw_term(rng, obj.n)
-            idx = obj.term_support(i)
-            U[j, idx] = svrg_sparse_direction(obj, i, xhat[idx], y[idx], z, idx)
-        if record_q:
-            q[j] = _cond_second_moment(obj, algo, xhat, y, z)
-        g = U[j]
-        nj = xhat - x
-        r0[j] = float(g @ g)
-        r1[j] = float(nj @ nj)
-        r2[j] = float(nj @ g)
-        x = x - gamma * g
-        X[j + 1] = x
-        a[j + 1] = sq_distance(x, xstar)
+    # x is updated in place, so each snapshot is the fake iterate at its epoch start
+    for ep0, end, snap in _checkpoints(obj, cfg, factory, x):
+        kernel = factory(obj, *snap)
+        ya = sq_distance(snap[0], xstar) if snap else 0.0
+        for j in range(ep0, end):
+            epoch_start[j] = ep0
+            snapshot_a[j] = ya
+            # read iterate: add back the in-window writes marked missing
+            # (staleness does not cross the epoch barrier)
+            xhat = x.copy()
+            for lag in range(1, min(tau, j - ep0) + 1):
+                mask = schedule.missing[j, lag - 1]
+                if mask.any():
+                    xhat[mask] += gamma * U[j - lag][mask]
+            Xhat[j] = xhat
+            idx, vals = kernel.direction(int(rng.integers(kernel.samples)), xhat)
+            U[j, idx] = vals
+            if record_q:
+                q[j] = _cond_second_moment(obj, algo, kernel, xhat)
+            g = U[j]
+            nj = xhat - x
+            r0[j] = float(g @ g)
+            r1[j] = float(nj @ nj)
+            r2[j] = float(nj @ g)
+            x -= gamma * g
+            X[j + 1] = x
+            a[j + 1] = sq_distance(x, xstar)
     return SimTrace(
         algo=algo, gamma=gamma, tau=tau, seed=cfg.seed, X=X, Xhat=Xhat, U=U,
         a=a, r0=r0, r1=r1, r2=r2, q=q, epoch_start=epoch_start,

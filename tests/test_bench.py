@@ -75,6 +75,16 @@ def test_run_plan_artifacts(tmp_path):
     assert algos == {"hogwild", "kromagnon", "svrg_dense"}
 
 
+def test_epochal_runs_checkpoint_every_epoch(tmp_path):
+    plan = small_plan(tmp_path, algorithms=("kromagnon", "svrg_dense", "svrg_sparse"))
+    run_plan(plan)
+    runs = sorted((tmp_path / "out" / "runs").iterdir())
+    assert len(runs) == 4  # kromagnon at 1 and 2 workers
+    for p in runs:  # the t=0 origin and every epoch end
+        wall, _, _ = _read_run_csv(p)
+        assert wall.size == plan.epochs + 1, p.name
+
+
 def test_replay_is_deterministic(tmp_path):
     # serial algorithms replayed from the manifest settings reproduce the
     # objective trace exactly (wall clock differs, f values do not)

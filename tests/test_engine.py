@@ -193,7 +193,7 @@ def test_kromagnon_respects_box_constraint():
 
 def test_multi_worker_run_converges(ridge_small):
     obj, xstar = ridge_small
-    cfg = SolverConfig(gamma=0.005, total_iters=8000, seed=1)
+    cfg = SolverConfig(gamma=0.0025, total_iters=16000, seed=1)
     res, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=4, xstar=xstar)
     a_final = float((res.x - xstar) @ (res.x - xstar))
     assert a_final < 0.1 * float(xstar @ xstar)

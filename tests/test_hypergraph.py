@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncopt.hypergraph import (
     conflict_stats,
@@ -31,6 +33,25 @@ def test_matches_bruteforce_on_random_instances():
         assert fast.max_conflict_degree == slow.max_conflict_degree
         assert fast.max_left_degree == slow.max_left_degree
         assert fast.max_right_degree == slow.max_right_degree
+
+
+@st.composite
+def hypergraphs(draw):
+    d = draw(st.integers(1, 40))
+    edge = st.lists(st.integers(0, d - 1), min_size=1, max_size=min(5, d), unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=60))
+    return [np.array(e, dtype=np.int64) for e in edges], d
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs())
+def test_matches_bruteforce_on_any_hypergraph(graph):
+    edges, d = graph
+    fast = conflict_stats(edges, d)
+    slow = conflict_stats_bruteforce(edges, d)
+    assert fast.degrees.tolist() == slow.degrees.tolist()
+    assert fast.max_left_degree == slow.max_left_degree
+    assert fast.max_right_degree == slow.max_right_degree
 
 
 def test_disjoint_edges_have_zero_degree():

@@ -1,7 +1,9 @@
-"""The step-kernel seam: serial and threaded drivers of the same kernel.
+"""The kernel seam: the serial loop, the threaded driver and the simulator
+run the same kernel.
 
-A 1-worker async run must reproduce its serial counterpart bit for bit on
-any shape, and every solver must stop at its first non-finite checkpoint.
+A 1-worker async run and a zero-delay simulation must reproduce their
+serial counterpart bit for bit on any shape, and every solver must stop at
+its first non-finite checkpoint.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import asyncopt as ao
 from asyncopt.engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT, run_ascd, run_hogwild, run_kromagnon
 from asyncopt.serial import SolverConfig, run_scd, run_sgm, run_svrg_dense, run_svrg_sparse
+from asyncopt.sim import gen_schedule, simulate
 
 from conftest import make_ridge_desk, make_vc_desk
 
@@ -49,7 +52,7 @@ def test_one_worker_async_equals_serial(
     cd = SolverConfig(gamma=gamma / obj.d, total_iters=30, seed=seed, linf=linf,
                       log_every=log_every)
     ep = SolverConfig(gamma=gamma, epoch_size=20, epochs=3, seed=seed, linf=linf,
-                      snapshot_interval=snapshot_interval, log_every=20)
+                      snapshot_interval=snapshot_interval, log_every=log_every)
 
     res, _ = run_hogwild(obj, flat, x0, workers=1, mode=mode, track_f=True)
     assert_same_run(res, run_sgm(obj, flat, x0, track_f=True))
@@ -57,6 +60,35 @@ def test_one_worker_async_equals_serial(
     assert_same_run(res, run_scd(obj, cd, x0, track_f=True))
     res, _ = run_kromagnon(obj, None, ep, x0, workers=1, mode=mode, track_f=True)
     assert_same_run(res, run_svrg_sparse(obj, None, ep, x0, track_f=True))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 80), d=st.integers(1, 30), nnz=st.integers(1, 4),
+    algo=st.sampled_from(["sgm", "scd", "svrg_sparse"]),
+    data_seed=st.integers(0, 1000), seed=st.integers(0, 1000),
+    snapshot_interval=st.integers(1, 2),
+)
+def test_zero_tau_simulation_equals_serial(n, d, nnz, algo, data_seed, seed, snapshot_interval):
+    assume(nnz <= d)
+    data = ao.gen_synthetic(ao.SyntheticSpec(n, d, nnz, label_model="linear", seed=data_seed),
+                            l2_reg=0.1)
+    obj = ao.least_squares_objective(ao.remap_covered(data)[0])
+    xstar = ao.solve_reference(obj)
+    x0 = np.zeros(obj.d)
+    gamma = 0.5 / obj.constants.L_term
+    if algo == "svrg_sparse":
+        cfg = SolverConfig(gamma=gamma, epoch_size=20, epochs=3, seed=seed,
+                           snapshot_interval=snapshot_interval)
+        serial = run_svrg_sparse(obj, None, cfg, x0)
+    else:
+        run = run_sgm if algo == "sgm" else run_scd
+        cfg = SolverConfig(gamma=gamma / obj.d if algo == "scd" else gamma, total_iters=60,
+                           seed=seed)
+        serial = run(obj, cfg, x0)
+    trace = simulate(obj, cfg, x0, gen_schedule(60, 0, obj.d, style="none"), algo,
+                     xstar=xstar, record_q=False)
+    assert np.array_equal(trace.X[-1], serial.x)
 
 
 @settings(max_examples=15, deadline=None)
@@ -78,6 +110,19 @@ def test_one_worker_kromagnon_equals_serial_on_box(
     serial = run_svrg_sparse(obj, None, cfg, x0, track_f=True)
     assert_same_run(res, serial)
     assert res.x.min() >= 0.0 and res.x.max() <= (radius or 1.0)
+
+
+def test_runs_start_inside_their_bounds(ridge_small):
+    # one sample writes at most 3 of the 10 coordinates; the others must not stay at x0
+    obj, _ = ridge_small
+    x0 = np.ones(obj.d)
+    flat = SolverConfig(gamma=0.01, total_iters=1, seed=0, linf=ao.LinfBall(0.05))
+    ep = SolverConfig(gamma=0.01, epoch_size=1, epochs=1, seed=0, linf=ao.LinfBall(0.05))
+    runs = [run_sgm(obj, flat, x0), run_scd(obj, flat, x0), run_svrg_sparse(obj, None, ep, x0),
+            run_hogwild(obj, flat, x0)[0], run_ascd(obj, flat, x0)[0],
+            run_kromagnon(obj, None, ep, x0)[0]]
+    for res in runs:
+        assert np.abs(res.x).max() <= 0.05
 
 
 def _async(run):
