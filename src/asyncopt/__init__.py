@@ -8,7 +8,6 @@ statistics, and a small benchmark harness.
 """
 
 from .vectors import (
-    Hyperedge,
     ProblemConstants,
     LinfBall,
     sq_distance,

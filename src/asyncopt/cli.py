@@ -92,7 +92,7 @@ def cmd_run(args):
     if rep is not None:
         print(f"tau observed: {rep.tau_observed}")
     if args.out:
-        trace_to_csv(res, args.out, epoch_size=args.epoch_size)
+        trace_to_csv(res, args.out, epoch_size=cfg.epoch_size or args.epoch_size)
         print(f"trace written to {args.out}")
     return 1 if res.diverged else 0
 

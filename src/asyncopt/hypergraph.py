@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vectors import Hyperedge
-
 __all__ = [
     "ConflictStats",
     "CoordinateWeights",
@@ -21,14 +19,12 @@ __all__ = [
     "coordinate_weights",
     "intersection_probability_bound",
     "tau_bound_comparison",
+    "weights_from_counts",
 ]
 
 
 def _coord_arrays(edges):
-    out = []
-    for e in edges:
-        out.append(e.coords if isinstance(e, Hyperedge) else np.asarray(e, dtype=np.int64))
-    return out
+    return [np.asarray(e, dtype=np.int64) for e in edges]
 
 
 @dataclass(frozen=True)
@@ -128,15 +124,20 @@ def conflict_stats_bruteforce(edges, d) -> ConflictStats:
 def coordinate_weights(edges, d) -> CoordinateWeights:
     """p_v = (#hyperedges containing v) / n, and d_inv = 1/p_v where covered."""
     coords = _coord_arrays(edges)
-    n = len(coords)
-    if n < 1:
-        raise ValueError("need at least one hyperedge")
     counts = np.zeros(d, dtype=np.int64)
     for c in coords:
         counts[c] += 1
+    return weights_from_counts(counts, len(coords))
+
+
+def weights_from_counts(counts, n) -> CoordinateWeights:
+    """The weights of n hyperedges, counts[v] of which contain coordinate v."""
+    if n < 1:
+        raise ValueError("need at least one hyperedge")
+    counts = np.asarray(counts, dtype=np.int64)
     covered = counts > 0
     p = counts / n
-    d_inv = np.zeros(d)
+    d_inv = np.zeros(counts.size)
     d_inv[covered] = n / counts[covered]
     return CoordinateWeights(p=p, d_inv=d_inv, covered=covered, counts=counts)
 

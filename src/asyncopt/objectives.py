@@ -6,6 +6,12 @@ Each term's gradient is supported exactly on its hyperedge; the l2
 regularizer is split across data terms with inverse-probability weights
 (d_inv[v] = 1 / p_v) so that averaging the terms reconstructs the full
 regularizer without densifying any term.
+
+The term supports are kept as a CSR pattern and its CSC, so the terms
+incident to coordinate v are the CSC column of v.  The coordinate gradient
+full_grad_coord(v, x) is one vectorized pass over that column: the entries
+of the incident rows are gathered from the CSR arrays at once, and its
+cost is the sum of the incident rows' lengths.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import CoordinateWeights, coordinate_weights
-from .vectors import Hyperedge, ProblemConstants
+from .hypergraph import CoordinateWeights, weights_from_counts
+from .vectors import ProblemConstants
 
 __all__ = [
     "RegressionDataset",
@@ -54,6 +60,10 @@ class RegressionDataset:
 
     def __post_init__(self):
         self.X = sp.csr_matrix(self.X, dtype=np.float64)
+        if not self.X.has_canonical_format:
+            # sorted rows without repeats: a repeated column would count twice in p_v
+            self.X = self.X.copy()
+            self.X.sum_duplicates()
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.shape[0] != self.X.shape[0]:
             raise ValueError("labels length must match number of rows")
@@ -105,6 +115,8 @@ class DecomposableObjective:
 
     Subclasses define per-term supports/gradients; everything here is
     immutable after construction and safe to evaluate from any thread.
+    ``_index`` keeps the CSR pattern ``_S`` of the term supports (row i is
+    term i) and its CSC ``_Sc`` (column v lists the terms incident to v).
     """
 
     n: int
@@ -115,7 +127,7 @@ class DecomposableObjective:
 
     # -- per-term interface ------------------------------------------------
     def term_support(self, i) -> np.ndarray:
-        raise NotImplementedError
+        return self._S.indices[self._S.indptr[i] : self._S.indptr[i + 1]]
 
     def term_grad_vals(self, i, w_vals) -> np.ndarray:
         """Gradient of term i given iterate values aligned to term_support(i)."""
@@ -124,9 +136,6 @@ class DecomposableObjective:
     def term_grad(self, i, x):
         idx = self.term_support(i)
         return idx, self.term_grad_vals(i, x[idx])
-
-    def hyperedge(self, i) -> Hyperedge:
-        return Hyperedge(i, self.term_support(i))
 
     # -- full-function interface --------------------------------------------
     def value(self, x) -> float:
@@ -139,18 +148,44 @@ class DecomposableObjective:
         """Coordinate v of the full gradient, touching only incident terms."""
         raise NotImplementedError
 
-    def _incident_terms(self, v) -> np.ndarray:
-        """Ids of the terms whose support contains coordinate v."""
-        raise NotImplementedError
+    def _index(self, S):
+        """Keep the support pattern S, its CSC, and the weights p_v it implies."""
+        self._S = S
+        self._Sc = S.tocsc()
+        self._row_start = S.indptr[:-1].astype(np.int64)
+        self._row_len = np.diff(S.indptr).astype(np.int64)
+        if not self._row_len.all():
+            # the row gathers and reduceat below need every row nonempty
+            raise ValueError(f"term {int(np.argmin(self._row_len))} has an empty support")
+        self.weights = weights_from_counts(np.diff(self._Sc.indptr), S.shape[0])
+        self._union_cache = {}
+        if not self.weights.all_covered:
+            raise ValueError(
+                f"{(~self.weights.covered).sum()} coordinates are covered by no "
+                "term; remap them out of the variable space first "
+                "(see asyncopt.data.remap_covered)"
+            )
+
+    def _incident_terms(self, v):
+        """Ids of the terms whose support contains coordinate v, ascending."""
+        return self._Sc.indices[self._Sc.indptr[v] : self._Sc.indptr[v + 1]]
+
+    def _gather(self, rows):
+        """Positions in the CSR arrays of the entries of ``rows``, row after
+        row, and the offset of each row among them."""
+        lens = self._row_len[rows]
+        offsets = np.cumsum(lens) - lens
+        pos = np.repeat(self._row_start[rows] - offsets, lens)
+        pos += np.arange(pos.size)
+        return pos, offsets
 
     def coord_read_support(self, v) -> np.ndarray:
-        """Coordinates needed to evaluate full_grad_coord(v, .)."""
+        """Coordinates needed to evaluate full_grad_coord(v, .): the union of
+        the incident terms' supports, v among them."""
         u = self._union_cache.get(v)
         if u is None:
-            parts = [self.term_support(int(i)) for i in self._incident_terms(v)]
-            parts.append(np.array([v], dtype=np.int64))
-            u = np.unique(np.concatenate(parts))
-            self._union_cache[v] = u
+            pos, _ = self._gather(self._incident_terms(v))
+            u = self._union_cache[v] = np.unique(self._S.indices[pos])
         return u
 
     def grad_norm_bound(self, center, radius) -> float:
@@ -161,45 +196,37 @@ class DecomposableObjective:
     def d_inv(self):
         return self.weights.d_inv
 
-    def _check_covered(self):
-        if not self.weights.all_covered:
-            raise ValueError(
-                f"{(~self.weights.covered).sum()} coordinates are covered by no "
-                "term; remap them out of the variable space first "
-                "(see asyncopt.data.remap_covered)"
-            )
-
 
 class _RegressionObjective(DecomposableObjective):
+    """Terms phi(<a_i, x>, b_i) plus the sparsified regularizer; a family
+    supplies only the vectorized derivative ``_dphi(t, b)`` of phi in t."""
+
     def __init__(self, data: RegressionDataset):
         self.data = data
         self.X = data.X
-        self.Xc = data.X.tocsc()
         self.b = data.labels
         self.lam = float(data.l2_reg)
         self.n = data.n
         self.d = data.d
-        edges = [
-            self.X.indices[self.X.indptr[i] : self.X.indptr[i + 1]]
-            for i in range(self.n)
-        ]
-        self.weights = coordinate_weights(edges, self.d)
-        self._check_covered()
+        self._index(self.X)
         self._row_sq = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
         # max of d_inv over each row's support, for per-term Lipschitz bounds
-        self._row_dinv_max = np.array(
-            [self.d_inv[e].max() for e in edges]
+        self._row_dinv_max = np.maximum.reduceat(
+            self.d_inv[self.X.indices], self.X.indptr[:-1]
         )
-        self._union_cache = {}
-
-    def term_support(self, i):
-        return self.X.indices[self.X.indptr[i] : self.X.indptr[i + 1]]
 
     def _row_vals(self, i):
         return self.X.data[self.X.indptr[i] : self.X.indptr[i + 1]]
 
-    def _incident_terms(self, v):
-        return self.Xc.indices[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
+    def full_grad(self, x):
+        return self.X.T @ self._dphi(self.X @ x, self.b) / self.n + self.lam * x
+
+    def full_grad_coord(self, v, x):
+        lo, hi = self._Sc.indptr[v], self._Sc.indptr[v + 1]
+        rows = self._Sc.indices[lo:hi]
+        pos, offsets = self._gather(rows)
+        dots = np.add.reduceat(self.X.data[pos] * x[self.X.indices[pos]], offsets)
+        return self._Sc.data[lo:hi] @ self._dphi(dots, self.b[rows]) / self.n + self.lam * x[v]
 
     def _reg_grad_vals(self, idx, w_vals):
         if self.lam == 0.0:
@@ -229,23 +256,13 @@ class LeastSquaresObjective(_RegressionObjective):
         idx = self.term_support(i)
         return a * r + self._reg_grad_vals(idx, w_vals)
 
+    @staticmethod
+    def _dphi(t, b):
+        return t - b
+
     def value(self, x):
         r = self.X @ x - self.b
         return 0.5 * float(r @ r) / self.n + self._reg_value(x)
-
-    def full_grad(self, x):
-        r = self.X @ x - self.b
-        return self.X.T @ r / self.n + self.lam * x
-
-    def full_grad_coord(self, v, x):
-        rows = self._incident_terms(v)
-        col = self.Xc.data[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
-        total = 0.0
-        for a_iv, i in zip(col, rows):
-            idx = self.term_support(int(i))
-            r = float(self._row_vals(int(i)) @ x[idx]) - self.b[i]
-            total += a_iv * r
-        return total / self.n + self.lam * x[v]
 
     def grad_norm_bound(self, center, radius):
         # each term gradient is affine in w: ||g_i(w)|| <= ||g_i(c)|| + ||H_i|| r
@@ -291,27 +308,13 @@ class LogisticObjective(_RegressionObjective):
         idx = self.term_support(i)
         return (-b * s) * a + self._reg_grad_vals(idx, w_vals)
 
+    @staticmethod
+    def _dphi(t, b):
+        return -b * _sigmoid(-b * t)
+
     def value(self, x):
         t = self.b * (self.X @ x)
         return float(np.logaddexp(0.0, -t).mean()) + self._reg_value(x)
-
-    def full_grad(self, x):
-        t = self.b * (self.X @ x)
-        coef = -self.b * _sigmoid(-t)
-        return self.X.T @ coef / self.n + self.lam * x
-
-    def full_grad_coord(self, v, x):
-        rows = self._incident_terms(v)
-        col = self.Xc.data[self.Xc.indptr[v] : self.Xc.indptr[v + 1]]
-        total = 0.0
-        for a_iv, i in zip(col, rows):
-            i = int(i)
-            idx = self.term_support(i)
-            b = self.b[i]
-            t = b * float(self._row_vals(i) @ x[idx])
-            s = float(_sigmoid(np.array([-t]))[0])
-            total += -b * s * a_iv
-        return total / self.n + self.lam * x[v]
 
     def full_hessian(self, x):
         t = self.b * (self.X @ x)
@@ -350,16 +353,17 @@ class VertexCoverObjective(DecomposableObjective):
         self.deg = np.bincount(problem.edges.ravel(), minlength=self.nV)
         self.isolated = np.flatnonzero(self.deg == 0)
         self.n = self.nE + self.isolated.size
-        edges = []
-        for k in range(self.nE):
-            u, v = problem.edges[k]
-            edges.append(np.array([u, v, self.nV + k], dtype=np.int64))
-        for v in self.isolated:
-            edges.append(np.array([v], dtype=np.int64))
-        self._supports = edges
-        self.weights = coordinate_weights(edges, self.d)
-        self._check_covered()
-        self._union_cache = {}
+        # edge term k touches (u, v, nV + k); an isolated vertex its own term
+        indices = np.concatenate([
+            np.column_stack([problem.edges, self.nV + np.arange(self.nE)]).ravel(),
+            self.isolated,
+        ])
+        indptr = np.concatenate([
+            np.arange(0, 3 * self.nE, 3), 3 * self.nE + np.arange(self.isolated.size + 1)
+        ])
+        self._index(sp.csr_matrix(
+            (np.ones(indices.size), indices, indptr), shape=(self.n, self.d)
+        ))
         m, L = self._curvature_bounds()
         L_term = self.n * (3.0 * self.beta + max(2.0, 1.0 / self.beta))
         M = self.grad_norm_bound(np.zeros(self.d), 1.0)
@@ -395,9 +399,6 @@ class VertexCoverObjective(DecomposableObjective):
             1.0 / self.beta, 2.0
         )
         return m, L
-
-    def term_support(self, i):
-        return self._supports[i]
 
     def term_grad_vals(self, i, w_vals):
         n, beta = self.n, self.beta
@@ -435,23 +436,16 @@ class VertexCoverObjective(DecomposableObjective):
         ge = -self.beta * r + 2.0 * xe
         return np.concatenate([gv, ge])
 
-    def _incident_terms(self, v):
-        if v >= self.nV:
-            return np.array([v - self.nV], dtype=np.int64)
-        if self.deg[v] == 0:
-            k = int(np.searchsorted(self.isolated, v))
-            return np.array([self.nE + k], dtype=np.int64)
-        return np.flatnonzero(
-            (self.problem.edges[:, 0] == v) | (self.problem.edges[:, 1] == v)
-        )
-
     def full_grad_coord(self, v, x):
-        total = 0.0
-        for i in self._incident_terms(v):
-            idx = self.term_support(int(i))
-            g = self.term_grad_vals(int(i), x[idx])
-            total += float(g[idx == v][0])
-        return total / self.n
+        beta = self.beta
+        if v >= self.nV:  # an edge variable lies in its own edge's term only
+            u, w = self.problem.edges[v - self.nV]
+            return -beta * (x[u] + x[w] - x[v] - 1.0) + 2.0 * x[v]
+        k = self._incident_terms(v)
+        k = k[k < self.nE]  # an isolated vertex's own term has no penalty part
+        u, w = self.problem.edges[k].T
+        r = x[u] + x[w] - x[self.nV + k] - 1.0
+        return beta * r.sum() + (1.0 + x[v] / beta)
 
     def grad_norm_bound(self, center, radius):
         best = 0.0

@@ -50,7 +50,6 @@ __all__ = [
     "check_ascd_windows",
     "check_svrg_variance_window",
     "window_indices",
-    "trace_csv",
 ]
 
 STYLES = ("none", "random", "adversarial_stale")
@@ -77,19 +76,6 @@ class DelaySchedule:
         expect = (self.T, self.tau, self.d)
         if self.missing.shape != expect:
             raise ValueError(f"missing mask must have shape {expect}")
-
-    def save(self, path):
-        np.savez_compressed(
-            path, T=self.T, tau=self.tau, d=self.d, missing=self.missing
-        )
-
-    @classmethod
-    def load(cls, path):
-        z = np.load(path)
-        return cls(
-            T=int(z["T"]), tau=int(z["tau"]), d=int(z["d"]),
-            missing=z["missing"].astype(bool),
-        )
 
 
 def gen_schedule(T, tau, d, seed=0, style="random") -> DelaySchedule:
@@ -468,29 +454,3 @@ def check_svrg_variance_window(traces, constants, r_max=3, j_stride=1, tol=1e-9)
     scale = max(1.0, max(r["g_hat"] for r in rows))
     return _chain_report(rows, scale, tol)
 
-
-def reconstruct_mismatch(trace: SimTrace, schedule: DelaySchedule, j):
-    """Rebuild xhat_j - x_j from the schedule masks and logged updates; the
-    simulator constructs it the same way, so agreement must be ~1e-12."""
-    d = schedule.d
-    out = np.zeros(d)
-    lo = int(trace.epoch_start[j])
-    for lag in range(1, min(schedule.tau, j) + 1):
-        i = j - lag
-        if i < lo:
-            break
-        mask = schedule.missing[j, lag - 1]
-        out[mask] += trace.gamma * trace.U[i][mask]
-    return out
-
-
-def trace_csv(trace: SimTrace, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "a_j", "r0", "r1", "r2", "q"])
-        for j in range(trace.T):
-            w.writerow(
-                [j, trace.a[j], trace.r0[j], trace.r1[j], trace.r2[j], trace.q[j]]
-            )

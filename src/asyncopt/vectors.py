@@ -1,5 +1,5 @@
-"""Value types shared by every layer: hyperedges, problem constants, the
-l-inf clamp region, and the squared distance.
+"""Value types shared by every layer: problem constants, the l-inf clamp
+region, and the squared distance.
 
 The shared iterate is always a dense float64 array; per-step gradients and
 updates are sparse (index/value pairs restricted to a hyperedge's support).
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Hyperedge",
     "ProblemConstants",
     "LinfBall",
     "sq_distance",
@@ -21,25 +20,6 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Hyperedge:
-    """The set of coordinates a single objective term depends on."""
-
-    id: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.unique(np.asarray(self.coords, dtype=np.int64))
-        if coords.size == 0:
-            raise ValueError("hyperedge must be non-empty")
-        if coords[0] < 0:
-            raise ValueError("negative coordinate index")
-        object.__setattr__(self, "coords", coords)
-
-    def __len__(self):
-        return int(self.coords.size)
 
 
 @dataclass(frozen=True)

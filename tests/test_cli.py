@@ -40,6 +40,19 @@ def test_run_serial_and_trace(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_run_trace_epochs_default_epoch_size(tmp_path):
+    # without --epoch-size an epoch is one pass over the n=60 terms
+    trace = tmp_path / "trace.csv"
+    rc = main([
+        "run", "--problem", "linreg", "--synthetic", "60,12,3",
+        "--l2-reg", "0.5", "--mode", "svrg_sparse", "--gamma", "0.005",
+        "--epochs", "3", "--out", str(trace),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("60", "1"), ("120", "2"), ("180", "3")]
+
+
 def test_run_hogwild_reports_tau(capsys):
     rc = main([
         "run", "--problem", "linreg", "--synthetic", "60,12,3",

@@ -3,19 +3,10 @@ import pytest
 
 from asyncopt.serial import SolverConfig, clamp_bounds
 from asyncopt.vectors import (
-    Hyperedge,
     LinfBall,
     ProblemConstants,
     sq_distance,
 )
-
-
-def test_hyperedge_dedups_and_validates():
-    e = Hyperedge(0, np.array([2, 1, 2]))
-    assert e.coords.tolist() == [1, 2]
-    assert len(e) == 2
-    with pytest.raises(ValueError):
-        Hyperedge(0, np.array([], dtype=np.int64))
 
 
 def test_problem_constants():

@@ -1,0 +1,110 @@
+"""Parent/change benchmark pairs, written to a BENCH_<n>.json claim file.
+
+Usage (from the root of a checkout, with the parent commit checked out in
+another directory):
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --seed 3000 \
+        --out BENCH_6.json
+
+For each workload of BENCHMARK.json it makes ten pairs of perfbench/run.py
+runs at the benchmark's run_seconds, one pair per seed, one run at a time,
+so the two sides of a pair meet the same host; the side that runs first
+alternates from pair to pair.  It records, for every end-to-end metric,
+the median, quartiles and spread of each side as perfbench/spread.py
+defines them (the definition BENCHMARK.json's bounds are judged against),
+the ratio of the medians (change over parent) and the number of pairs the
+change wins.  It also makes one --trace 1 pair on the first seed and keeps
+the per-layer metrics in LAYERS.  Every run's gate result is kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from spread import summary  # noqa: E402  (one definition of median, quartiles, spread)
+
+PAIRS = 10
+LAYERS = ("objectives.full_grad_coord_us", "self_s.objectives")
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, timeout=900, check=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(f"{os.path.basename(os.path.abspath(checkout))} {workload} s{seed} t{trace}: "
+          f"correct={out['correct']} failed={out['failed']}", file=sys.stderr, flush=True)
+    return out
+
+
+def compare(spec, parent_runs, change_runs):
+    sides = {"parent": parent_runs, "change": change_runs}
+    summaries = {side: summary(runs) for side, runs in sides.items()}
+    table = {}
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        values = {side: [r["metrics"][name]["value"] for r in runs]
+                  for side, runs in sides.items()}
+        wins = sum((b < a) if lower else (b > a)
+                   for a, b in zip(values["parent"], values["change"]))
+        row = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+        for side in sides:
+            s = summaries[side][name]
+            row[side] = {k: s[k] for k in ("median", "q1", "q3", "spread")}
+            row[side]["values"] = values[side]
+        row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+        row["change_wins"] = wins
+        table[name] = row
+    return table
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", default=ROOT)
+    ap.add_argument("--seed", type=int, default=3000, help="first seed; pair k uses seed + k")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    seeds = [args.seed + k for k in range(PAIRS)]
+    result = {
+        "about": " ".join(__doc__.split("\n\n")[3].split()),
+        "cpu_count": os.cpu_count(),
+        "seconds": seconds,
+        "seeds": seeds,
+        "workloads": {},
+    }
+    for w in (w["name"] for w in spec["workloads"]):
+        parent_runs, change_runs = [], []
+        for k, s in enumerate(seeds):
+            sides = [(args.parent, parent_runs), (args.change, change_runs)]
+            for path, runs in sides[::-1] if k % 2 else sides:
+                runs.append(run_once(path, w, s, seconds, 0))
+        traced = {side: run_once(path, w, seeds[0], seconds, 1)["metrics"]
+                  for side, path in (("parent", args.parent), ("change", args.change))}
+        result["workloads"][w] = {
+            "gates": {side: [{"correct": r["correct"], "failed": r["failed"]} for r in runs]
+                      for side, runs in (("parent", parent_runs), ("change", change_runs))},
+            "end_to_end": compare(spec, parent_runs, change_runs),
+            "per_layer_first_seed": {
+                k: {side: traced[side][k]["value"] for side in traced} for k in LAYERS
+            },
+        }
+        with open(args.out, "w") as fh:  # rewritten after each workload
+            json.dump(result, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
