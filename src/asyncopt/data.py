@@ -172,9 +172,14 @@ def parse_edge_list(path, beta=1.0, num_vertices=None) -> VertexCoverProblem:
 
 
 def write_edge_list(path, problem: VertexCoverProblem):
+    """Inverse of parse_edge_list.  An isolated last vertex is written as a
+    self-loop, which the parser counts as a vertex and then drops."""
+    top = problem.num_vertices - 1
     with _open_text(path, "wt") as fh:
         for u, v in problem.edges:
             fh.write(f"{u} {v}\n")
+        if top > problem.edges.max(initial=-1):
+            fh.write(f"{top} {top}\n")
 
 
 def remap_covered(dataset: RegressionDataset):

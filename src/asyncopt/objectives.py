@@ -1,17 +1,24 @@
-"""Decomposable objectives: f(x) = (1/n) * sum of n sparse terms.
+"""Decomposable objectives in one term form:
 
-Three families are provided: l2-regularized least squares, l2-regularized
-logistic regression, and a quadratic-penalty relaxation of vertex cover.
-Each term's gradient is supported exactly on its hyperedge; the l2
-regularizer is split across data terms with inverse-probability weights
-(d_inv[v] = 1 / p_v) so that averaging the terms reconstructs the full
-regularizer without densifying any term.
+    f(x) = (1/n) sum_i phi(a_i . x, b_i) + sum_v (rho_v x_v^2 / 2 + eta_v x_v).
 
-The term supports are kept as a CSR pattern and its CSC, so the terms
-incident to coordinate v are the CSC column of v.  The coordinate gradient
-full_grad_coord(v, x) is one vectorized pass over that column: the entries
-of the incident rows are gathered from the CSR arrays at once, and its
-cost is the sum of the incident rows' lengths.
+An objective stores the term CSR A (row i is a_i, and its pattern is term
+i's hyperedge), the labels b, the per-coordinate vectors rho and eta, and
+one family phi with its derivatives phi', phi'' and sup phi''.  Three
+families are provided: l2-regularized least squares and logistic regression
+(rho = lambda, eta = 0), and a quadratic-penalty relaxation of vertex cover.
+
+Each term's gradient lives on its hyperedge.  The per-coordinate part is
+split across the terms with inverse-probability weights d_inv[v] = 1 / p_v:
+term i carries c = rho * d_inv and e = eta * d_inv on its support, so
+
+    g_i(x) = phi'(a_i . x, b_i) a_i + c[idx] * x[idx] + e[idx],
+
+and the n term gradients average to grad f without densifying any term.
+
+The terms incident to coordinate v are the CSC column of v, so the
+coordinate gradient full_grad_coord(v, x) is one vectorized pass over that
+column, costing the sum of the incident rows' lengths.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .hypergraph import CoordinateWeights, weights_from_counts
 from .vectors import ProblemConstants
@@ -111,12 +119,12 @@ class VertexCoverProblem:
 
 
 class DecomposableObjective:
-    """Common surface for the three objective families.
+    """The term form (A, b, rho, eta, phi) and everything computed from it.
 
-    Subclasses define per-term supports/gradients; everything here is
-    immutable after construction and safe to evaluate from any thread.
-    ``_index`` keeps the CSR pattern ``_S`` of the term supports (row i is
-    term i) and its CSC ``_Sc`` (column v lists the terms incident to v).
+    A family supplies ``_phi``, ``_dphi`` and ``_d2phi`` (vectorized in t and
+    b) and ``_sup_d2phi``.  Everything here is immutable after construction
+    and safe to evaluate from any thread.  ``_Ac`` is the CSC of A: column v
+    lists the terms incident to v, with their values.
     """
 
     n: int
@@ -125,39 +133,16 @@ class DecomposableObjective:
     weights: CoordinateWeights
     box: tuple | None = None  # (lo, hi) component-wise clamp, or None
 
-    # -- per-term interface ------------------------------------------------
-    def term_support(self, i) -> np.ndarray:
-        return self._S.indices[self._S.indptr[i] : self._S.indptr[i + 1]]
-
-    def term_grad_vals(self, i, w_vals) -> np.ndarray:
-        """Gradient of term i given iterate values aligned to term_support(i)."""
-        raise NotImplementedError
-
-    def term_grad(self, i, x):
-        idx = self.term_support(i)
-        return idx, self.term_grad_vals(i, x[idx])
-
-    # -- full-function interface --------------------------------------------
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def full_grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def full_grad_coord(self, v, x) -> float:
-        """Coordinate v of the full gradient, touching only incident terms."""
-        raise NotImplementedError
-
-    def _index(self, S):
-        """Keep the support pattern S, its CSC, and the weights p_v it implies."""
-        self._S = S
-        self._Sc = S.tocsc()
-        self._row_start = S.indptr[:-1].astype(np.int64)
-        self._row_len = np.diff(S.indptr).astype(np.int64)
+    def __init__(self, A, b, rho, eta):
+        self.A, self.b, self.rho, self.eta = A, b, rho, eta
+        self.n, self.d = A.shape
+        self._Ac = A.tocsc()
+        self._row_start = A.indptr[:-1].astype(np.int64)
+        self._row_len = np.diff(A.indptr).astype(np.int64)
         if not self._row_len.all():
-            # the row gathers and reduceat below need every row nonempty
+            # the row gathers and reduceats need every row nonempty
             raise ValueError(f"term {int(np.argmin(self._row_len))} has an empty support")
-        self.weights = weights_from_counts(np.diff(self._Sc.indptr), S.shape[0])
+        self.weights = weights_from_counts(np.diff(self._Ac.indptr), self.n)
         self._union_cache = {}
         if not self.weights.all_covered:
             raise ValueError(
@@ -165,10 +150,66 @@ class DecomposableObjective:
                 "term; remap them out of the variable space first "
                 "(see asyncopt.data.remap_covered)"
             )
+        self._c = rho * self.d_inv
+        self._e = eta * self.d_inv
+        self._row_sq = np.add.reduceat(A.data**2, self._row_start)
+        self._row_cmax = np.maximum.reduceat(self._c[A.indices], self._row_start)
+        m, L = self._curvature_bounds()
+        M = self.grad_norm_bound(np.zeros(self.d), 1.0)
+        self.constants = ProblemConstants(
+            L=L, m=m, M=M, n=self.n, d=self.d, L_term=max(L, float(self._term_L.max()))
+        )
 
-    def _incident_terms(self, v):
-        """Ids of the terms whose support contains coordinate v, ascending."""
-        return self._Sc.indices[self._Sc.indptr[v] : self._Sc.indptr[v + 1]]
+    @property
+    def _term_L(self):
+        """Lipschitz constant of each term gradient: its Jacobian is
+        phi'' a_i a_i^T + diag(c) on the support."""
+        return self._sup_d2phi * self._row_sq + self._row_cmax
+
+    def _curvature_bounds(self):
+        """(m, L): phi is convex, and the Hessian's data part is an average of
+        the n rank-one phi'' a_i a_i^T."""
+        L = float(self.rho.max()) + self._sup_d2phi * float(self._row_sq.max())
+        return float(self.rho.min()), L
+
+    # -- per-term interface ------------------------------------------------
+    def term_support(self, i) -> np.ndarray:
+        return self.A.indices[self.A.indptr[i] : self.A.indptr[i + 1]]
+
+    def term_grad_vals(self, i, w_vals) -> np.ndarray:
+        """Gradient of term i given iterate values aligned to term_support(i)."""
+        lo, hi = self.A.indptr[i], self.A.indptr[i + 1]
+        a, idx = self.A.data[lo:hi], self.A.indices[lo:hi]
+        return self._dphi(float(a @ w_vals), self.b[i]) * a + self._c[idx] * w_vals + self._e[idx]
+
+    def term_grad(self, i, x):
+        idx = self.term_support(i)
+        return idx, self.term_grad_vals(i, x[idx])
+
+    # -- full-function interface --------------------------------------------
+    def value(self, x) -> float:
+        return float(
+            self._phi(self.A @ x, self.b).mean() + 0.5 * ((self.rho * x) @ x) + self.eta @ x
+        )
+
+    def full_grad(self, x) -> np.ndarray:
+        return self.A.T @ self._dphi(self.A @ x, self.b) / self.n + self.rho * x + self.eta
+
+    def full_grad_coord(self, v, x) -> float:
+        """Coordinate v of the full gradient, touching only incident terms."""
+        lo, hi = self._Ac.indptr[v], self._Ac.indptr[v + 1]
+        rows = self._Ac.indices[lo:hi]
+        pos, offsets = self._gather(rows)
+        dots = np.add.reduceat(self.A.data[pos] * x[self.A.indices[pos]], offsets)
+        return (
+            self._Ac.data[lo:hi] @ self._dphi(dots, self.b[rows]) / self.n
+            + self.rho[v] * x[v] + self.eta[v]
+        )
+
+    def hess_vec(self, x, v) -> np.ndarray:
+        """The Hessian of f at x applied to v."""
+        h = self._d2phi(self.A @ x, self.b)
+        return self.A.T @ (h * (self.A @ v)) / self.n + self.rho * v
 
     def _gather(self, rows):
         """Positions in the CSR arrays of the entries of ``rows``, row after
@@ -184,276 +225,126 @@ class DecomposableObjective:
         the incident terms' supports, v among them."""
         u = self._union_cache.get(v)
         if u is None:
-            pos, _ = self._gather(self._incident_terms(v))
-            u = self._union_cache[v] = np.unique(self._S.indices[pos])
+            lo, hi = self._Ac.indptr[v], self._Ac.indptr[v + 1]
+            pos, _ = self._gather(self._Ac.indices[lo:hi])
+            u = self._union_cache[v] = np.unique(self.A.indices[pos])
         return u
 
     def grad_norm_bound(self, center, radius) -> float:
-        """Uniform bound on per-term gradient norms over an l2 ball."""
-        raise NotImplementedError
+        """Uniform bound on per-term gradient norms over an l2 ball:
+        ||g_i(x)|| <= ||g_i(center)|| + L_i * radius, for all terms at once."""
+        g = np.repeat(self._dphi(self.A @ center, self.b), self._row_len) * self.A.data
+        g += (self._c * center + self._e)[self.A.indices]
+        norms = np.sqrt(np.add.reduceat(g * g, self._row_start))
+        return float((norms + self._term_L * radius).max())
 
     @property
     def d_inv(self):
         return self.weights.d_inv
 
 
-class _RegressionObjective(DecomposableObjective):
-    """Terms phi(<a_i, x>, b_i) plus the sparsified regularizer; a family
-    supplies only the vectorized derivative ``_dphi(t, b)`` of phi in t."""
-
-    def __init__(self, data: RegressionDataset):
-        self.data = data
-        self.X = data.X
-        self.b = data.labels
-        self.lam = float(data.l2_reg)
-        self.n = data.n
-        self.d = data.d
-        self._index(self.X)
-        self._row_sq = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
-        # max of d_inv over each row's support, for per-term Lipschitz bounds
-        self._row_dinv_max = np.maximum.reduceat(
-            self.d_inv[self.X.indices], self.X.indptr[:-1]
-        )
-
-    def _row_vals(self, i):
-        return self.X.data[self.X.indptr[i] : self.X.indptr[i + 1]]
-
-    def full_grad(self, x):
-        return self.X.T @ self._dphi(self.X @ x, self.b) / self.n + self.lam * x
-
-    def full_grad_coord(self, v, x):
-        lo, hi = self._Sc.indptr[v], self._Sc.indptr[v + 1]
-        rows = self._Sc.indices[lo:hi]
-        pos, offsets = self._gather(rows)
-        dots = np.add.reduceat(self.X.data[pos] * x[self.X.indices[pos]], offsets)
-        return self._Sc.data[lo:hi] @ self._dphi(dots, self.b[rows]) / self.n + self.lam * x[v]
-
-    def _reg_grad_vals(self, idx, w_vals):
-        if self.lam == 0.0:
-            return 0.0
-        return self.lam * self.d_inv[idx] * w_vals
-
-    def _reg_value(self, x):
-        return 0.5 * self.lam * float(x @ x)
+def _regression_form(data):
+    """(A, b, rho, eta) of an l2-regularized regression: rho = lambda, eta = 0."""
+    return data.X, data.labels, np.full(data.d, float(data.l2_reg)), np.zeros(data.d)
 
 
-class LeastSquaresObjective(_RegressionObjective):
+class _Quadratic(DecomposableObjective):
+    """phi(t, b) = (s/2) (t - b)^2 with s = ``_sup_d2phi``."""
+
+    def _phi(self, t, b):
+        return 0.5 * self._sup_d2phi * (t - b) ** 2
+
+    def _dphi(self, t, b):
+        return self._sup_d2phi * (t - b)
+
+    def _d2phi(self, t, b):
+        return np.full_like(t, self._sup_d2phi)
+
+
+class LeastSquaresObjective(_Quadratic):
     """Per-term: 0.5*(<w, a_i> - b_i)^2 plus the sparsified l2 regularizer."""
 
-    def __init__(self, data):
-        super().__init__(data)
-        lam = self.lam
-        L = lam + float(self._row_sq.max())
-        L_term = float((self._row_sq + lam * self._row_dinv_max).max())
-        M = self.grad_norm_bound(np.zeros(self.d), 1.0)
-        self.constants = ProblemConstants(
-            L=L, m=lam, M=M, n=self.n, d=self.d, L_term=max(L, L_term)
-        )
+    _sup_d2phi = 1.0
 
-    def term_grad_vals(self, i, w_vals):
-        a = self._row_vals(i)
-        r = float(a @ w_vals) - self.b[i]
-        idx = self.term_support(i)
-        return a * r + self._reg_grad_vals(idx, w_vals)
-
-    @staticmethod
-    def _dphi(t, b):
-        return t - b
-
-    def value(self, x):
-        r = self.X @ x - self.b
-        return 0.5 * float(r @ r) / self.n + self._reg_value(x)
-
-    def grad_norm_bound(self, center, radius):
-        # each term gradient is affine in w: ||g_i(w)|| <= ||g_i(c)|| + ||H_i|| r
-        w = self.lam * self.d_inv * center
-        r = self.X @ center - self.b
-        pattern = self.X.copy()
-        pattern.data = np.ones_like(pattern.data)
-        sq = r * r * self._row_sq + 2.0 * r * (self.X @ w) + pattern @ (w * w)
-        op = self._row_sq + self.lam * self._row_dinv_max
-        return float((np.sqrt(np.maximum(sq, 0.0)) + op * radius).max())
+    def __init__(self, data: RegressionDataset):
+        super().__init__(*_regression_form(data))
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)) without overflow, for a scalar or an array alike."""
+    q = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + q), q / (1.0 + q))
 
 
-class LogisticObjective(_RegressionObjective):
+class LogisticObjective(DecomposableObjective):
     """Per-term: log(1 + exp(-b_i <w, a_i>)) plus the sparsified regularizer."""
 
-    def __init__(self, data):
+    _sup_d2phi = 0.25
+
+    def __init__(self, data: RegressionDataset):
         bad = np.setdiff1d(data.labels, [-1.0, 1.0])
         if bad.size:
             raise ValueError(f"logistic labels must be in {{-1,+1}}, got {bad[:5]}")
-        super().__init__(data)
-        lam = self.lam
-        L = lam + float(self._row_sq.max()) / 4.0
-        L_term = float((self._row_sq / 4.0 + lam * self._row_dinv_max).max())
-        M = self.grad_norm_bound(np.zeros(self.d), 1.0)
-        self.constants = ProblemConstants(
-            L=L, m=lam, M=M, n=self.n, d=self.d, L_term=max(L, L_term)
-        )
+        super().__init__(*_regression_form(data))
 
-    def term_grad_vals(self, i, w_vals):
-        a = self._row_vals(i)
-        b = self.b[i]
-        t = b * float(a @ w_vals)
-        s = float(_sigmoid(np.array([-t]))[0])
-        idx = self.term_support(i)
-        return (-b * s) * a + self._reg_grad_vals(idx, w_vals)
+    def _phi(self, t, b):
+        return np.logaddexp(0.0, -b * t)
 
-    @staticmethod
-    def _dphi(t, b):
+    def _dphi(self, t, b):
         return -b * _sigmoid(-b * t)
 
-    def value(self, x):
-        t = self.b * (self.X @ x)
-        return float(np.logaddexp(0.0, -t).mean()) + self._reg_value(x)
-
-    def full_hessian(self, x):
-        t = self.b * (self.X @ x)
-        s = _sigmoid(t)
-        w = s * (1.0 - s)
-        Xw = self.X.multiply(w[:, None])
-        return (self.X.T @ Xw).toarray() / self.n + self.lam * np.eye(self.d)
+    def _d2phi(self, t, b):
+        s = _sigmoid(b * t)
+        return s * (1.0 - s)
 
     def grad_norm_bound(self, center, radius):
-        # |sigmoid| <= 1, so the data part is bounded by ||a_i||
-        a_norm = np.sqrt(self._row_sq)
+        # |phi'| <= 1, so the data part is bounded by ||a_i||
         c_norm = float(np.linalg.norm(center))
-        return float(
-            (a_norm + self.lam * self._row_dinv_max * (c_norm + radius)).max()
-        )
+        return float((np.sqrt(self._row_sq) + self._row_cmax * (c_norm + radius)).max())
 
 
-class VertexCoverObjective(DecomposableObjective):
+class VertexCoverObjective(_Quadratic):
     """Quadratic penalty relaxation of vertex cover.
 
     Variables are [x_v for vertices] ++ [x_e for edges].  The full objective
     is sum_v x_v + (beta/2) sum_(u,v) (x_u + x_v - x_uv - 1)^2
     + (1/(2 beta)) sum_v x_v^2 + sum_e x_e^2, optionally with the box [0,1]
-    enforced at write time.  One term per graph edge, with each vertex's
-    linear/quadratic pieces split across its incident edge terms by inverse
-    degree; isolated vertices get their own singleton term.
+    enforced at write time.  In the term form, edge term k is a = (1, 1, -1)
+    on (u, v, nV + k) with b = 1 and phi(t, b) = (n beta / 2)(t - b)^2, rho
+    is 1/beta on vertices and 2 on edges, and eta is 1 on vertices.  An
+    isolated vertex gets a term of its own, an explicit zero with b = 0,
+    which carries its share of rho and eta.
     """
 
     def __init__(self, problem: VertexCoverProblem, box=True):
-        self.problem = problem
         self.beta = float(problem.beta)
-        self.nV = problem.num_vertices
-        self.nE = problem.num_edges
-        self.d = problem.dim
         self.box = (0.0, 1.0) if box else None
-        self.deg = np.bincount(problem.edges.ravel(), minlength=self.nV)
-        self.isolated = np.flatnonzero(self.deg == 0)
-        self.n = self.nE + self.isolated.size
-        # edge term k touches (u, v, nV + k); an isolated vertex its own term
+        nV, nE = problem.num_vertices, problem.num_edges
+        self.deg = np.bincount(problem.edges.ravel(), minlength=nV)
+        isolated = np.flatnonzero(self.deg == 0)
+        n = nE + isolated.size
         indices = np.concatenate([
-            np.column_stack([problem.edges, self.nV + np.arange(self.nE)]).ravel(),
-            self.isolated,
+            np.column_stack([problem.edges, nV + np.arange(nE)]).ravel(), isolated
         ])
-        indptr = np.concatenate([
-            np.arange(0, 3 * self.nE, 3), 3 * self.nE + np.arange(self.isolated.size + 1)
-        ])
-        self._index(sp.csr_matrix(
-            (np.ones(indices.size), indices, indptr), shape=(self.n, self.d)
-        ))
-        m, L = self._curvature_bounds()
-        L_term = self.n * (3.0 * self.beta + max(2.0, 1.0 / self.beta))
-        M = self.grad_norm_bound(np.zeros(self.d), 1.0)
-        self.constants = ProblemConstants(
-            L=L, m=m, M=M, n=self.n, d=self.d, L_term=max(L, L_term)
+        indptr = np.concatenate([np.arange(0, 3 * nE, 3), 3 * nE + np.arange(isolated.size + 1)])
+        data = np.concatenate([np.tile([1.0, 1.0, -1.0], nE), np.zeros(isolated.size)])
+        self._sup_d2phi = n * self.beta
+        super().__init__(
+            sp.csr_matrix((data, indices, indptr), shape=(n, nV + nE)),
+            np.concatenate([np.ones(nE), np.zeros(isolated.size)]),
+            np.concatenate([np.full(nV, 1.0 / self.beta), np.full(nE, 2.0)]),
+            np.concatenate([np.ones(nV), np.zeros(nE)]),
         )
-
-    def _hessian(self):
-        rows, cols, vals = [], [], []
-        for k in range(self.nE):
-            u, v = self.problem.edges[k]
-            e = self.nV + k
-            q = [(u, 1.0), (v, 1.0), (e, -1.0)]
-            for a, qa in q:
-                for b, qb in q:
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(self.beta * qa * qb)
-        diag = np.concatenate(
-            [np.full(self.nV, 1.0 / self.beta), np.full(self.nE, 2.0)]
-        )
-        H = sp.coo_matrix((vals, (rows, cols)), shape=(self.d, self.d)).tocsr()
-        return H + sp.diags(diag)
 
     def _curvature_bounds(self):
         if self.d <= 1500:
-            eigs = np.linalg.eigvalsh(self._hessian().toarray())
+            x = np.zeros(self.d)
+            eigs = np.linalg.eigvalsh(np.array([self.hess_vec(x, e) for e in np.eye(self.d)]))
             return float(eigs[0]), float(eigs[-1])
         # cheap valid bounds for large graphs: the penalty part is PSD, and
         # Gershgorin bounds its largest eigenvalue by 3*max_degree
-        m = min(1.0 / self.beta, 2.0)
-        L = 3.0 * self.beta * max(int(self.deg.max(initial=1)), 1) + max(
-            1.0 / self.beta, 2.0
-        )
-        return m, L
-
-    def term_grad_vals(self, i, w_vals):
-        n, beta = self.n, self.beta
-        if i < self.nE:
-            u, v = self.problem.edges[i]
-            xu, xv, xe = w_vals
-            r = xu + xv - xe - 1.0
-            gu = beta * r + (1.0 + xu / beta) / self.deg[u]
-            gv = beta * r + (1.0 + xv / beta) / self.deg[v]
-            ge = -beta * r + 2.0 * xe
-            return n * np.array([gu, gv, ge])
-        xv = w_vals[0]
-        return n * np.array([1.0 + xv / beta])
-
-    def value(self, x):
-        xv = x[: self.nV]
-        xe = x[self.nV :]
-        u, v = self.problem.edges[:, 0], self.problem.edges[:, 1]
-        r = xv[u] + xv[v] - xe - 1.0
-        return float(
-            xv.sum()
-            + 0.5 * self.beta * (r @ r)
-            + 0.5 / self.beta * (xv @ xv)
-            + xe @ xe
-        )
-
-    def full_grad(self, x):
-        xv = x[: self.nV]
-        xe = x[self.nV :]
-        u, v = self.problem.edges[:, 0], self.problem.edges[:, 1]
-        r = xv[u] + xv[v] - xe - 1.0
-        gv = 1.0 + xv / self.beta
-        np.add.at(gv, u, self.beta * r)
-        np.add.at(gv, v, self.beta * r)
-        ge = -self.beta * r + 2.0 * xe
-        return np.concatenate([gv, ge])
-
-    def full_grad_coord(self, v, x):
-        beta = self.beta
-        if v >= self.nV:  # an edge variable lies in its own edge's term only
-            u, w = self.problem.edges[v - self.nV]
-            return -beta * (x[u] + x[w] - x[v] - 1.0) + 2.0 * x[v]
-        k = self._incident_terms(v)
-        k = k[k < self.nE]  # an isolated vertex's own term has no penalty part
-        u, w = self.problem.edges[k].T
-        r = x[u] + x[w] - x[self.nV + k] - 1.0
-        return beta * r.sum() + (1.0 + x[v] / beta)
-
-    def grad_norm_bound(self, center, radius):
-        best = 0.0
-        op = self.n * (3.0 * self.beta + max(2.0, 1.0 / self.beta))
-        for i in range(self.n):
-            idx, g = self.term_grad(i, center)
-            best = max(best, float(np.linalg.norm(g)) + op * radius)
-        return best
+        L = 3.0 * self.beta * max(int(self.deg.max(initial=1)), 1) + float(self.rho.max())
+        return float(self.rho.min()), L
 
 
 def least_squares_objective(data: RegressionDataset) -> LeastSquaresObjective:
@@ -468,58 +359,15 @@ def vertex_cover_objective(p: VertexCoverProblem, box=True) -> VertexCoverObject
     return VertexCoverObjective(p, box=box)
 
 
-def _projected_grad_norm(obj, x):
-    if obj.box is None:
-        return float(np.linalg.norm(obj.full_grad(x)))
-    lo, hi = obj.box
-    step = np.clip(x - obj.full_grad(x) / obj.constants.L, lo, hi)
-    return float(np.linalg.norm(x - step)) * obj.constants.L
-
-
 def solve_reference(obj: DecomposableObjective, tol=1e-10, max_iter=10_000):
-    """High-accuracy minimizer x*: closed form where available, Newton or
-    projected gradient descent otherwise.  Raises ReferenceSolveError when
-    the gradient (or projected-gradient) norm target is not reached."""
+    """High-accuracy minimizer x*: Newton-CG over Hessian-vector products,
+    with Armijo backtracking on the value, or projected gradient descent in
+    a box.  Raises ReferenceSolveError when the gradient (or
+    projected-gradient) norm target is not reached."""
     if not obj.constants.strongly_convex:
         raise ValueError("reference solve requires a strongly convex objective")
 
-    if isinstance(obj, LeastSquaresObjective):
-        A = (obj.X.T @ obj.X).toarray() / obj.n + obj.lam * np.eye(obj.d)
-        rhs = obj.X.T @ obj.b / obj.n
-        x = np.linalg.solve(A, rhs)
-        achieved = float(np.linalg.norm(obj.full_grad(x)))
-        if achieved > tol:
-            raise ReferenceSolveError(achieved, tol)
-        return x
-
-    if isinstance(obj, LogisticObjective):
-        x = np.zeros(obj.d)
-        for _ in range(200):
-            g = obj.full_grad(x)
-            gn = float(np.linalg.norm(g))
-            if gn <= tol:
-                return x
-            step = np.linalg.solve(obj.full_hessian(x), g)
-            t, f0 = 1.0, obj.value(x)
-            while obj.value(x - t * step) > f0 - 1e-4 * t * float(g @ step):
-                t *= 0.5
-                if t < 1e-12:
-                    break
-            x = x - t * step
-        raise ReferenceSolveError(float(np.linalg.norm(obj.full_grad(x))), tol)
-
-    if isinstance(obj, VertexCoverObjective):
-        H = obj._hessian()
-        c = obj.full_grad(np.zeros(obj.d))
-        if obj.box is None:
-            if obj.d <= 4000:
-                x = np.linalg.solve(H.toarray(), -c)
-            else:
-                x = sp.linalg.spsolve(H.tocsc(), -c)
-            achieved = float(np.linalg.norm(obj.full_grad(x)))
-            if achieved > tol:
-                raise ReferenceSolveError(achieved, tol)
-            return x
+    if obj.box is not None:
         lo, hi = obj.box
         L = obj.constants.L
         x = np.clip(np.zeros(obj.d), lo, hi)
@@ -528,6 +376,20 @@ def solve_reference(obj: DecomposableObjective, tol=1e-10, max_iter=10_000):
             if np.max(np.abs(x_new - x)) <= tol / L:
                 return x_new
             x = x_new
-        raise ReferenceSolveError(_projected_grad_norm(obj, x), tol)
+        step = np.clip(x - obj.full_grad(x) / L, lo, hi)
+        raise ReferenceSolveError(float(np.linalg.norm(x - step)) * L, tol)
 
-    raise TypeError(f"no reference solver for {type(obj).__name__}")
+    x = np.zeros(obj.d)
+    for _ in range(200):
+        g = obj.full_grad(x)
+        gn = float(np.linalg.norm(g))
+        if gn <= tol:
+            return x
+        H = LinearOperator((obj.d, obj.d), matvec=lambda v, x=x: obj.hess_vec(x, v),
+                           dtype=np.float64)
+        step = cg(H, g, rtol=min(0.1, gn))[0]
+        t, f0 = 1.0, obj.value(x)
+        while obj.value(x - t * step) > f0 - 1e-4 * t * float(g @ step) and t >= 1e-12:
+            t *= 0.5
+        x = x - t * step
+    raise ReferenceSolveError(float(np.linalg.norm(obj.full_grad(x))), tol)

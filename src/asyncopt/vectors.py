@@ -26,12 +26,14 @@ class DimensionMismatchError(ValueError):
 class ProblemConstants:
     """Smoothness/convexity constants of a decomposable objective.
 
-    ``L`` bounds the Lipschitz constant of the full gradient; ``L_term``
-    bounds the per-term gradient Lipschitz constants (>= L is not implied in
-    either direction once regularizers are split across sparse terms, so both
-    are kept).  ``M`` is a uniform bound on the norm of a stochastic gradient
-    step over a default reference region; callers that need a bound over a
-    specific region should recompute it via the objective's
+    ``L`` bounds the Lipschitz constant of the full gradient.  ``L_term`` is
+    max(L, max_i L_i), where L_i = sup phi'' ||a_i||^2 + max of rho_v d_inv_v
+    over term i's support is the Lipschitz constant of term i's gradient
+    (neither of L and max_i L_i bounds the other once rho is split across
+    sparse terms, so both are kept).  ``M`` is max_i (||g_i(0)|| + L_i), a
+    uniform bound on the stochastic gradient norms over the unit ball around
+    0 (logistic regression uses |phi'| <= 1 instead); callers that need a
+    bound over a specific region should recompute it via the objective's
     ``grad_norm_bound``.
     """
 

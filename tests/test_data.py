@@ -2,6 +2,9 @@ import gzip
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asyncopt as ao
 from asyncopt.data import parse_edge_list, parse_libsvm, write_edge_list, write_libsvm
@@ -125,9 +128,44 @@ def test_edge_list_roundtrip(tmp_path):
     assert back.num_vertices == 5
 
 
-def test_remap_covered():
-    import scipy.sparse as sp
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_libsvm_roundtrip_any_values(tmp_path_factory, data):
+    d = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1), min_size=1, max_size=6))
+    indices = np.array([j for r in rows for j in sorted(r)], dtype=np.int64)
+    values = np.array(data.draw(st.lists(finite, min_size=indices.size, max_size=indices.size)))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    labels = np.array(data.draw(st.lists(finite, min_size=len(rows), max_size=len(rows))))
+    X = sp.csr_matrix((values, indices, indptr), shape=(len(rows), d))
+    p = tmp_path_factory.mktemp("libsvm") / "rt.txt"
+    write_libsvm(p, ao.RegressionDataset(X=X, labels=labels))
+    back = parse_libsvm(p, d=d)
+    assert np.array_equal(back.X.indptr, X.indptr) and np.array_equal(back.X.indices, X.indices)
+    assert back.X.data.tobytes() == X.data.tobytes()  # bit for bit, signed zeros too
+    assert back.labels.tobytes() == labels.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda nv: st.tuples(
+    st.just(nv),
+    st.sets(st.tuples(st.integers(0, max(nv - 1, 0)), st.integers(0, max(nv - 1, 0)))
+            .map(sorted).map(tuple).filter(lambda e: e[0] < e[1])),
+)))
+def test_edge_list_roundtrip_any_graph(tmp_path_factory, graph):
+    nv, edges = graph
+    prob = ao.VertexCoverProblem(nv, np.array(sorted(edges), dtype=np.int64))
+    p = tmp_path_factory.mktemp("edges") / "g.txt"
+    write_edge_list(p, prob)
+    back = parse_edge_list(p)
+    assert back.num_vertices == nv  # isolated vertices above the last endpoint too
+    assert back.edges.tolist() == prob.edges.tolist()
+
+
+def test_remap_covered():
     X = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 0.0]]))
     data = ao.RegressionDataset(X=X, labels=np.array([1.0, -1.0]), l2_reg=0.1)
     mapped, kept = ao.remap_covered(data)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
-from asyncopt.objectives import LogisticObjective, ReferenceSolveError
+from asyncopt.objectives import LogisticObjective, ReferenceSolveError, _sigmoid
 from asyncopt.vectors import ProblemConstants
 
 from conftest import make_vc_desk
@@ -116,44 +116,113 @@ def test_full_grad_coord_on_any_shape(family, seed, n, d, max_nnz, lonely):
         obj = (ao.least_squares_objective if family == "ridge" else ao.logistic_objective)(data)
     x = rng.standard_normal(obj.d)
     g = obj.full_grad(x)
+    tol = 1e-12 * np.maximum(1.0, np.abs(g))
     for v in range(obj.d):
         gv = obj.full_grad_coord(v, x)
-        assert abs(gv - g[v]) <= 1e-12 * max(1.0, abs(g[v]))
+        assert abs(gv - g[v]) <= tol[v]
         # any values off the read set give the same result, bit for bit
         union = obj.coord_read_support(v)
         other = rng.standard_normal(obj.d)
         other[union] = x[union]
         assert obj.full_grad_coord(v, other) == gv
+    # the term gradients average to the full gradient
+    total = np.zeros(obj.d)
+    for i in range(obj.n):
+        idx, gi = obj.term_grad(i, x)
+        total[idx] += gi
+    assert np.all(np.abs(total / obj.n - g) <= tol)
+    # the Hessian-vector product is the derivative of the gradient along u
+    u, h = rng.standard_normal(obj.d), 1e-5
+    fd = (obj.full_grad(x + h * u) - obj.full_grad(x - h * u)) / (2 * h)
+    hu = obj.hess_vec(x, u)
+    assert np.all(np.abs(hu - fd) <= 1e-6 * np.maximum(1.0, np.abs(hu)))
+    # grad_norm_bound bounds every term gradient on the ball
+    radius = 0.5
+    M = obj.grad_norm_bound(x, radius)
+    for _ in range(5):
+        step = rng.standard_normal(obj.d)
+        y = x + radius * rng.random() ** (1 / obj.d) * step / np.linalg.norm(step)
+        norms = [np.linalg.norm(obj.term_grad(i, y)[1]) for i in range(obj.n)]
+        assert max(norms) <= M * (1 + 1e-12)
 
 
-def loop_form(obj):
-    """Weights, row maxima of d_inv and constants computed term by term."""
+def loop_form(obj, sup):
+    """Weights, squared row norms, per-term L and M computed term by term,
+    for the family with sup phi'' = ``sup``."""
     edges = [obj.term_support(i) for i in range(obj.n)]
     weights = ao.coordinate_weights(edges, obj.d)
-    row_dinv_max = np.array([weights.d_inv[e].max() for e in edges])
+    c, e = obj.rho * weights.d_inv, obj.eta * weights.d_inv
+    rows = [obj.A.data[obj.A.indptr[i] : obj.A.indptr[i + 1]] for i in range(obj.n)]
+    row_sq = np.array([np.add.reduceat(a * a, [0])[0] for a in rows])  # one row at a time
+    row_cmax = np.array([c[idx].max() for idx in edges])
+    term_L = np.array([sup * q + cm for q, cm in zip(row_sq, row_cmax)])
     loop = copy.copy(obj)
-    loop.weights, loop._row_dinv_max = weights, row_dinv_max
-    # phi'' <= 1/4 for logistic; dividing by 1.0 leaves least squares exact
-    curv = 4.0 if isinstance(obj, LogisticObjective) else 1.0
-    L = obj.lam + float(obj._row_sq.max()) / curv
-    L_term = float((obj._row_sq / curv + obj.lam * row_dinv_max).max())
-    M = loop.grad_norm_bound(np.zeros(obj.d), 1.0)
-    constants = ProblemConstants(L=L, m=obj.lam, M=M, n=obj.n, d=obj.d, L_term=max(L, L_term))
-    return weights, row_dinv_max, constants
+    loop.weights, loop._c, loop._e, loop._row_sq, loop._row_cmax = weights, c, e, row_sq, row_cmax
+    return weights, row_sq, term_L, loop.grad_norm_bound(np.zeros(obj.d), 1.0)
 
 
 def test_setup_matches_loop_form(ridge_desk, logistic_desk, ridge_small, vc_desk):
     for obj, _ in (ridge_desk, logistic_desk, ridge_small):
-        weights, row_dinv_max, constants = loop_form(obj)
+        # phi'' <= 1/4 for logistic and is 1 for least squares
+        sup = 0.25 if isinstance(obj, LogisticObjective) else 1.0
+        weights, row_sq, term_L, M = loop_form(obj, sup)
         for name in ("p", "d_inv", "covered", "counts"):
             a, b = getattr(obj.weights, name), getattr(weights, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.array_equal(obj._row_dinv_max, row_dinv_max)
+        assert np.array_equal(obj._term_L, term_L)
+        lam, = np.unique(obj.rho)
+        L = lam + sup * float(row_sq.max())
+        constants = ProblemConstants(
+            L=L, m=lam, M=M, n=obj.n, d=obj.d, L_term=max(L, float(term_L.max()))
+        )
         assert obj.constants == constants
     obj, _ = vc_desk
-    weights = ao.coordinate_weights([obj.term_support(i) for i in range(obj.n)], obj.d)
+    weights, _, term_L, M = loop_form(obj, obj.n * obj.beta)
     assert np.array_equal(obj.weights.d_inv, weights.d_inv)
     assert np.array_equal(obj.weights.counts, weights.counts)
+    assert np.array_equal(obj._term_L, term_L) and obj.constants.M == M
+    # the per-term L_i may only be tighter than the uniform n (3 beta + max(2, 1/beta))
+    uniform = obj.n * (3.0 * obj.beta + max(2.0, 1.0 / obj.beta))
+    assert obj.constants.L_term <= max(obj.constants.L, uniform)
+    zero = np.zeros(obj.d)
+    g0 = max(np.linalg.norm(obj.term_grad(i, zero)[1]) for i in range(obj.n))
+    assert obj.constants.M <= (g0 + uniform) * (1 + 1e-12)
+
+
+def _sigmoid_reference(t):
+    """The masked two-branch sigmoid the sampled trajectories were recorded with."""
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_scalar_matches_array():
+    grid = np.array([0.0, 1e-3, -1e-3, 0.5, -0.5, 1.0, -1.0, 40.0, -40.0,
+                     700.0, -700.0, 745.0, -745.0, 800.0, -800.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        arr = _sigmoid(grid)
+        scalars = [float(_sigmoid(t)) for t in grid.tolist()]
+    assert scalars == arr.tolist()
+    assert np.array_equal(arr, _sigmoid_reference(grid))
+
+
+def test_regression_term_grads_match_closed_forms(ridge_desk, logistic_desk):
+    rng = np.random.default_rng(8)
+    for (obj, _), logistic in ((ridge_desk, False), (logistic_desk, True)):
+        lam, = np.unique(obj.rho)
+        w = 3.0 * rng.standard_normal(obj.d)  # wide enough to reach both sigmoid branches
+        for i in range(obj.n):
+            idx = obj.term_support(i)
+            a, b = obj.A.data[obj.A.indptr[i] : obj.A.indptr[i + 1]], obj.b[i]
+            if logistic:
+                s = float(_sigmoid_reference(np.array([-(b * float(a @ w[idx]))]))[0])
+                expect = (-b * s) * a + lam * obj.d_inv[idx] * w[idx]
+            else:
+                expect = a * (float(a @ w[idx]) - b) + lam * obj.d_inv[idx] * w[idx]
+            assert np.array_equal(obj.term_grad_vals(i, w[idx]), expect)
 
 
 def test_repeated_column_in_a_row_counts_once():
@@ -162,7 +231,7 @@ def test_repeated_column_in_a_row_counts_once():
                        np.array([0, 2, 4])), shape=(2, 2))
     obj = ao.least_squares_objective(ao.RegressionDataset(X=X, labels=np.ones(2), l2_reg=0.1))
     assert obj.term_support(0).tolist() == [1]
-    assert obj.X[0, 1] == 3.0
+    assert obj.A[0, 1] == 3.0
     assert obj.weights.counts.tolist() == [1, 2]
     assert X.data.tolist() == [1.0, 2.0, 0.5, 3.0]  # the caller's matrix is left as it was
 
@@ -187,7 +256,7 @@ def test_empty_row_rejected(tmp_path, empty_row):
 
 def test_smoothness_constants_bound_hessian(ridge_desk):
     obj, _ = ridge_desk
-    H = (obj.X.T @ obj.X).toarray() / obj.n + obj.lam * np.eye(obj.d)
+    H = (obj.A.T @ obj.A).toarray() / obj.n + np.diag(obj.rho)
     eigs = np.linalg.eigvalsh(H)
     assert eigs[-1] <= obj.constants.L + 1e-9
     assert eigs[0] >= obj.constants.m - 1e-9
@@ -267,6 +336,7 @@ def test_sparsified_regularizer_reconstructs_full_value(ridge_desk):
     # direct value = data loss + (lam/2)||x||^2; per-term split must average
     # to the same thing, which is already covered by the gradient identity;
     # spot-check the value itself
-    r = obj.X @ x - obj.b
-    direct = 0.5 * float(r @ r) / obj.n + 0.5 * obj.lam * float(x @ x)
+    lam, = np.unique(obj.rho)
+    r = obj.A @ x - obj.b
+    direct = 0.5 * float(r @ r) / obj.n + 0.5 * lam * float(x @ x)
     assert abs(obj.value(x) - direct) < 1e-12

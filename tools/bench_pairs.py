@@ -14,7 +14,7 @@ the median, quartiles and spread of each side as perfbench/spread.py
 defines them (the definition BENCHMARK.json's bounds are judged against),
 the ratio of the medians (change over parent) and the number of pairs the
 change wins.  It also makes one --trace 1 pair on the first seed and keeps
-the per-layer metrics in LAYERS.  Every run's gate result is kept.
+every metric of that pair.  Every run's gate result is kept.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from spread import summary  # noqa: E402  (one definition of median, quartiles, spread)
 
 PAIRS = 10
-LAYERS = ("objectives.full_grad_coord_us", "self_s.objectives")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -98,7 +97,7 @@ def main(argv=None):
                       for side, runs in (("parent", parent_runs), ("change", change_runs))},
             "end_to_end": compare(spec, parent_runs, change_runs),
             "per_layer_first_seed": {
-                k: {side: traced[side][k]["value"] for side in traced} for k in LAYERS
+                k: {side: traced[side][k]["value"] for side in traced} for k in traced["change"]
             },
         }
         with open(args.out, "w") as fh:  # rewritten after each workload
