@@ -139,8 +139,7 @@ def conflict_summary(obj) -> dict:
 
 
 def _stats_block(obj, budget):
-    counts = obj.weights.counts
-    cost = int((counts.astype(np.int64) ** 2).sum())
+    cost = int((obj.weights.counts**2).sum())  # the pair work of conflict_stats
     lines = [f"stats_cost={cost}"]
     if cost > budget:
         lines.append("conflict_stats=skipped (cost above budget)")

@@ -2,7 +2,9 @@
 
 Two terms conflict when their hyperedges share at least one coordinate.  The
 average conflict degree drives how much staleness an asynchronous run can
-tolerate, so these statistics are reported alongside every benchmark.
+tolerate, so these statistics are reported alongside every benchmark.  They
+and the coordinate weights are read from one 0/1 sparse pattern of the
+hyperedges; the degrees cost sum_v count_v^2 pair work, in bounded blocks.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "ConflictStats",
@@ -22,9 +25,7 @@ __all__ = [
     "weights_from_counts",
 ]
 
-
-def _coord_arrays(edges):
-    return [np.asarray(e, dtype=np.int64) for e in edges]
+BLOCK_PAIR_WORK = 2**25  # pair work of one row block of B @ B^T; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -60,46 +61,52 @@ class CoordinateWeights:
         return np.flatnonzero(~self.covered)
 
 
-def conflict_stats(edges, d) -> ConflictStats:
-    """Conflict-graph degree statistics via a coordinate-inverted index.
-
-    Cost is O(sum over coordinates of (incident terms)^2) set operations,
-    which beats the O(n^2) pairwise scan on sparse instances.
-    """
-    coords = _coord_arrays(edges)
-    n = len(coords)
-    if n < 1:
+def _pattern(edges, d):
+    """The de-duplicated 0/1 CSR pattern B (terms x coordinates) of the hyperedges."""
+    if len(edges) < 1:
         raise ValueError("need at least one hyperedge")
-    incident = [[] for _ in range(d)]
-    max_left = 0
-    for i, c in enumerate(coords):
-        if c.size and c[-1] >= d:
-            raise ValueError(f"hyperedge {i} references coordinate >= d")
-        max_left = max(max_left, c.size)
-        for v in c:
-            incident[v].append(i)
-    neighbors = [set() for _ in range(n)]
-    max_right = 0
-    for terms in incident:
-        max_right = max(max_right, len(terms))
-        if len(terms) > 1:
-            for i in terms:
-                neighbors[i].update(terms)
-    degrees = np.array(
-        [len(nb) - 1 if nb else 0 for nb in neighbors], dtype=np.int64
-    )
+    indptr = np.concatenate([[0], np.cumsum(np.fromiter(map(len, edges), np.int64, len(edges)))])
+    cols = np.concatenate(edges).astype(np.int64, copy=False)
+    bad = np.flatnonzero((cols < 0) | (cols >= d))
+    if bad.size:
+        i = np.searchsorted(indptr, bad[0], side="right") - 1
+        raise ValueError(f"hyperedge {i} references coordinate {cols[bad[0]]} outside [0, {d})")
+    B = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols, indptr), shape=(len(edges), d))
+    B.sum_duplicates()
+    return B
+
+
+def conflict_stats(edges, d) -> ConflictStats:
+    """Conflict-graph degree statistics from the pattern B of the hyperedges.
+
+    Term i's degree is the number of nonzeros in row i of B @ B^T, less
+    itself.  The product is formed and discarded in row blocks of at most
+    BLOCK_PAIR_WORK pair work, a row's being the sum of its coordinates' term
+    counts, so the cost is sum_v count_v^2 pair work in bounded memory.
+    """
+    B = _pattern(edges, d)
+    Bt = B.T.tocsr()
+    row_len = np.diff(B.indptr)
+    col_len = np.diff(Bt.indptr).astype(np.int64)
+    work = np.concatenate([[0], np.cumsum(B @ col_len)])
+    degrees = np.empty(B.shape[0], dtype=np.int64)
+    lo = 0
+    while lo < B.shape[0]:
+        hi = max(lo + 1, np.searchsorted(work, work[lo] + BLOCK_PAIR_WORK, side="right") - 1)
+        degrees[lo:hi] = np.diff((B[lo:hi] @ Bt).indptr) - (row_len[lo:hi] > 0)
+        lo = hi
     return ConflictStats(
         avg_conflict_degree=float(degrees.mean()),
         max_conflict_degree=int(degrees.max()),
-        max_left_degree=int(max_left),
-        max_right_degree=int(max_right),
+        max_left_degree=int(row_len.max()),
+        max_right_degree=int(col_len.max()),
         degrees=degrees,
     )
 
 
 def conflict_stats_bruteforce(edges, d) -> ConflictStats:
     """O(n^2) pairwise-intersection oracle, for testing conflict_stats."""
-    coords = [set(c.tolist()) for c in _coord_arrays(edges)]
+    coords = [set(np.asarray(c, dtype=np.int64).tolist()) for c in edges]
     n = len(coords)
     degrees = np.zeros(n, dtype=np.int64)
     for i in range(n):
@@ -123,11 +130,8 @@ def conflict_stats_bruteforce(edges, d) -> ConflictStats:
 
 def coordinate_weights(edges, d) -> CoordinateWeights:
     """p_v = (#hyperedges containing v) / n, and d_inv = 1/p_v where covered."""
-    coords = _coord_arrays(edges)
-    counts = np.zeros(d, dtype=np.int64)
-    for c in coords:
-        counts[c] += 1
-    return weights_from_counts(counts, len(coords))
+    B = _pattern(edges, d)
+    return weights_from_counts(np.bincount(B.indices, minlength=d), B.shape[0])
 
 
 def weights_from_counts(counts, n) -> CoordinateWeights:
@@ -156,9 +160,6 @@ def tau_bound_comparison(stats: ConflictStats, n: int):
     empty); the second is the classical budget based on maximum bipartite
     degrees.  No leading constants are applied.
     """
-    if stats.avg_conflict_degree > 0:
-        this_work = n / stats.avg_conflict_degree
-    else:
-        this_work = np.inf
+    this_work = n / stats.avg_conflict_degree if stats.avg_conflict_degree > 0 else np.inf
     prior = (n / (stats.max_right_degree * stats.max_left_degree**2)) ** 0.25
     return (this_work, prior)

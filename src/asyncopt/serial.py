@@ -70,7 +70,6 @@ class SolverConfig:
     eps: float | None = None
     a0: float | None = None
     M: float | None = None  # overrides constants.M in the hogwild_theorem1 rule
-    theta: float = 1.0  # O(1) constant in the SCD rule gamma = theta/(6 d L kappa)
     log_every: int = 0  # checkpoint every log_every samples (0: never), every epoch end, and last
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
             )
         out = replace(cfg, gamma=gamma, step_rule="explicit", total_iters=T)
     elif cfg.step_rule == "scd_theorem2":
-        gamma = cfg.theta / (6.0 * c.d * c.L * c.kappa)
+        gamma = 1.0 / (6.0 * c.d * c.L * c.kappa)
         T = cfg.total_iters
         if T is None:
             if cfg.eps is None or cfg.a0 is None:
@@ -358,9 +357,8 @@ def run_svrg_sparse(
     track_f=False,
 ) -> RunResult:
     cfg = resolve_config(cfg, obj, "svrg_sparse")
-    for w in (weights, obj.weights):
-        if w is not None and not w.all_covered:
-            raise ValueError("sparse SVRG requires every coordinate covered")
+    if weights is not None and not weights.all_covered:
+        raise ValueError("sparse SVRG requires every coordinate covered")
     return _run_serial(obj, cfg, x0, xstar, track_f, svrg_sparse)
 
 
@@ -373,30 +371,30 @@ class VarianceCheck(NamedTuple):
 def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
     """Enumerated second moment of the sparse SVRG update versus its bound.
 
-    lhs = E_s ||g(x,s) - g(y,s) + D_s grad f(y)||^2 by full enumeration;
+    lhs = E_s ||g(x,s) - g(y,s) + D_s grad f(y)||^2 (svrg_sparse) by enumeration;
     rhs = 2 E||g(x,s) - g(x*,s)||^2 + 2 E||g(y,s) - g(x*,s)||^2
           - 2 grad f(y)^T D grad f(y).
+    ``weights`` only gets run_svrg_sparse's coverage check.
     """
+    if weights is not None and not weights.all_covered:
+        raise ValueError("sparse SVRG requires every coordinate covered")
     if xstar is None:
         xstar = solve_reference(obj)
-    d_inv = weights.d_inv if weights is not None else obj.d_inv
     z = obj.full_grad(y)
-    lhs = 0.0
-    t1 = 0.0
-    t2 = 0.0
+    direction = svrg_sparse(obj, y, z).direction
+    lhs = t1 = t2 = 0.0
     for i in range(obj.n):
-        idx = obj.term_support(i)
+        idx, v = direction(i, x)
         gx = obj.term_grad_vals(i, x[idx])
         gy = obj.term_grad_vals(i, y[idx])
         gs = obj.term_grad_vals(i, xstar[idx])
-        v = gx - gy + d_inv[idx] * z[idx]
         lhs += float(v @ v)
         dxs = gx - gs
         dys = gy - gs
         t1 += float(dxs @ dxs)
         t2 += float(dys @ dys)
     n = obj.n
-    dz = float(z @ (d_inv * z))
+    dz = float(z @ (obj.d_inv * z))
     rhs = 2.0 * t1 / n + 2.0 * t2 / n - 2.0 * dz
     return VarianceCheck(lhs=lhs / n, rhs=rhs, dz_quadratic=dz)
 

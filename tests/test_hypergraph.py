@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncopt import hypergraph
 from asyncopt.hypergraph import (
     conflict_stats,
     conflict_stats_bruteforce,
@@ -35,10 +36,24 @@ def test_matches_bruteforce_on_random_instances():
         assert fast.max_right_degree == slow.max_right_degree
 
 
+def assert_matches_oracle(edges, d):
+    fast = conflict_stats(edges, d)
+    slow = conflict_stats_bruteforce(edges, d)
+    assert fast.degrees.tolist() == slow.degrees.tolist()
+    assert fast.max_left_degree == slow.max_left_degree
+    assert fast.max_right_degree == slow.max_right_degree
+    counts = np.zeros(d, dtype=np.int64)
+    for e in edges:
+        for v in set(np.asarray(e).tolist()):
+            counts[v] += 1
+    assert coordinate_weights(edges, d).counts.tolist() == counts.tolist()
+
+
 @st.composite
 def hypergraphs(draw):
+    """Unsorted hyperedges, possibly empty, with repeated coordinates."""
     d = draw(st.integers(1, 40))
-    edge = st.lists(st.integers(0, d - 1), min_size=1, max_size=min(5, d), unique=True)
+    edge = st.lists(st.integers(0, d - 1), max_size=8)
     edges = draw(st.lists(edge, min_size=1, max_size=60))
     return [np.array(e, dtype=np.int64) for e in edges], d
 
@@ -46,12 +61,17 @@ def hypergraphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(hypergraphs())
 def test_matches_bruteforce_on_any_hypergraph(graph):
-    edges, d = graph
-    fast = conflict_stats(edges, d)
-    slow = conflict_stats_bruteforce(edges, d)
-    assert fast.degrees.tolist() == slow.degrees.tolist()
-    assert fast.max_left_degree == slow.max_left_degree
-    assert fast.max_right_degree == slow.max_right_degree
+    assert_matches_oracle(*graph)
+
+
+def test_matches_bruteforce_one_row_per_block(monkeypatch):
+    monkeypatch.setattr(hypergraph, "BLOCK_PAIR_WORK", 1)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 50))
+        d = int(rng.integers(1, 30))
+        edges = [rng.integers(0, d, size=int(rng.integers(1, 7))) for _ in range(n)]
+        assert_matches_oracle(edges, d)
 
 
 def test_disjoint_edges_have_zero_degree():
@@ -99,7 +119,9 @@ def test_bound_is_capped_at_one():
 
 
 def test_rejects_out_of_range_coordinate():
-    with pytest.raises(ValueError):
-        conflict_stats([np.array([5])], 3)
-    with pytest.raises(ValueError):
-        conflict_stats([], 3)
+    for fn in (conflict_stats, coordinate_weights):
+        for edges in ([np.array([5])], [[0, -1], [2]], [[0, -1]], [[5, 0]]):
+            with pytest.raises(ValueError, match="hyperedge 0 references coordinate"):
+                fn(edges, 3)
+        with pytest.raises(ValueError):
+            fn([], 3)

@@ -14,12 +14,14 @@ the median, quartiles and spread of each side as perfbench/spread.py
 defines them (the definition BENCHMARK.json's bounds are judged against),
 the ratio of the medians (change over parent) and the number of pairs the
 change wins.  It also makes one --trace 1 pair on the first seed and keeps
-every metric of that pair.  Every run's gate result is kept.
+every metric of that pair.  Every run's gate result is kept, and so is
+src_lines, the total of `wc -l src/asyncopt/*.py`, of each checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -42,6 +44,15 @@ def run_once(checkout, workload, seed, seconds, trace):
     print(f"{os.path.basename(os.path.abspath(checkout))} {workload} s{seed} t{trace}: "
           f"correct={out['correct']} failed={out['failed']}", file=sys.stderr, flush=True)
     return out
+
+
+def src_lines(checkout):
+    """The total of `wc -l src/asyncopt/*.py`: newline characters, as wc counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "asyncopt", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def compare(spec, parent_runs, change_runs):
@@ -82,6 +93,7 @@ def main(argv=None):
         "cpu_count": os.cpu_count(),
         "seconds": seconds,
         "seeds": seeds,
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "workloads": {},
     }
     for w in (w["name"] for w in spec["workloads"]):
