@@ -67,7 +67,7 @@ class BenchPlan:
     gamma: float | None = None  # overrides the theorem-derived defaults
     eps: float = 1e-2  # accuracy parameter feeding the SGM/Hogwild step rule
     outdir: str = "bench_out"
-    stats_budget: int = 50_000_000
+    stats_budget: int = 1_000_000_000
 
     def __post_init__(self):
         if self.problem not in ("linreg", "logreg", "vertexcover"):

@@ -81,12 +81,12 @@ def parse_libsvm(path, d=None, l2_reg=0.0) -> RegressionDataset:
                     raise ValueError(
                         f"line {lineno}: malformed feature {tok!r}"
                     ) from None
+                if idx < 0 or not np.isfinite(val):
+                    raise ValueError(f"line {lineno}: bad feature {tok!r}")
                 if idx <= prev:
                     raise ValueError(
                         f"line {lineno}: indices must be strictly increasing"
                     )
-                if idx < 0 or not np.isfinite(val):
-                    raise ValueError(f"line {lineno}: bad feature {tok!r}")
                 prev = idx
                 indices.append(idx)
                 data.append(val)

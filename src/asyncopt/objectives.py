@@ -107,6 +107,9 @@ class VertexCoverProblem:
         edges = np.sort(edges, axis=1)
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
+        _, first, count = np.unique(edges, axis=0, return_index=True, return_counts=True)
+        if (count > 1).any():
+            raise ValueError(f"duplicate edge {tuple(edges[first[count > 1][0]].tolist())}")
         self.edges = edges
 
     @property
@@ -361,7 +364,7 @@ def vertex_cover_objective(p: VertexCoverProblem, box=True) -> VertexCoverObject
 
 def solve_reference(obj: DecomposableObjective, tol=1e-10, max_iter=10_000):
     """High-accuracy minimizer x*: Newton-CG over Hessian-vector products,
-    with Armijo backtracking on the value, or projected gradient descent in
+    backtracking on the gradient norm, or projected gradient descent in
     a box.  Raises ReferenceSolveError when the gradient (or
     projected-gradient) norm target is not reached."""
     if not obj.constants.strongly_convex:
@@ -380,16 +383,22 @@ def solve_reference(obj: DecomposableObjective, tol=1e-10, max_iter=10_000):
         raise ReferenceSolveError(float(np.linalg.norm(x - step)) * L, tol)
 
     x = np.zeros(obj.d)
+    g = obj.full_grad(x)
     for _ in range(200):
-        g = obj.full_grad(x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             return x
         H = LinearOperator((obj.d, obj.d), matvec=lambda v, x=x: obj.hess_vec(x, v),
                            dtype=np.float64)
         step = cg(H, g, rtol=min(0.1, gn))[0]
-        t, f0 = 1.0, obj.value(x)
-        while obj.value(x - t * step) > f0 - 1e-4 * t * float(g @ step) and t >= 1e-12:
+        # backtrack on ||grad f||, which keeps resolving a decrease after f
+        # stops moving at its rounding
+        t = 1.0
+        while True:
+            x_new = x - t * step
+            g = obj.full_grad(x_new)
+            if float(np.linalg.norm(g)) <= (1.0 - 1e-4 * t) * gn or t < 1e-12:
+                break
             t *= 0.5
-        x = x - t * step
-    raise ReferenceSolveError(float(np.linalg.norm(obj.full_grad(x))), tol)
+        x = x_new
+    raise ReferenceSolveError(float(np.linalg.norm(g)), tol)

@@ -381,22 +381,20 @@ def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
     if xstar is None:
         xstar = solve_reference(obj)
     z = obj.full_grad(y)
-    direction = svrg_sparse(obj, y, z).direction
-    lhs = t1 = t2 = 0.0
-    for i in range(obj.n):
-        idx, v = direction(i, x)
-        gx = obj.term_grad_vals(i, x[idx])
-        gy = obj.term_grad_vals(i, y[idx])
-        gs = obj.term_grad_vals(i, xstar[idx])
-        lhs += float(v @ v)
-        dxs = gx - gs
-        dys = gy - gs
-        t1 += float(dxs @ dxs)
-        t2 += float(dys @ dys)
-    n = obj.n
     dz = float(z @ (obj.d_inv * z))
-    rhs = 2.0 * t1 / n + 2.0 * t2 / n - 2.0 * dz
-    return VarianceCheck(lhs=lhs / n, rhs=rhs, dz_quadratic=dz)
+    around_xstar = svrg_dense(obj, xstar, None)  # g(., s) - g(x*, s)
+    rhs = 2.0 * _second_moment(around_xstar, x) + 2.0 * _second_moment(around_xstar, y)
+    return VarianceCheck(lhs=_second_moment(svrg_sparse(obj, y, z), x), rhs=rhs - 2.0 * dz,
+                         dz_quadratic=dz)
+
+
+def _second_moment(kernel, x):
+    """E_s ||g(x, s)||^2 by enumeration of every sample s (dense part excluded)."""
+    total = 0.0
+    for s in range(kernel.samples):
+        g = kernel.direction(s, x)[1]
+        total += float(g @ g)
+    return total / kernel.samples
 
 
 def enumerated_mean_direction(obj, x, algo, y=None):

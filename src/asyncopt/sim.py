@@ -5,13 +5,16 @@ iterate sequence x_{j+1} = x_j - gamma * g(xhat_j, s_j), and the stale
 read iterates xhat_j built from an explicit per-coordinate visibility
 schedule.  g is the solvers' own kernel from asyncopt.serial, with their
 sample stream and epoch schedule, so a zero-delay simulation is the serial
-run.  Because the schedule is data, every identity and bound of the
-stale-read analysis becomes directly measurable:
+run.  A SimTrace keeps (x_j, xhat_j, g_j) and everything the analysis reads
+is derived from it: the error terms R0 = ||g_j||^2, R1 = ||xhat_j - x_j||^2
+and R2 = <xhat_j - x_j, g_j>, and the distances a_j = ||x_j - x*||^2.  The
+checks are:
 
   - the per-step expansion of ||x_{j+1} - x*||^2 (exact algebra),
-  - the distance recursion through the error terms R0, R1, R2,
-  - window diagnostics G_r / Delta_r for the coordinate-descent and
-    sparse-SVRG analyses.
+  - the distance recursion through R0, R1, R2,
+  - one window chain G_r / Delta_r for the coordinate-descent and
+    sparse-SVRG analyses, with G_r read from the enumerated second moment
+    q_j = E_s ||g(xhat_j, s)||^2.
 
 A schedule only marks *earlier* in-window writes as missing.  Making later
 writes visible in earlier reads is acausal for a single-pass simulation
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from .serial import (
     SolverConfig,
     _checkpoints,
     _epochs,
+    _second_moment,
     resolve_config,
     worker_rng,
 )
@@ -104,7 +109,12 @@ def gen_schedule(T, tau, d, seed=0, style="random") -> DelaySchedule:
 
 @dataclass
 class SimTrace:
-    """Complete record of one simulated run (one seed)."""
+    """The perturbed-iterate record of one simulated run (one seed).
+
+    It keeps the sequence x_{j+1} = x_j - gamma * g_j with g_j = g(xhat_j,
+    s_j) and its setting; a, r0, r1 and r2 are derived from it as row dot
+    products on first use.
+    """
 
     algo: str
     gamma: float
@@ -113,11 +123,7 @@ class SimTrace:
     X: np.ndarray  # (T+1, d) fake iterates
     Xhat: np.ndarray  # (T, d) read iterates
     U: np.ndarray  # (T, d) dense update directions g_j (x advances by -gamma*U)
-    a: np.ndarray  # (T+1,) squared distances to x*
-    r0: np.ndarray  # (T,) ||g_j||^2
-    r1: np.ndarray  # (T,) ||xhat_j - x_j||^2
-    r2: np.ndarray  # (T,) <xhat_j - x_j, g_j>
-    q: np.ndarray  # (T,) conditional E_s ||update||^2 at xhat_j
+    q: np.ndarray  # (T,) conditional E_s ||g(xhat_j, s)||^2 (0 when not recorded)
     epoch_start: np.ndarray  # (T,) first sample index of each step's epoch
     snapshot_a: np.ndarray  # (T,) ||y - x*||^2 of the active snapshot (SVRG), else 0
     xstar: np.ndarray
@@ -126,17 +132,26 @@ class SimTrace:
     def T(self):
         return int(self.U.shape[0])
 
+    @cached_property
+    def a(self):  # (T+1,) ||x_j - x*||^2
+        return _rowdot(self.X - self.xstar)
 
-def _cond_second_moment(obj, algo, kernel, xhat):
-    """E over the sample choice of ||g(xhat, s)||^2, by enumeration of s."""
-    if algo == "scd":  # closed form: d * ||grad f(xhat)||^2
-        g = obj.full_grad(xhat)
-        return float(obj.d * (g @ g))
-    total = 0.0
-    for s in range(kernel.samples):
-        g = kernel.direction(s, xhat)[1]
-        total += float(g @ g)
-    return total / kernel.samples
+    @cached_property
+    def r0(self):  # (T,) ||g_j||^2
+        return _rowdot(self.U)
+
+    @cached_property
+    def r1(self):  # (T,) ||xhat_j - x_j||^2
+        return _rowdot(self.Xhat - self.X[:-1])
+
+    @cached_property
+    def r2(self):  # (T,) <xhat_j - x_j, g_j>
+        return _rowdot(self.Xhat - self.X[:-1], self.U)
+
+
+def _rowdot(P, Q=None):
+    """Row-wise dot products of P and Q (of P with itself by default)."""
+    return (P * (P if Q is None else Q)).sum(axis=1)
 
 
 def simulate(
@@ -165,27 +180,20 @@ def simulate(
     tau = schedule.tau
     gamma = cfg.gamma
     rng = worker_rng(cfg.seed, 0)
-    d = obj.d
-    X = np.zeros((T + 1, d))
-    Xhat = np.zeros((T, d))
-    U = np.zeros((T, d))
-    a = np.zeros(T + 1)
-    r0 = np.zeros(T)
-    r1 = np.zeros(T)
-    r2 = np.zeros(T)
+    X = np.zeros((T + 1, obj.d))
+    Xhat = np.zeros((T, obj.d))
+    U = np.zeros((T, obj.d))
     q = np.zeros(T)
     epoch_start = np.zeros(T, dtype=np.int64)
     snapshot_a = np.zeros(T)
     x = np.array(x0, dtype=np.float64, copy=True)
     X[0] = x
-    a[0] = sq_distance(x, xstar)
     # x is updated in place, so each snapshot is the fake iterate at its epoch start
     for ep0, end, snap in _checkpoints(obj, cfg, factory, x):
         kernel = factory(obj, *snap)
-        ya = sq_distance(snap[0], xstar) if snap else 0.0
+        epoch_start[ep0:end] = ep0
+        snapshot_a[ep0:end] = sq_distance(snap[0], xstar) if snap else 0.0
         for j in range(ep0, end):
-            epoch_start[j] = ep0
-            snapshot_a[j] = ya
             # read iterate: add back the in-window writes marked missing
             # (staleness does not cross the epoch barrier)
             xhat = x.copy()
@@ -197,19 +205,13 @@ def simulate(
             idx, vals = kernel.direction(int(rng.integers(kernel.samples)), xhat)
             U[j, idx] = vals
             if record_q:
-                q[j] = _cond_second_moment(obj, algo, kernel, xhat)
-            g = U[j]
-            nj = xhat - x
-            r0[j] = float(g @ g)
-            r1[j] = float(nj @ nj)
-            r2[j] = float(nj @ g)
-            x -= gamma * g
+                q[j] = _second_moment(kernel, xhat)
+            x -= gamma * U[j]
             X[j + 1] = x
-            a[j + 1] = sq_distance(x, xstar)
     return SimTrace(
-        algo=algo, gamma=gamma, tau=tau, seed=cfg.seed, X=X, Xhat=Xhat, U=U,
-        a=a, r0=r0, r1=r1, r2=r2, q=q, epoch_start=epoch_start,
-        snapshot_a=snapshot_a, xstar=np.asarray(xstar, dtype=np.float64),
+        algo=algo, gamma=gamma, tau=tau, seed=cfg.seed, X=X, Xhat=Xhat, U=U, q=q,
+        epoch_start=epoch_start, snapshot_a=snapshot_a,
+        xstar=np.asarray(xstar, dtype=np.float64),
     )
 
 
@@ -223,19 +225,11 @@ def check_step_identity(trace: SimTrace, tol=1e-9):
     ||x_{j+1}-x*||^2 = ||x_j-x*||^2 - 2 gamma <xhat_j - x*, g_j>
                        + gamma^2 ||g_j||^2 + 2 gamma <xhat_j - x_j, g_j>
     """
-    g = trace.gamma
-    errs = np.zeros(trace.T)
-    for j in range(trace.T):
-        gj = trace.U[j]
-        lhs = trace.a[j + 1]
-        rhs = (
-            trace.a[j]
-            - 2.0 * g * float((trace.Xhat[j] - trace.xstar) @ gj)
-            + g * g * trace.r0[j]
-            + 2.0 * g * trace.r2[j]
-        )
-        errs[j] = abs(lhs - rhs)
-    scale = max(1.0, float(trace.a.max()))
+    g, a = trace.gamma, trace.a
+    rhs = (a[:-1] - 2.0 * g * _rowdot(trace.Xhat - trace.xstar, trace.U)
+           + g * g * trace.r0 + 2.0 * g * trace.r2)
+    errs = np.abs(a[1:] - rhs)
+    scale = max(1.0, float(a.max()))
     return {"ok": bool(errs.max() <= tol * scale), "max_error": float(errs.max())}
 
 
@@ -343,56 +337,42 @@ def window_indices(j, r, tau, hi, lo=0):
     return np.arange(max(lo, j - r * tau), min(hi, j + r * tau + 1))
 
 
-def _window_chain(traces, j_list, r_max, tau, gamma, curvature_bound, extra_a,
-                  epoch_size=None):
-    """Shared G_r / Delta_r machinery for the SCD and sparse-SVRG chains.
+def _window_chain(traces, algo, coef, r_max, j_stride, tol):
+    """The window chain of the coordinate-descent and sparse-SVRG analyses:
+    for r <= r_max and every j_stride-th step j,
 
-    curvature_bound(j, m_jk_mean) returns the bound on the seed-averaged
-    conditional second moment; extra_a(trace, j) adds the snapshot distance
-    term for SVRG (0 for SCD).  Returns per-(j, r) margins for both chain
-    inequalities.
+    G_r <= coef (a_j + a_y + Delta_r)   and
+    Delta_r <= (3 gamma tau (r+1))^2 * (realized max ||g||^2 over S_{r+1}),
+
+    with seed means of a_j, of the snapshot distance a_y (0 for SCD), of the
+    conditional second moment q (G_r is its max over S_r) and of
+    ||x_j - xhat_k||^2 (Delta_r is its max over k in S_r).  The windows are
+    clipped to j's epoch.  The first link is pointwise smoothness, the
+    second the Cauchy-Schwarz expansion of the mismatch over the wider window.
     """
-    T = traces[0].T
-    Q = _stack(traces, "q")
-    A = _stack(traces, "a")
-    U = [t.U for t in traces]
-    results = []
-    for j in j_list:
-        lo = int(traces[0].epoch_start[j])
-        hi = min(T, lo + epoch_size) if epoch_size else T
+    _require_seeds(traces)
+    t0 = traces[0]
+    if t0.algo != algo:
+        raise ValueError(f"this window chain expects {algo} traces")
+    tau, gamma = t0.tau, t0.gamma
+    Q, A, Y, R0 = (_stack(traces, k) for k in ("q", "a", "snapshot_a", "r0"))
+    epoch_end = np.searchsorted(t0.epoch_start, t0.epoch_start, side="right")
+    rows = []
+    for j in range(0, t0.T, j_stride):
+        lo, hi = int(t0.epoch_start[j]), int(epoch_end[j])
+        a_tot = float(A[:, j].mean()) + float(Y[:, j].mean())
         for r in range(r_max + 1):
             S_r = window_indices(j, r, tau, hi, lo)
             assert S_r.size <= 2 * r * tau + 1
-            # G_r: max over the window of the seed-mean conditional moment
             g_hat = float(Q[:, S_r].mean(axis=0).max())
-            # Delta_r: max over the window of seed-mean ||x_j - xhat_k||^2
-            m_jk = np.zeros((len(traces), S_r.size))
-            for s, t in enumerate(traces):
-                diff = t.X[j][None, :] - t.Xhat[S_r]
-                m_jk[s] = (diff * diff).sum(axis=1)
-            delta_hat = float(m_jk.mean(axis=0).max()) if S_r.size else 0.0
-            bound_a = curvature_bound(
-                float(A[:, j].mean()) + extra_a(traces, j), delta_hat
-            )
-            margin_g = bound_a - g_hat
-            # second chain link: Delta_r vs the realized max gradient norm
-            # over the wider window (pointwise Cauchy-Schwarz per seed)
-            S_next = window_indices(j, r + 1, tau, hi, lo)
-            real_max = np.zeros(len(traces))
-            for s in range(len(traces)):
-                norms = (U[s][S_next] ** 2).sum(axis=1)
-                real_max[s] = norms.max() if norms.size else 0.0
-            coef = (3.0 * gamma * tau * (r + 1)) ** 2
-            bound_d = coef * float(real_max.mean())
-            margin_d = bound_d - delta_hat
-            results.append(
-                {"j": j, "r": r, "margin_g": margin_g, "margin_d": margin_d,
-                 "g_hat": g_hat, "delta_hat": delta_hat}
-            )
-    return results
-
-
-def _chain_report(rows, scale, tol):
+            m_jk = np.array([_rowdot(t.X[j] - t.Xhat[S_r]) for t in traces])
+            delta_hat = float(m_jk.mean(axis=0).max())
+            real_max = R0[:, window_indices(j, r + 1, tau, hi, lo)].max(axis=1)
+            bound_d = (3.0 * gamma * tau * (r + 1)) ** 2 * float(real_max.mean())
+            rows.append({"j": j, "r": r, "g_hat": g_hat, "delta_hat": delta_hat,
+                         "margin_g": coef * (a_tot + delta_hat) - g_hat,
+                         "margin_d": bound_d - delta_hat})
+    scale = max(1.0, max(r["g_hat"] for r in rows))
     worst_g = min(r["margin_g"] for r in rows)
     worst_d = min(r["margin_d"] for r in rows)
     return {
@@ -404,53 +384,12 @@ def _chain_report(rows, scale, tol):
 
 
 def check_ascd_windows(traces, constants, r_max=3, j_stride=1, tol=1e-9):
-    """Coordinate-descent window chain: for r <= r_max,
-
-    G_r <= 2 d L^2 (a_j + Delta_r)   and
-    Delta_r <= (3 gamma tau (r+1))^2 * (realized max ||g||^2 over S_{r+1}).
-
-    The first link is pointwise (plain smoothness), the second is the
-    Cauchy-Schwarz expansion of the mismatch over the wider window.
-    """
-    _require_seeds(traces)
-    if traces[0].algo != "scd":
-        raise ValueError("check_ascd_windows expects scd traces")
-    d, L = constants.d, constants.L
-    tau = traces[0].tau
-    gamma = traces[0].gamma
-    T = traces[0].T
-    j_list = range(0, T, j_stride)
-    rows = _window_chain(
-        traces, j_list, r_max, tau, gamma,
-        curvature_bound=lambda a_j, delta: 2.0 * d * L**2 * (a_j + delta),
-        extra_a=lambda ts, j: 0.0,
-    )
-    scale = max(1.0, max(r["g_hat"] for r in rows))
-    return _chain_report(rows, scale, tol)
+    """Coordinate-descent window chain with coef = 2 d L^2."""
+    return _window_chain(traces, "scd", 2.0 * constants.d * constants.L**2, r_max, j_stride, tol)
 
 
 def check_svrg_variance_window(traces, constants, r_max=3, j_stride=1, tol=1e-9):
-    """Sparse-SVRG window chain: G_r <= 4 L^2 (a_j + a_0 + Delta_r) with a_0
-    the active snapshot's distance, and the same Delta_r link as ASCD.  Uses
-    the per-term Lipschitz constant (the variance bound is per-term)."""
-    _require_seeds(traces)
-    if traces[0].algo != "svrg_sparse":
-        raise ValueError("check_svrg_variance_window expects svrg_sparse traces")
-    L = constants.L_term
-    tau = traces[0].tau
-    gamma = traces[0].gamma
-    T = traces[0].T
-    snap = _stack(traces, "snapshot_a")
-    j_list = range(0, T, j_stride)
-    # epoch size: distance between consecutive epoch starts (T if single epoch)
-    starts = np.unique(traces[0].epoch_start)
-    S = int(starts[1] - starts[0]) if starts.size > 1 else T
-    rows = _window_chain(
-        traces, j_list, r_max, tau, gamma,
-        curvature_bound=lambda a_tot, delta: 4.0 * L**2 * (a_tot + delta),
-        extra_a=lambda ts, j: float(snap[:, j].mean()),
-        epoch_size=S,
-    )
-    scale = max(1.0, max(r["g_hat"] for r in rows))
-    return _chain_report(rows, scale, tol)
-
+    """Sparse-SVRG window chain with coef = 4 L_term^2 (the variance bound is
+    per term) and a_y the active snapshot's distance."""
+    return _window_chain(traces, "svrg_sparse", 4.0 * constants.L_term**2, r_max, j_stride,
+                         tol)

@@ -38,9 +38,10 @@ def test_parse_libsvm_rejects_nonincreasing_indices(tmp_path):
 
 def test_parse_libsvm_rejects_zero_index(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("1 0:1.0\n")
-    with pytest.raises(ValueError):
-        parse_libsvm(p, l2_reg=0.0)
+    for tok in ("0:1.5", "-3:2"):
+        p.write_text(f"1 {tok}\n")
+        with pytest.raises(ValueError, match=f"bad feature '{tok}'"):
+            parse_libsvm(p, l2_reg=0.0)
 
 
 def test_libsvm_roundtrip(tmp_path):

@@ -296,6 +296,20 @@ def test_solve_reference_accuracy(ridge_desk, logistic_desk, vc_desk):
         assert np.linalg.norm(obj.full_grad(xstar)) <= 1e-10
 
 
+def test_solve_reference_past_value_rounding():
+    # f stops resolving a decrease at its rounding before ||grad f|| reaches
+    # the target here; backtracking on ||grad f|| gets through
+    data = ao.gen_synthetic(ao.SyntheticSpec(72, 13, 2, label_model="linear", seed=277),
+                            l2_reg=0.1)
+    obj = ao.least_squares_objective(ao.remap_covered(data)[0])
+    assert np.linalg.norm(obj.full_grad(ao.solve_reference(obj))) <= 1e-10
+
+
+def test_vertex_cover_rejects_duplicate_edges():
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        ao.VertexCoverProblem(3, [[0, 1], [1, 0], [1, 2]])
+
+
 def test_solve_reference_box_constrained():
     obj = ao.vertex_cover_objective(make_vc_desk(), box=True)
     xs = ao.solve_reference(obj)

@@ -205,6 +205,28 @@ def test_svrg_variance_check_holds(ridge_small):
         assert chk.lhs <= chk.rhs + 1e-12
 
 
+def test_svrg_variance_check_equals_explicit_loop(ridge_small, logistic_desk):
+    # the three enumerations are the kernels' second moments, bit for bit
+    for obj, xstar in (ridge_small, logistic_desk):
+        rng = np.random.default_rng(5)
+        x = xstar + 0.5 * rng.standard_normal(obj.d)
+        y = xstar + 0.5 * rng.standard_normal(obj.d)
+        z = obj.full_grad(y)
+        lhs = t1 = t2 = 0.0
+        for i in range(obj.n):
+            idx = obj.term_support(i)
+            gx = obj.term_grad_vals(i, x[idx])
+            gy = obj.term_grad_vals(i, y[idx])
+            gs = obj.term_grad_vals(i, xstar[idx])
+            v = gx - gy + obj.d_inv[idx] * z[idx]
+            lhs += float(v @ v)
+            t1 += float((gx - gs) @ (gx - gs))
+            t2 += float((gy - gs) @ (gy - gs))
+        dz = float(z @ (obj.d_inv * z))
+        chk = svrg_variance_check(obj, obj.weights, x, y, xstar=xstar)
+        assert chk == (lhs / obj.n, 2.0 * t1 / obj.n + 2.0 * t2 / obj.n - 2.0 * dz, dz)
+
+
 def test_trace_csv_schema(tmp_path, ridge_small):
     obj, xstar = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=100, seed=0, log_every=10)

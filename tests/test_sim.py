@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import asyncopt as ao
 from asyncopt.serial import SolverConfig, run_scd, run_sgm, run_svrg_sparse
@@ -8,6 +10,7 @@ from asyncopt.sim import (
     check_recursion,
     check_step_identity,
     check_strong_convexity_step,
+    check_svrg_variance_window,
     gen_schedule,
     simulate,
     window_indices,
@@ -180,8 +183,6 @@ def test_ascd_windows_small(ridge_small):
 
 
 def test_svrg_variance_windows_small(ridge_small):
-    from asyncopt.sim import check_svrg_variance_window
-
     obj, xstar = ridge_small
     S, E = 20, 2
     T = S * E
@@ -194,6 +195,66 @@ def test_svrg_variance_windows_small(ridge_small):
         )
     rep = check_svrg_variance_window(traces, obj.constants, r_max=2, j_stride=4)
     assert rep["ok"], rep
+
+
+def test_svrg_variance_windows_reused_snapshot(ridge_small):
+    # snapshot_interval=2: epoch 1 keeps epoch 0's snapshot, but its windows
+    # still stop at the epoch barrier
+    obj, xstar = ridge_small
+    S, E = 15, 3
+    traces = []
+    for seed in range(8):
+        sched = gen_schedule(S * E, 2, obj.d, seed=400 + seed, style="random")
+        cfg = SolverConfig(gamma=0.01, epoch_size=S, epochs=E, seed=seed, snapshot_interval=2)
+        traces.append(simulate(obj, cfg, np.zeros(obj.d), sched, "svrg_sparse", xstar=xstar))
+    tr = traces[0]
+    assert tr.snapshot_a[S] == tr.snapshot_a[0] != tr.snapshot_a[2 * S]
+    assert tr.epoch_start.tolist() == [0] * S + [S] * S + [2 * S] * S
+    rep = check_svrg_variance_window(traces, obj.constants, r_max=3, j_stride=3)
+    assert rep["ok"], rep
+    # an epoch's first read is its fake iterate
+    starts = [row for row in rep["rows"] if row["j"] % S == 0 and row["r"] == 0]
+    assert len(starts) == E and all(row["delta_hat"] == 0.0 for row in starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40), d=st.integers(1, 15), nnz=st.integers(1, 4),
+    algo=st.sampled_from(["sgm", "scd", "svrg_sparse"]), tau=st.integers(0, 3),
+    style=st.sampled_from(["random", "adversarial_stale"]),
+    data_seed=st.integers(0, 1000), seed=st.integers(0, 1000),
+    snapshot_interval=st.integers(1, 2),
+)
+def test_derived_error_terms_match_per_step_products(
+    n, d, nnz, algo, tau, style, data_seed, seed, snapshot_interval,
+):
+    assume(nnz <= d)
+    data = ao.gen_synthetic(ao.SyntheticSpec(n, d, nnz, label_model="linear", seed=data_seed),
+                            l2_reg=0.1)
+    obj = ao.least_squares_objective(ao.remap_covered(data)[0])
+    xstar = ao.solve_reference(obj)
+    gamma = 0.5 / obj.constants.L_term
+    if algo == "svrg_sparse":
+        cfg = SolverConfig(gamma=gamma, epoch_size=10, epochs=3, seed=seed,
+                           snapshot_interval=snapshot_interval)
+    else:
+        cfg = SolverConfig(gamma=gamma / obj.d if algo == "scd" else gamma, total_iters=30,
+                           seed=seed)
+    sched = gen_schedule(30, tau, obj.d, seed=seed, style=style)
+    tr = simulate(obj, cfg, np.zeros(obj.d), sched, algo, xstar=xstar, record_q=False)
+    dist = [float((x - xstar) @ (x - xstar)) for x in tr.X]
+    g2 = [float(g @ g) for g in tr.U]
+    mis = tr.Xhat - tr.X[:-1]
+    m2 = [float(v @ v) for v in mis]
+    cross = np.array([float(v @ g) for v, g in zip(mis, tr.U)])
+    np.testing.assert_allclose(tr.a, dist, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.r0, g2, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.r1, m2, rtol=1e-12, atol=0)
+    # r2 is signed: relative to its Cauchy-Schwarz scale ||xhat_j - x_j|| ||g_j||
+    assert np.all(np.abs(tr.r2 - cross) <= 1e-12 * np.sqrt(np.multiply(g2, m2)))
+    if tau == 0:
+        assert not tr.r1.any() and not tr.r2.any()
+    assert check_step_identity(tr)["ok"]
 
 
 def test_simulate_rejects_short_schedule(ridge_small):
