@@ -50,6 +50,7 @@ from .serial import (
 from .engine import (
     SPARSE_INCONSISTENT,
     FULL_SNAPSHOT,
+    run,
     run_hogwild,
     run_ascd,
     run_kromagnon,

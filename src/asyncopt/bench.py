@@ -1,13 +1,15 @@
 """Benchmark harness: solver x dataset x worker-count grids with normalized
-objective traces and time-to-target speedup tables.
+objective traces and one time-to-target digest.
 
-Protocol: every run's objective trace is normalized so the initial objective
-maps to 1 and the minimum attained across the whole grid maps to 0 (diverged
-runs are excluded from the minimum).  Speedups are the time each
-configuration takes to reach 99.9% / 99.99% of its own run's progress to its
-own minimum, relative to the 1-worker run of the same algorithm.  Wall time
-excludes dataset loading and objective construction but includes the SVRG
-snapshot gradients.
+Protocol: every run starts at x0 = 0, and its objective trace is normalized
+so the initial objective f0 maps to 1 and the grid minimum maps to 0.  The
+grid minimum is the least of f0 and every non-diverged run's values, so a
+grid where no run beats the start keeps its orientation.  ``summarize``
+digests the run files into ``summary.csv``: the time each run takes to reach
+99.9% / 99.99% of its own progress to its own minimum, and its speedup over
+the 1-worker run of the same algorithm; a diverged run gets no time.  Wall
+time excludes dataset loading and objective construction but includes the
+SVRG snapshot gradients.  The solver names are those of serial.SOLVERS.
 """
 
 from __future__ import annotations
@@ -20,35 +22,18 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import SyntheticSpec, gen_synthetic, parse_edge_list, parse_libsvm
-from .engine import (
-    SPARSE_INCONSISTENT,
-    measure_speedup,
-    run_ascd,
-    run_hogwild,
-    run_kromagnon,
-    time_to_progress,
-)
+from .engine import run, time_to_progress
 from .hypergraph import conflict_stats, intersection_probability_bound, tau_bound_comparison
 from .objectives import (
     least_squares_objective,
     logistic_objective,
     vertex_cover_objective,
 )
-from .serial import (
-    THEOREM_RULE,
-    SolverConfig,
-    resolve_config,
-    run_scd,
-    run_sgm,
-    run_svrg_dense,
-    run_svrg_sparse,
-)
+from .serial import SOLVERS, SolverConfig, resolve_config
 
 __all__ = ["BenchPlan", "build_objective", "run_plan", "summarize"]
 
-SERIAL_ALGOS = ("sgm", "scd", "svrg_dense", "svrg_sparse")
-ASYNC_ALGOS = ("hogwild", "ascd", "kromagnon")
-ALL_ALGOS = SERIAL_ALGOS + ASYNC_ALGOS
+_TARGETS = {"999": 0.999, "9999": 0.9999}  # summary column tag -> progress fraction
 
 
 @dataclass
@@ -72,7 +57,7 @@ class BenchPlan:
     def __post_init__(self):
         if self.problem not in ("linreg", "logreg", "vertexcover"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        bad = set(self.algorithms) - set(ALL_ALGOS)
+        bad = set(self.algorithms) - set(SOLVERS)
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
         if any(w < 1 for w in self.workers):
@@ -97,29 +82,12 @@ def build_objective(plan: BenchPlan):
     return least_squares_objective(data)
 
 
-def run_solver(obj, algo, cfg, workers=1, mode=SPARSE_INCONSISTENT):
-    """Run one solver from x0 = 0 with f traced.
-
-    Returns (RunResult, OverlapReport), the report None for serial solvers.
-    """
-    x0 = np.zeros(obj.d)
-    if algo == "kromagnon":
-        return run_kromagnon(obj, None, cfg, x0, workers, mode, track_f=True, log_updates=False)
-    if algo in ASYNC_ALGOS:
-        run = run_hogwild if algo == "hogwild" else run_ascd
-        return run(obj, cfg, x0, workers, mode, track_f=True, log_updates=False)
-    if algo == "svrg_sparse":
-        return run_svrg_sparse(obj, None, cfg, x0, track_f=True), None
-    run = {"sgm": run_sgm, "scd": run_scd, "svrg_dense": run_svrg_dense}[algo]
-    return run(obj, cfg, x0, track_f=True), None
-
-
-def _with_origin(run, f0):
+def _with_origin(res, f0):
     """The run with the t=0 point prepended, so normalization and targets see the start."""
     return replace(
-        run, trace_iter=np.concatenate([[0], run.trace_iter]),
-        trace_wall=np.concatenate([[0.0], run.trace_wall]),
-        trace_f=np.concatenate([[f0], run.trace_f]),
+        res, trace_iter=np.concatenate([[0], res.trace_iter]),
+        trace_wall=np.concatenate([[0.0], res.trace_wall]),
+        trace_f=np.concatenate([[f0], res.trace_f]),
     )
 
 
@@ -152,77 +120,46 @@ def run_plan(plan: BenchPlan) -> str:
     """Execute the grid; returns the artifact directory path."""
     obj = build_objective(plan)
     c = obj.constants
-    os.makedirs(plan.outdir, exist_ok=True)
     runs_dir = os.path.join(plan.outdir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     S = plan.epoch_size if plan.epoch_size is not None else obj.n
     E = plan.epochs
-    f0 = obj.value(np.zeros(obj.d))
+    x0 = np.zeros(obj.d)
+    f0 = obj.value(x0)
     results = {}
     gammas = {}
     diverged = []
     for algo in plan.algorithms:
-        worker_list = plan.workers if algo in ASYNC_ALGOS else (1,)
-        rule = "explicit" if plan.gamma is not None else THEOREM_RULE[algo]
+        solver = SOLVERS[algo]
+        rule = "explicit" if plan.gamma is not None else solver.rule
         # flat runs take S * E samples with a checkpoint every S, the epochal runs' grid
         cfg = SolverConfig(gamma=plan.gamma, step_rule=rule, eps=plan.eps, total_iters=S * E,
                            epoch_size=S, epochs=E, snapshot_interval=plan.snapshot_interval,
                            log_every=S)
         cfg = resolve_config(cfg, obj, algo)
         gammas[algo] = (cfg.gamma, rule)
-        for w in worker_list:
+        for w in plan.workers if solver.threaded else (1,):
             for seed in plan.seeds:
-                run, _ = run_solver(obj, algo, replace(cfg, seed=seed), w)
+                res, _ = run(obj, algo, replace(cfg, seed=seed), x0, w, track_f=True,
+                             log_updates=False)
                 key = (algo, w, seed)
-                results[key] = run
-                if run.diverged:
+                results[key] = res
+                if res.diverged:
                     diverged.append(key)
 
-    # grid minimum over non-diverged runs (for the shared normalization)
-    fmins = [
-        float(np.nanmin(r.trace_f))
-        for k, r in results.items()
-        if not r.diverged and r.trace_f is not None
-    ]
-    fmin = min(fmins) if fmins else f0
+    # grid minimum over f0 and the non-diverged runs (for the shared normalization)
+    fmin = min([f0] + [float(np.nanmin(r.trace_f)) for r in results.values() if not r.diverged])
     denom = (f0 - fmin) if f0 != fmin else 1.0
 
-    for (algo, w, seed), run in results.items():
-        run = _with_origin(run, f0)
-        fnorm = (run.trace_f - fmin) / denom
+    for (algo, w, seed), res in results.items():
+        res = _with_origin(res, f0)
+        fnorm = (res.trace_f - fmin) / denom
         path = os.path.join(runs_dir, f"{algo}_w{w}_s{seed}.csv")
         with open(path, "w", newline="") as fh:
             wcsv = csv.writer(fh)
             wcsv.writerow(["iter", "wall_s", "f", "f_normalized"])
-            for row in zip(run.trace_iter, run.trace_wall, run.trace_f, fnorm):
+            for row in zip(res.trace_iter, res.trace_wall, res.trace_f, fnorm):
                 wcsv.writerow(row)
-
-    # speedup tables (per algorithm, per seed, at both targets)
-    for algo in plan.algorithms:
-        if algo not in ASYNC_ALGOS:
-            continue
-        path = os.path.join(plan.outdir, f"speedup_{algo}.csv")
-        with open(path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
-            wcsv.writerow(
-                ["seed", "workers", "time_999", "speedup_999", "time_9999", "speedup_9999"]
-            )
-            for seed in plan.seeds:
-                grid = {}
-                for w in plan.workers:
-                    run = results.get((algo, w, seed))
-                    if run is not None and not run.diverged:
-                        grid[w] = _with_origin(run, f0)
-                if 1 not in grid:
-                    continue
-                t999 = measure_speedup(grid, 0.999)
-                t9999 = measure_speedup(grid, 0.9999)
-                for w in sorted(grid):
-                    wcsv.writerow([
-                        seed, w,
-                        t999[w]["time_to_target"], t999[w]["speedup"],
-                        t9999[w]["time_to_target"], t9999[w]["speedup"],
-                    ])
 
     with open(os.path.join(plan.outdir, "stats.txt"), "w") as fh:
         fh.write(_stats_block(obj, plan.stats_budget) + "\n")
@@ -259,6 +196,7 @@ def run_plan(plan: BenchPlan) -> str:
     with open(os.path.join(plan.outdir, "manifest.txt"), "w") as fh:
         for k, v in manifest.items():
             fh.write(f"{k}={v}\n")
+    summarize(plan.outdir)
     return plan.outdir
 
 
@@ -293,26 +231,26 @@ def summarize(outdir, write_csv=True):
         return {"rows": [], "warnings": warnings, "kromagnon_vs_dense": None}
     if not os.path.exists(manifest_path):
         warnings.append("manifest.txt missing")
+    manifest = read_key_values(manifest_path) if os.path.exists(manifest_path) else {}
+    diverged = set(manifest.get("diverged", "").split(";"))
     rows = []
     for name in sorted(os.listdir(runs_dir)):
         if not name.endswith(".csv"):
             continue
         stem = name[:-4]
         algo, wtag, stag = stem.rsplit("_", 2)
-        w = int(wtag[1:])
-        seed = int(stag[1:])
-        wall, f, fn = _read_run_csv(os.path.join(runs_dir, name))
-        rows.append({
-            "algo": algo, "workers": w, "seed": seed,
-            "best_normalized": float(fn.min()),
-            "time_999": time_to_progress(wall, fn, 0.999),
-            "wall_total": float(wall[-1]),
-        })
+        wall, _, fn = _read_run_csv(os.path.join(runs_dir, name))
+        row = {"algo": algo, "workers": int(wtag[1:]), "seed": int(stag[1:]),
+               "best_normalized": float(fn.min()), "wall_total": float(wall[-1])}
+        for tag, frac in _TARGETS.items():
+            row[f"time_{tag}"] = None if stem in diverged else time_to_progress(wall, fn, frac)
+        rows.append(row)
     # speedups relative to the 1-worker run of the same algo/seed
-    times = {(r["algo"], r["workers"], r["seed"]): r["time_999"] for r in rows}
-    for row in rows:
-        base, t = times.get((row["algo"], 1, row["seed"])), row["time_999"]
-        row["speedup_999"] = base / t if base and t else None
+    for tag in _TARGETS:
+        times = {(r["algo"], r["workers"], r["seed"]): r[f"time_{tag}"] for r in rows}
+        for row in rows:
+            base, t = times.get((row["algo"], 1, row["seed"])), row[f"time_{tag}"]
+            row[f"speedup_{tag}"] = base / t if base and t else None
     # headline comparison: kromagnon vs dense SVRG time-to-99.9%
     ratio = None
     k1 = [(r["time_999"]) for r in rows if r["algo"] == "kromagnon" and r["workers"] == 1]
@@ -322,10 +260,10 @@ def summarize(outdir, write_csv=True):
     if write_csv:
         path = os.path.join(outdir, "summary.csv")
         with open(path, "w", newline="") as fh:
-            fieldnames = ["algo", "workers", "seed", "best_normalized",
-                          "time_999", "speedup_999", "wall_total"]
+            fieldnames = ["algo", "workers", "seed", "best_normalized", "time_999",
+                          "speedup_999", "time_9999", "speedup_9999", "wall_total"]
             w = csv.DictWriter(fh, fieldnames=fieldnames)
             w.writeheader()
             for row in rows:
-                w.writerow({k: row.get(k) for k in fieldnames})
+                w.writerow({k: row[k] for k in fieldnames})
     return {"rows": rows, "warnings": warnings, "kromagnon_vs_dense": ratio}

@@ -6,18 +6,13 @@ import argparse
 import dataclasses
 import sys
 
-from .bench import (
-    BenchPlan,
-    build_objective,
-    conflict_summary,
-    read_key_values,
-    run_plan,
-    run_solver,
-    summarize,
-)
+import numpy as np
+
+from .bench import (BenchPlan, build_objective, conflict_summary, read_key_values, run_plan,
+                    summarize)
 from .data import SyntheticSpec
-from .engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT
-from .serial import EPOCHAL_ALGOS, THEOREM_RULE, SolverConfig, resolve_config, trace_to_csv
+from .engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT, run
+from .serial import SOLVERS, SolverConfig, resolve_config, trace_to_csv
 from .vectors import LinfBall
 
 
@@ -68,13 +63,12 @@ def cmd_stats(args):
 def cmd_run(args):
     plan = _plan_from_args(args)
     obj = build_objective(plan)
-    rule = "explicit" if args.gamma is not None else THEOREM_RULE[args.mode]
+    rule = "explicit" if args.gamma is not None else SOLVERS[args.mode].rule
     common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
                   linf=LinfBall(args.linf_radius))
-    if args.mode in EPOCHAL_ALGOS:
-        S = args.epoch_size or obj.n
-        E = args.epochs or 5
-        cfg = SolverConfig(epoch_size=S, epochs=E, log_every=args.log_every, **common)
+    if SOLVERS[args.mode].epochal:
+        cfg = SolverConfig(epoch_size=args.epoch_size or obj.n, epochs=args.epochs or 5,
+                           log_every=args.log_every, **common)
     else:
         T = args.iters or (args.epochs or 5) * (args.epoch_size or obj.n)
         cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
@@ -83,7 +77,8 @@ def cmd_run(args):
         cfg = resolve_config(cfg, obj, args.mode)
         print(f"step size {cfg.gamma:.3e} from rule {rule}", file=sys.stderr)
     mode = FULL_SNAPSHOT if args.read == "full" else SPARSE_INCONSISTENT
-    res, rep = run_solver(obj, args.mode, cfg, args.workers, mode)
+    res, rep = run(obj, args.mode, cfg, np.zeros(obj.d), args.workers, mode, track_f=True,
+                   log_updates=False)
     final_f = obj.value(res.x)
     print(f"iterations: {res.iters}")
     print(f"final objective: {final_f:.10g}")
@@ -161,9 +156,7 @@ def main(argv=None):
 
     p = sub.add_parser("run", help="run a single solver")
     _add_data_args(p)
-    p.add_argument("--mode", default="hogwild",
-                   choices=["sgm", "scd", "svrg_dense", "svrg_sparse",
-                            "hogwild", "ascd", "kromagnon"])
+    p.add_argument("--mode", default="hogwild", choices=list(SOLVERS))
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--read", default="sparse", choices=["sparse", "full"])
     p.add_argument("--gamma", type=float, default=None)

@@ -68,9 +68,12 @@ def parse_libsvm(path, d=None, l2_reg=0.0) -> RegressionDataset:
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError:
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+                label = np.nan
+            if not np.isfinite(label):
+                raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
+            labels.append(label)
             prev = -1
             for tok in parts[1:]:
                 try:

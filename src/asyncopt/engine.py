@@ -11,7 +11,8 @@ Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
 write of ``-gamma * g``: one worker loop runs any kernel, and one driver runs
 the workers between the checkpoints of the serial loop's schedule.  The
 workers are joined at each checkpoint, so KroMagnon's snapshot, refreshed at
-an epoch start, is consistent.
+an epoch start, is consistent.  ``run`` runs any name of serial.SOLVERS,
+serial or threaded; the ``run_*`` functions are one call each.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
 counterpart, because the kernels are the serial ones and worker 0 uses the
@@ -28,16 +29,15 @@ import numpy as np
 
 from .hypergraph import CoordinateWeights
 from .serial import (
-    EPOCHAL_KERNELS,
+    SOLVERS,
     SolverConfig,
     _checkpoints,
     _epochs,
+    _require_covered,
+    _run_serial,
     _Tracer,
     clamp_bounds,
     resolve_config,
-    scd,
-    sgm,
-    svrg_sparse,
     worker_rng,
 )
 
@@ -45,6 +45,7 @@ __all__ = [
     "SharedIterate",
     "SampleLog",
     "OverlapReport",
+    "run",
     "run_hogwild",
     "run_ascd",
     "run_kromagnon",
@@ -185,13 +186,14 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
             log.updates[j] = (idx, applied)
 
 
-def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, factory):
-    """The one threaded driver: workers share a sample counter and stop at
-    each checkpoint of serial._checkpoints.  Each worker builds its own
-    kernel, since SCD's read buffer is private."""
+def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
+    """The one threaded driver of the solver named algo: workers share a
+    sample counter and stop at each checkpoint of serial._checkpoints.  Each
+    worker builds its own kernel, since SCD's read buffer is private."""
+    cfg = resolve_config(cfg, obj, algo)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    epochal = factory in EPOCHAL_KERNELS
+    factory, epochal = SOLVERS[algo].kernel, SOLVERS[algo].epochal
     lo, hi = clamp_bounds(obj, cfg)
     shared = SharedIterate(x0 if lo is None else np.clip(x0, lo, hi))
     counter = AtomicCounter()
@@ -218,31 +220,40 @@ def _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, factory
     return result, overlap_report(log.head(result.iters))
 
 
+def run(
+    obj, algo, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
+    xstar=None, log_updates=True, track_f=False,
+):
+    """Run the solver named algo (a key of serial.SOLVERS) from x0: (RunResult,
+    OverlapReport), the report None for a serial solver, which takes workers=1."""
+    if algo in SOLVERS and not SOLVERS[algo].threaded:
+        if workers != 1:
+            raise ValueError(f"{algo} is serial; it runs with workers=1, not {workers}")
+        return _run_serial(obj, algo, cfg, x0, xstar, track_f), None
+    # resolve_config rejects a name that is not in SOLVERS
+    return _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f)
+
+
 def run_hogwild(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
     xstar=None, log_updates=True, track_f=False,
 ):
-    cfg = resolve_config(cfg, obj, "sgm")
-    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, sgm)
+    return _run_async(obj, "hogwild", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_ascd(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
     xstar=None, log_updates=True, track_f=False,
 ):
-    cfg = resolve_config(cfg, obj, "scd")
-    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, scd)
+    return _run_async(obj, "ascd", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_kromagnon(
     obj, weights: CoordinateWeights | None, cfg: SolverConfig, x0, workers=1,
     mode=SPARSE_INCONSISTENT, xstar=None, log_updates=True, track_f=False,
 ):
-    cfg = resolve_config(cfg, obj, "kromagnon")
-    w_cov = weights if weights is not None else obj.weights
-    if not w_cov.all_covered:
-        raise ValueError("KroMagnon requires every coordinate covered")
-    return _run_async(obj, cfg, x0, workers, mode, xstar, log_updates, track_f, svrg_sparse)
+    _require_covered(weights)
+    return _run_async(obj, "kromagnon", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def time_to_progress(wall, f, target_fraction):
@@ -257,18 +268,16 @@ def time_to_progress(wall, f, target_fraction):
 
 def measure_speedup(runs: dict, target_fraction: float) -> dict:
     """Time for each run to reach target_fraction of its own progress to its
-    own minimum, and speedup relative to the 1-worker run.
-
-    Each run must carry trace_f and trace_wall, plus the initial objective as
-    the first trace entry or supplied via run.trace_f[0].
+    own minimum, and speedup relative to the 1-worker run.  Each run needs
+    trace_f and trace_wall, whose first entries are the start it measures from.
     """
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError("target_fraction must be in (0, 1]")
     times = {}
-    for w, run in runs.items():
-        if run.trace_f is None or run.trace_wall is None:
+    for w, res in runs.items():
+        if res.trace_f is None or res.trace_wall is None:
             raise ValueError("measure_speedup needs trace_f and trace_wall")
-        times[w] = time_to_progress(run.trace_wall, run.trace_f, target_fraction)
+        times[w] = time_to_progress(res.trace_wall, res.trace_f, target_fraction)
     base = times.get(1)
     return {
         w: {"time_to_target": t, "speedup": base / t if t and base is not None else None}

@@ -9,7 +9,8 @@ solvers write with plain NumPy in one sampling loop; asyncopt.engine writes
 from worker threads through striped locks; asyncopt.sim stores g under a
 delay schedule; the enumeration oracles average g over every s.  So a
 1-worker async run and a zero-delay simulation reproduce the serial
-trajectory bit for bit.
+trajectory bit for bit.  ``SOLVERS`` is the one table of solver names, each
+with its kernel, its theorem step rule, and whether engine threads drive it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "RunResult",
     "worker_rng",
     "resolve_config",
+    "SOLVERS",
     "run_sgm",
     "run_scd",
     "run_svrg_dense",
@@ -40,14 +42,6 @@ __all__ = [
 ]
 
 STEP_RULES = ("explicit", "hogwild_theorem1", "scd_theorem2", "svrg_theorem3")
-EPOCHAL_ALGOS = ("svrg_dense", "svrg_sparse", "kromagnon")  # configured by epochs
-# the theorem step rule of each solver, used when no gamma is given
-THEOREM_RULE = {
-    "sgm": "hogwild_theorem1", "hogwild": "hogwild_theorem1",
-    "scd": "scd_theorem2", "ascd": "scd_theorem2",
-    "svrg_dense": "svrg_theorem3", "svrg_sparse": "svrg_theorem3",
-    "kromagnon": "svrg_theorem3",
-}
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,12 @@ class SolverConfig:
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if (self.gamma is not None) != (self.step_rule == "explicit"):
             raise ValueError("set gamma exactly when step_rule is 'explicit'")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
+        if self.log_every < 0:
+            raise ValueError("log_every must be >= 0")
         for name in ("total_iters", "epoch_size", "epochs"):
             v = getattr(self, name)
             if v is not None and v < 1:
@@ -108,7 +104,10 @@ def worker_rng(seed, worker=0):
 
 
 def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
-    """Fill in gamma / horizons from the named step rule. Returns a new config."""
+    """Fill in gamma / horizons from the named step rule for the solver named
+    algo (a key of SOLVERS). Returns a new config."""
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown solver {algo!r}; choose from {sorted(SOLVERS)}")
     c = obj.constants
     if cfg.step_rule == "explicit":
         out = cfg
@@ -148,7 +147,7 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
         raise ValueError(
             f"divergent configuration: gamma*m = {out.gamma * c.m:.3g} >= 1"
         )
-    if algo in EPOCHAL_ALGOS:
+    if SOLVERS[algo].epochal:
         if out.epoch_size is None or out.epochs is None:
             raise ValueError(f"{algo} needs epoch_size and epochs")
     elif out.total_iters is None:
@@ -215,8 +214,32 @@ def svrg_dense(obj, y, z):
     return Kernel(obj.n, direction, dense=z)
 
 
-KERNELS = {"sgm": sgm, "scd": scd, "svrg_sparse": svrg_sparse, "svrg_dense": svrg_dense}
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
+
+
+class Solver(NamedTuple):
+    """A solver name's decisions: its kernel, its theorem step rule (used when
+    no gamma is given), and whether asyncopt.engine's threads drive it."""
+
+    kernel: Callable
+    rule: str
+    threaded: bool
+
+    @property
+    def epochal(self):  # configured by epochs, with a snapshot at each epoch start
+        return self.kernel in EPOCHAL_KERNELS
+
+
+# the one table of solver names; asyncopt.engine.run runs any of them
+SOLVERS = {
+    "sgm": Solver(sgm, "hogwild_theorem1", False),
+    "scd": Solver(scd, "scd_theorem2", False),
+    "svrg_dense": Solver(svrg_dense, "svrg_theorem3", False),
+    "svrg_sparse": Solver(svrg_sparse, "svrg_theorem3", False),
+    "hogwild": Solver(sgm, "hogwild_theorem1", True),
+    "ascd": Solver(scd, "scd_theorem2", True),
+    "kromagnon": Solver(svrg_sparse, "svrg_theorem3", True),
+}
 
 
 def clamp_bounds(obj, cfg):
@@ -313,14 +336,17 @@ class _Tracer:
         )
 
 
-def _run_serial(obj, cfg, x0, xstar, track_f, factory) -> RunResult:
-    """The one sampling loop: x[idx] += -gamma * g with plain NumPy, then the
-    kernel's dense part on every coordinate, clamped to clamp_bounds (x0 too)."""
+def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
+    """The one sampling loop of the solver named algo: x[idx] += -gamma * g
+    with plain NumPy, then the kernel's dense part on every coordinate,
+    clamped to clamp_bounds (x0 too)."""
+    cfg = resolve_config(cfg, obj, algo)
+    factory = SOLVERS[algo].kernel
     gamma = cfg.gamma
     lo, hi = clamp_bounds(obj, cfg)
     x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
     rng = worker_rng(cfg.seed, 0)
-    tracer = _Tracer(obj, xstar, track_f, factory in EPOCHAL_KERNELS)
+    tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
     for t, bound, snap in _checkpoints(obj, cfg, factory, x):
         samples, direction, dense = factory(obj, *snap)
         for _ in range(bound - t):
@@ -338,28 +364,29 @@ def _run_serial(obj, cfg, x0, xstar, track_f, factory) -> RunResult:
 
 
 def run_sgm(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
-    cfg = resolve_config(cfg, obj, "sgm")
-    return _run_serial(obj, cfg, x0, xstar, track_f, sgm)
+    return _run_serial(obj, "sgm", cfg, x0, xstar, track_f)
 
 
 def run_scd(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
-    cfg = resolve_config(cfg, obj, "scd")
-    return _run_serial(obj, cfg, x0, xstar, track_f, scd)
+    return _run_serial(obj, "scd", cfg, x0, xstar, track_f)
 
 
 def run_svrg_dense(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:
-    cfg = resolve_config(cfg, obj, "svrg_dense")
-    return _run_serial(obj, cfg, x0, xstar, track_f, svrg_dense)
+    return _run_serial(obj, "svrg_dense", cfg, x0, xstar, track_f)
 
 
 def run_svrg_sparse(
     obj, weights: CoordinateWeights | None, cfg: SolverConfig, x0, xstar=None,
     track_f=False,
 ) -> RunResult:
-    cfg = resolve_config(cfg, obj, "svrg_sparse")
+    _require_covered(weights)
+    return _run_serial(obj, "svrg_sparse", cfg, x0, xstar, track_f)
+
+
+def _require_covered(weights):
+    """An explicit weights must cover every coordinate (objectives check their own)."""
     if weights is not None and not weights.all_covered:
         raise ValueError("sparse SVRG requires every coordinate covered")
-    return _run_serial(obj, cfg, x0, xstar, track_f, svrg_sparse)
 
 
 class VarianceCheck(NamedTuple):
@@ -376,8 +403,7 @@ def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
           - 2 grad f(y)^T D grad f(y).
     ``weights`` only gets run_svrg_sparse's coverage check.
     """
-    if weights is not None and not weights.all_covered:
-        raise ValueError("sparse SVRG requires every coordinate covered")
+    _require_covered(weights)
     if xstar is None:
         xstar = solve_reference(obj)
     z = obj.full_grad(y)
@@ -400,9 +426,9 @@ def _second_moment(kernel, x):
 def enumerated_mean_direction(obj, x, algo, y=None):
     """Average of the kernel's g(x, s) over every sample s, with the snapshot
     y for SVRG; equals grad f(x) when the direction is unbiased."""
-    if algo not in KERNELS:
-        raise ValueError(f"unknown algo {algo!r}")
-    factory = KERNELS[algo]
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown solver {algo!r}")
+    factory = SOLVERS[algo].kernel
     kernel = factory(obj, y, obj.full_grad(y)) if factory in EPOCHAL_KERNELS else factory(obj)
     out = np.zeros(obj.d)
     for s in range(kernel.samples):

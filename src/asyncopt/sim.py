@@ -33,8 +33,7 @@ import numpy as np
 
 from .objectives import DecomposableObjective
 from .serial import (
-    EPOCHAL_KERNELS,
-    KERNELS,
+    SOLVERS,
     SolverConfig,
     _checkpoints,
     _epochs,
@@ -172,8 +171,8 @@ def simulate(
     if xstar is None:
         raise ValueError("simulate needs x* to record distances")
     cfg = replace(resolve_config(cfg, obj, algo), log_every=0)  # one segment per epoch
-    factory = KERNELS[algo]
-    S, E = _epochs(cfg, factory in EPOCHAL_KERNELS)
+    factory = SOLVERS[algo].kernel
+    S, E = _epochs(cfg, SOLVERS[algo].epochal)
     T = S * E
     if schedule.T < T or schedule.d != obj.d:
         raise ValueError("schedule does not cover this run (length or dim)")

@@ -14,7 +14,7 @@ from asyncopt.bench import (
     summarize,
 )
 from asyncopt.engine import time_to_progress
-from asyncopt.serial import THEOREM_RULE, SolverConfig, resolve_config
+from asyncopt.serial import SOLVERS, SolverConfig, resolve_config
 
 
 def small_plan(tmp_path, **kw):
@@ -45,8 +45,10 @@ def test_run_plan_artifacts(tmp_path):
     assert "svrg_dense_w2_s0.csv" not in names  # serial baseline: one worker
     assert (tmp_path / "out" / "manifest.txt").exists()
     assert (tmp_path / "out" / "stats.txt").exists()
-    assert (tmp_path / "out" / "speedup_hogwild.csv").exists()
-    assert (tmp_path / "out" / "speedup_kromagnon.csv").exists()
+    assert not list((tmp_path / "out").glob("speedup_*.csv"))  # summary.csv has the speedups
+    with open(tmp_path / "out" / "summary.csv") as fh:  # written by run_plan
+        header = fh.readline().strip().split(",")
+    assert {"time_999", "speedup_999", "time_9999", "speedup_9999"} <= set(header)
 
     # trace normalization: starts at 1 (the shared f0), grid minimum maps to 0
     mins = []
@@ -112,7 +114,29 @@ def test_grid_with_runs_diverging_before_first_checkpoint(tmp_path):
     for a in algos:  # only the t=0 origin is written
         wall, f, _ = _read_run_csv(tmp_path / "out" / "runs" / f"{a}_w1_s0.csv")
         assert wall.tolist() == [0.0] and f.size == 1
-    assert {r["algo"] for r in summarize(outdir)["rows"]} == set(algos)
+    rows = summarize(outdir)["rows"]
+    assert {r["algo"] for r in rows} == set(algos)
+    for r in rows:  # a diverged run gets no time, so no speedup
+        assert r["time_999"] is None and r["time_9999"] is None
+        assert r["speedup_999"] is None and r["speedup_9999"] is None
+
+
+def test_grid_that_never_beats_the_start(tmp_path):
+    # every checkpoint is above f0 (f grows to ~1e11 without overflowing), so
+    # the grid minimum is f0 itself: no progress, rather than progress toward
+    # the worst value (one worker keeps the trajectory deterministic)
+    plan = small_plan(tmp_path, l2_reg=0.01, algorithms=("hogwild",), workers=(1,), epochs=30)
+    gamma = 8.0 / build_objective(plan).constants.L_term
+    outdir = run_plan(replace(plan, gamma=gamma))
+    man = read_key_values(tmp_path / "out" / "manifest.txt")
+    assert man["diverged"] == ""
+    assert float(man["fmin_grid"]) == float(man["f0"])
+    _, f, fn = _read_run_csv(tmp_path / "out" / "runs" / "hogwild_w1_s0.csv")
+    assert f.max() > 1e6 and f[1:].min() > f[0]
+    assert fn.min() == 0.0
+    (row,) = summarize(outdir)["rows"]
+    assert row["time_999"] == 0.0 and row["time_9999"] == 0.0
+    assert row["speedup_999"] is None
 
 
 def test_stats_budget_gate(tmp_path):
@@ -128,7 +152,7 @@ def test_default_gamma_rules(tmp_path):
     obj = SimpleNamespace(constants=c)
 
     def theorem(algo, **kw):
-        rule = THEOREM_RULE[algo]
+        rule = SOLVERS[algo].rule
         cfg = SolverConfig(step_rule=rule, total_iters=10, epoch_size=10, epochs=1, **kw)
         return resolve_config(cfg, obj, algo).gamma, rule
 

@@ -74,6 +74,30 @@ def test_run_kromagnon_full_read(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("mode,horizon", [
+    ("scd", ["--gamma", "0.002", "--iters", "300"]),
+    ("svrg_dense", ["--gamma", "0.005", "--epochs", "2"]),
+    ("ascd", ["--gamma", "0.002", "--iters", "300", "--workers", "2"]),
+])
+def test_run_remaining_modes(mode, horizon, capsys):
+    rc = main(["run", "--problem", "linreg", "--synthetic", "60,12,3", "--l2-reg", "0.5",
+               "--mode", mode, *horizon])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "diverged: False" in out
+    assert ("tau observed:" in out) == (mode == "ascd")
+
+
+def test_run_refuses_bad_settings():
+    base = ["run", "--problem", "linreg", "--synthetic", "60,12,3", "--iters", "100"]
+    with pytest.raises(ValueError, match="workers=1"):
+        main(base + ["--mode", "sgm", "--gamma", "0.01", "--workers", "4"])
+    with pytest.raises(ValueError, match="finite and positive"):
+        main(base + ["--mode", "sgm", "--gamma", "nan"])
+    with pytest.raises(ValueError, match="log_every"):
+        main(base + ["--mode", "hogwild", "--gamma", "0.01", "--log-every", "-5"])
+
+
 def test_run_linf_radius(capsys):
     rc = main([
         "run", "--problem", "linreg", "--synthetic", "60,12,3",

@@ -44,6 +44,14 @@ def test_parse_libsvm_rejects_zero_index(tmp_path):
             parse_libsvm(p, l2_reg=0.0)
 
 
+def test_parse_libsvm_rejects_nonfinite_label(tmp_path):
+    p = tmp_path / "bad.txt"
+    for label in ("nan", "inf", "-inf"):
+        p.write_text(f"1 1:0.5\n{label} 1:1.0\n")
+        with pytest.raises(ValueError, match=f"line 2: bad label '{label}'"):
+            parse_libsvm(p, l2_reg=0.0)
+
+
 def test_libsvm_roundtrip(tmp_path):
     spec = ao.SyntheticSpec(n=40, d=12, nnz=4, label_model="linear", seed=3)
     data = ao.gen_synthetic(spec, l2_reg=0.5)

@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
-from asyncopt.engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT, run_ascd, run_hogwild, run_kromagnon
-from asyncopt.serial import SolverConfig, run_scd, run_sgm, run_svrg_dense, run_svrg_sparse
+from asyncopt.engine import (FULL_SNAPSHOT, SPARSE_INCONSISTENT, run, run_ascd, run_hogwild,
+                             run_kromagnon)
+from asyncopt.serial import SOLVERS, SolverConfig, run_scd, run_sgm, run_svrg_sparse, scd
 from asyncopt.sim import gen_schedule, simulate
 
 from conftest import make_ridge_desk, make_vc_desk
@@ -125,27 +126,40 @@ def test_runs_start_inside_their_bounds(ridge_small):
         assert np.abs(res.x).max() <= 0.05
 
 
-def _async(run):
-    def call(*args, **kw):
-        res, rep = run(*args, **kw)
-        assert len(rep.log) == res.iters
-        return res
-    return call
+def _wrapper(algo, obj, cfg, x0):
+    """The named run_* function of the public API, at one worker."""
+    fn = getattr(ao, f"run_{algo}")
+    weights = (None,) if fn in (ao.run_svrg_sparse, ao.run_kromagnon) else ()
+    res = fn(obj, *weights, cfg, x0, track_f=True)
+    return res[0] if SOLVERS[algo].threaded else res
 
 
-SOLVERS = {
-    "sgm": lambda obj, flat, ep: run_sgm(obj, flat, np.zeros(obj.d), track_f=True),
-    "scd": lambda obj, flat, ep: run_scd(obj, flat, np.zeros(obj.d), track_f=True),
-    "svrg_dense": lambda obj, flat, ep: run_svrg_dense(obj, ep, np.zeros(obj.d), track_f=True),
-    "svrg_sparse": lambda obj, flat, ep: run_svrg_sparse(
-        obj, None, ep, np.zeros(obj.d), track_f=True),
-    "hogwild": lambda obj, flat, ep: _async(run_hogwild)(
-        obj, flat, np.zeros(obj.d), workers=2, track_f=True),
-    "ascd": lambda obj, flat, ep: _async(run_ascd)(
-        obj, flat, np.zeros(obj.d), workers=2, track_f=True),
-    "kromagnon": lambda obj, flat, ep: _async(run_kromagnon)(
-        obj, None, ep, np.zeros(obj.d), workers=2, track_f=True),
-}
+@pytest.mark.parametrize("problem", ["linreg", "logreg"])
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_run_by_name_equals_its_wrapper(algo, problem):
+    model = "logistic" if problem == "logreg" else "linear"
+    data = ao.gen_synthetic(ao.SyntheticSpec(50, 12, 3, label_model=model, seed=5), l2_reg=0.1)
+    data, _ = ao.remap_covered(data)
+    obj = (ao.logistic_objective if problem == "logreg" else ao.least_squares_objective)(data)
+    gamma = 0.5 / obj.constants.L_term
+    if SOLVERS[algo].epochal:
+        cfg = SolverConfig(gamma=gamma, epoch_size=20, epochs=3, seed=3, log_every=7)
+    else:  # a coordinate step is d times a coordinate of the gradient
+        scale = obj.d if SOLVERS[algo].kernel is scd else 1
+        cfg = SolverConfig(gamma=gamma / scale, total_iters=60, seed=3, log_every=7)
+    x0 = np.zeros(obj.d)
+    res, rep = ao.run(obj, algo, cfg, x0, track_f=True)
+    assert_same_run(res, _wrapper(algo, obj, cfg, x0))
+    assert (rep is None) == (not SOLVERS[algo].threaded)
+    if not SOLVERS[algo].threaded:
+        with pytest.raises(ValueError, match="workers=1"):
+            ao.run(obj, algo, cfg, x0, workers=2)
+
+
+def test_run_rejects_unknown_name(ridge_small):
+    obj, _ = ridge_small
+    with pytest.raises(ValueError, match="unknown solver"):
+        ao.run(obj, "kromagnn", SolverConfig(gamma=0.01, total_iters=10), np.zeros(obj.d))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -155,9 +169,14 @@ def test_divergent_run_stops_at_first_nonfinite_checkpoint(algo):
         make_ridge_desk(n=30, d=10, nnz=3, scale=0.8, bscale=1.0, seed=4, l2_reg=0.1)
     )
     gamma = 30.0 / obj.constants.L_term  # far past 2 / L_term, with gamma * m < 1
-    flat = SolverConfig(gamma=gamma, total_iters=3000, seed=0, log_every=100)
-    ep = SolverConfig(gamma=gamma, epoch_size=100, epochs=30, seed=0, log_every=100)
-    res = SOLVERS[algo](obj, flat, ep)
+    if SOLVERS[algo].epochal:
+        cfg = SolverConfig(gamma=gamma, epoch_size=100, epochs=30, seed=0, log_every=100)
+    else:
+        cfg = SolverConfig(gamma=gamma, total_iters=3000, seed=0, log_every=100)
+    workers = 2 if SOLVERS[algo].threaded else 1
+    res, rep = run(obj, algo, cfg, np.zeros(obj.d), workers, track_f=True)
+    if rep is not None:
+        assert len(rep.log) == res.iters
     assert res.diverged
     assert 0 < res.iters < 3000
     assert res.trace_iter[-1] == res.iters

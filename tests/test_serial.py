@@ -159,6 +159,24 @@ def test_config_validation():
         SolverConfig(gamma=0.1, step_rule="nope")
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_config_rejects_nonfinite_gamma(gamma):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SolverConfig(gamma=gamma, total_iters=10)
+
+
+def test_config_rejects_negative_log_every():
+    with pytest.raises(ValueError, match="log_every"):
+        SolverConfig(gamma=0.1, total_iters=10, log_every=-1)
+    assert SolverConfig(gamma=0.1, total_iters=10, log_every=0).log_every == 0
+
+
+def test_resolve_config_rejects_unknown_solver(ridge_small):
+    obj, _ = ridge_small
+    with pytest.raises(ValueError, match="unknown solver 'kromagnn'"):
+        resolve_config(SolverConfig(gamma=0.01, total_iters=10), obj, "kromagnn")
+
+
 def test_scd_rate_on_ridge(ridge_small):
     # the named coordinate-descent step rule contracts to the target accuracy
     obj, xstar = ridge_small
