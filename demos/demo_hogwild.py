@@ -39,8 +39,9 @@ def main():
         s = f"{row['speedup']:.2f}x" if row["speedup"] else "-"
         print(f"time to 99.9% progress, {w} workers: "
               f"{row['time_to_target']:.3f}s (speedup {s})")
-    print("note: CPython threads share one interpreter lock, so wall-clock "
-          "scaling here understates what the same algorithm does natively")
+    print("note: with the native stretch kernels the workers run outside the "
+          "interpreter lock, so scaling is bounded by the cores and by how often "
+          "terms share coordinates (README, 'Native stretch kernels')")
 
 
 if __name__ == "__main__":

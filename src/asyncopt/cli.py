@@ -11,7 +11,7 @@ import numpy as np
 from .bench import (BenchPlan, build_objective, conflict_summary, read_key_values, run_plan,
                     summarize)
 from .data import SyntheticSpec
-from .engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT, run
+from .engine import FULL_SNAPSHOT, SPARSE_INCONSISTENT, check_workers, run
 from .serial import SOLVERS, SolverConfig, resolve_config, trace_to_csv
 from .vectors import LinfBall
 
@@ -66,15 +66,19 @@ def cmd_run(args):
     rule = "explicit" if args.gamma is not None else SOLVERS[args.mode].rule
     common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
                   linf=LinfBall(args.linf_radius))
-    if SOLVERS[args.mode].epochal:
-        cfg = SolverConfig(epoch_size=args.epoch_size or obj.n, epochs=args.epochs or 5,
-                           log_every=args.log_every, **common)
-    else:
-        T = args.iters or (args.epochs or 5) * (args.epoch_size or obj.n)
-        cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
-                           **common)
-    if rule != "explicit":
+    try:  # a refused setting is a usage error, as argparse's own refusals are
+        if SOLVERS[args.mode].epochal:
+            cfg = SolverConfig(epoch_size=args.epoch_size or obj.n, epochs=args.epochs or 5,
+                               log_every=args.log_every, **common)
+        else:
+            T = args.iters or (args.epochs or 5) * (args.epoch_size or obj.n)
+            cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
+                               **common)
         cfg = resolve_config(cfg, obj, args.mode)
+        check_workers(args.mode, args.workers)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    if rule != "explicit":
         print(f"step size {cfg.gamma:.3e} from rule {rule}", file=sys.stderr)
     mode = FULL_SNAPSHOT if args.read == "full" else SPARSE_INCONSISTENT
     res, rep = run(obj, args.mode, cfg, np.zeros(obj.d), args.workers, mode, track_f=True,
@@ -167,7 +171,7 @@ def main(argv=None):
     p.add_argument("--linf-radius", type=float, default=None)
     p.add_argument("--log-every", type=int, default=0)
     p.add_argument("--out", default=None, help="write the trace CSV here")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, usage_error=p.error)
 
     p = sub.add_parser("bench", help="run a benchmark grid")
     _add_data_args(p)

@@ -2,21 +2,33 @@
 
 "Lock-free" here means no global lock and no multi-coordinate consistency:
 workers sample, read, and write concurrently with no coordination beyond
-per-coordinate write indivisibility.  Coordinate writes go through a striped
-lock table, which is how an indivisible read-modify-write on one float64
-cell is realized in Python (the GIL does not make `x[v] += u` atomic).
+per-coordinate write indivisibility.
 
 Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
-``svrg_sparse`` of asyncopt.serial with a perturbed read and a striped-lock
-write of ``-gamma * g``: one worker loop runs any kernel, and one driver runs
-the workers between the checkpoints of the serial loop's schedule.  The
-workers are joined at each checkpoint, so KroMagnon's snapshot, refreshed at
-an epoch start, is consistent.  ``run`` runs any name of serial.SOLVERS,
-serial or threaded; the ``run_*`` functions are one call each.
+``svrg_sparse`` of asyncopt.serial with a perturbed read and an indivisible
+write of ``-gamma * g``, and one driver runs the workers between the
+checkpoints of the serial loop's schedule.  A worker runs one of two loops:
+
+  - the native stretch of a term kernel (asyncopt._stretch), in the default
+    sparse read mode: one C call per chunk of draws, outside the interpreter
+    lock, that takes each sample's index by an atomic fetch-add, writes by a
+    compare-and-swap on the double's bits when several workers run (plainly
+    when one does), and fills the SampleLog;
+  - the Python worker, for SCD/ASCD, the full_consistent_snapshot read mode
+    and when the native build is not loaded: its writes go through
+    SharedIterate's striped lock table, which is how an indivisible
+    read-modify-write on one float64 cell is realized in Python (the
+    interpreter lock does not make `x[v] += u` atomic).
+
+The workers are joined at each checkpoint, so KroMagnon's snapshot,
+refreshed at an epoch start, is consistent.  ``run`` runs any name of
+serial.SOLVERS, serial or threaded; the ``run_*`` functions are one call
+each.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
-counterpart, because the kernels are the serial ones and worker 0 uses the
-serial RNG stream.
+counterpart: the kernels are the serial ones, worker 0 takes the serial
+RNG stream in order (draws a stretch leaves unused carry over to the next),
+and a lone worker's add is the serial add.
 """
 
 from __future__ import annotations
@@ -27,8 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stretch import Sync
 from .hypergraph import CoordinateWeights
 from .serial import (
+    CHUNK,
     SOLVERS,
     SolverConfig,
     _checkpoints,
@@ -163,10 +177,27 @@ def overlap_report(log: SampleLog) -> OverlapReport:
     )
 
 
-def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
+class _Draws:
+    """One worker's samples from its stream, drawn at most CHUNK at a time.
+    Draws a stretch leaves unused carry over to the next, so a worker takes
+    its stream in order, whatever the chunks."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.buf = np.empty(0, dtype=np.int64)
+        self.pos = 0
+
+    def unused(self, samples, need):
+        """The draws not yet taken, refilled with up to need new ones when none are left."""
+        if self.pos == self.buf.size:
+            self.buf, self.pos = self.rng.integers(samples, size=min(CHUNK, need)), 0
+        return self.buf[self.pos:]
+
+
+def _worker(kernel, gamma, shared, lo, hi, counter, limit, draws, wid, log, mode):
     """Apply -gamma * g of kernel steps to the shared iterate until the counter hits limit."""
     x = shared.x
-    samples, direction, _ = kernel
+    samples, direction = kernel.samples, kernel.direction
     while True:
         j = counter.next(limit)
         if j is None:
@@ -174,7 +205,8 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
         t0 = time.perf_counter()
         # the snapshot variant reads the whole vector before sampling
         src = shared.snapshot() if mode == FULL_SNAPSHOT else x
-        s = int(rng.integers(samples))
+        s = int(draws.unused(samples, limit - j)[0])
+        draws.pos += 1
         idx, g = direction(s, src)
         applied = shared.add_clamped(idx, -gamma * g, lo, hi)
         t1 = time.perf_counter()
@@ -186,38 +218,65 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
             log.updates[j] = (idx, applied)
 
 
+def _stretch_worker(kernel, gamma, x, lo, hi, sync, draws):
+    """Run the kernel's native stretch over this worker's draws until the
+    shared counter reaches the limit."""
+    while True:
+        need = sync.limit - int(sync.counter[0])
+        if need <= 0:
+            return
+        todo = draws.unused(kernel.samples, need)
+        used = kernel.stretch(x, todo, gamma, lo, hi, sync=sync)
+        draws.pos += used
+        if used < todo.size:
+            return
+
+
 def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
     """The one threaded driver of the solver named algo: workers share a
     sample counter and stop at each checkpoint of serial._checkpoints.  Each
-    worker builds its own kernel, since SCD's read buffer is private."""
+    worker builds its own kernel, since SCD's read buffer is private, and
+    runs its native stretch when it has one and the read mode is sparse."""
     cfg = resolve_config(cfg, obj, algo)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_workers(algo, workers)
     factory, epochal = SOLVERS[algo].kernel, SOLVERS[algo].epochal
     lo, hi = clamp_bounds(obj, cfg)
     shared = SharedIterate(x0 if lo is None else np.clip(x0, lo, hi))
     counter = AtomicCounter()
+    cell = np.zeros(1, dtype=np.int64)  # the native workers' sample counter
     S, E = _epochs(cfg, epochal)
     log = SampleLog.empty(S * E, log_updates)
-    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
+    draws = [_Draws(worker_rng(cfg.seed, w)) for w in range(workers)]
     tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
-    for _, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
-        threads = [
-            threading.Thread(
-                target=_worker,
-                args=(factory(obj, *snap), cfg.gamma, shared, lo, hi, counter, bound,
-                      rngs[w], w, log, mode),
-            )
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    for t, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
+        kernels = [factory(obj, *snap) for _ in range(workers)]
+        if mode == SPARSE_INCONSISTENT and kernels[0].stretch is not None:
+            cell[0] = t
+            jobs = [(_stretch_worker, (kernels[w], cfg.gamma, shared.x, lo, hi,
+                                       Sync(cell, bound, w, workers > 1, log), draws[w]))
+                    for w in range(workers)]
+        else:
+            jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, draws[w],
+                               w, log, mode))
+                    for w in range(workers)]
+        threads = [threading.Thread(target=target, args=args) for target, args in jobs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
         if not tracer.record(bound, shared.x):
             break
     result = tracer.result(shared.x, cfg)
     return result, overlap_report(log.head(result.iters))
+
+
+def check_workers(algo, workers):
+    """Refuse a worker count the solver named algo cannot run: a serial
+    solver takes workers=1, a threaded one at least 1."""
+    if algo in SOLVERS and not SOLVERS[algo].threaded and workers != 1:
+        raise ValueError(f"{algo} is serial; it runs with workers=1, not {workers}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def run(
@@ -227,8 +286,7 @@ def run(
     """Run the solver named algo (a key of serial.SOLVERS) from x0: (RunResult,
     OverlapReport), the report None for a serial solver, which takes workers=1."""
     if algo in SOLVERS and not SOLVERS[algo].threaded:
-        if workers != 1:
-            raise ValueError(f"{algo} is serial; it runs with workers=1, not {workers}")
+        check_workers(algo, workers)
         return _run_serial(obj, algo, cfg, x0, xstar, track_f), None
     # resolve_config rejects a name that is not in SOLVERS
     return _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f)
@@ -270,6 +328,8 @@ def measure_speedup(runs: dict, target_fraction: float) -> dict:
     """Time for each run to reach target_fraction of its own progress to its
     own minimum, and speedup relative to the 1-worker run.  Each run needs
     trace_f and trace_wall, whose first entries are the start it measures from.
+    A run with no time, or a 1-worker time of 0, has no speedup, as in
+    asyncopt.bench.summarize.
     """
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError("target_fraction must be in (0, 1]")
@@ -280,6 +340,6 @@ def measure_speedup(runs: dict, target_fraction: float) -> dict:
         times[w] = time_to_progress(res.trace_wall, res.trace_f, target_fraction)
     base = times.get(1)
     return {
-        w: {"time_to_target": t, "speedup": base / t if t and base is not None else None}
+        w: {"time_to_target": t, "speedup": base / t if base and t else None}
         for w, t in times.items()
     }

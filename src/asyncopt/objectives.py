@@ -135,6 +135,7 @@ class DecomposableObjective:
     constants: ProblemConstants
     weights: CoordinateWeights
     box: tuple | None = None  # (lo, hi) component-wise clamp, or None
+    _phi_kind: str | None = None  # phi's family in the native kernels of _stretch.c, or None
 
     def __init__(self, A, b, rho, eta):
         self.A, self.b, self.rho, self.eta = A, b, rho, eta
@@ -254,6 +255,8 @@ def _regression_form(data):
 class _Quadratic(DecomposableObjective):
     """phi(t, b) = (s/2) (t - b)^2 with s = ``_sup_d2phi``."""
 
+    _phi_kind = "quadratic"
+
     def _phi(self, t, b):
         return 0.5 * self._sup_d2phi * (t - b) ** 2
 
@@ -283,6 +286,7 @@ class LogisticObjective(DecomposableObjective):
     """Per-term: log(1 + exp(-b_i <w, a_i>)) plus the sparsified regularizer."""
 
     _sup_d2phi = 0.25
+    _phi_kind = "logistic"
 
     def __init__(self, data: RegressionDataset):
         bad = np.setdiff1d(data.labels, [-1.0, 1.0])

@@ -5,12 +5,19 @@ xhat.  Each algorithm's direction g is one kernel here, and nowhere else:
 ``sgm``, ``scd``, ``svrg_sparse`` and ``svrg_dense`` build ``Kernel(samples,
 direction)`` with ``direction(s, src) -> (idx, g)`` read from ``src``.  The
 kernels take no step size; each writer applies ``-gamma * g``.  The serial
-solvers write with plain NumPy in one sampling loop; asyncopt.engine writes
-from worker threads through striped locks; asyncopt.sim stores g under a
-delay schedule; the enumeration oracles average g over every s.  So a
-1-worker async run and a zero-delay simulation reproduce the serial
-trajectory bit for bit.  ``SOLVERS`` is the one table of solver names, each
-with its kernel, its theorem step rule, and whether engine threads drive it.
+solvers write with plain adds in one sampling loop; asyncopt.engine writes
+from worker threads; asyncopt.sim stores g under a delay schedule; the
+enumeration oracles average g over every s.  So a 1-worker async run and a
+zero-delay simulation reproduce the serial trajectory bit for bit.
+
+The three term kernels (``sgm`` and both SVRGs) also carry the native
+``stretch`` of asyncopt._stretch when its build loads: one C loop over a run
+of samples, which the serial loop calls with plain adds and each engine
+worker with compare-and-swap adds (plain ones when it runs alone).  Their ``direction`` is then the
+same C routine for one sample, so every writer still shares one g.  Without
+the build, every kernel runs its NumPy direction.  ``SOLVERS`` is the one
+table of solver names, each with its kernel, its theorem step rule, and
+whether engine threads drive it.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _stretch
 from .hypergraph import CoordinateWeights
 from .objectives import DecomposableObjective, solve_reference
 from .vectors import LinfBall, sq_distance
@@ -42,6 +50,7 @@ __all__ = [
 ]
 
 STEP_RULES = ("explicit", "hogwild_theorem1", "scd_theorem2", "svrg_theorem3")
+CHUNK = 4096  # samples drawn at once: the serial loop's stretches and the engine's draw buffers
 
 
 @dataclass(frozen=True)
@@ -162,15 +171,25 @@ def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
 class Kernel(NamedTuple):
     """One algorithm's update direction.
 
-    A sample s is drawn as ``int(rng.integers(samples))``, and
+    Samples are drawn as ``rng.integers(samples, size=k)``, and
     ``direction(s, src) -> (idx, g)`` reads ``src`` on ``idx``.  ``dense``,
     when set, is added to g on every coordinate (dense SVRG's grad f(y)); the
-    writer applies it after the sparse part.
+    writer applies it after the sparse part.  ``stretch``, when set, is the
+    native loop over many samples (asyncopt._stretch.Stretch), and
+    ``direction`` is its one-sample form.
     """
 
     samples: int
     direction: Callable
     dense: np.ndarray | None = None
+    stretch: Callable | None = None
+
+
+def _native(kernel, obj, y=None, dz=None):
+    """The term kernel with its native direction and stretch, when the build loads."""
+    native = _stretch.bind(obj, y, dz)
+    return kernel if native is None else kernel._replace(direction=native.direction,
+                                                         stretch=native)
 
 
 def sgm(obj):
@@ -178,7 +197,7 @@ def sgm(obj):
     def direction(i, src):
         idx = obj.term_support(i)
         return idx, obj.term_grad_vals(i, src[idx])
-    return Kernel(obj.n, direction)
+    return _native(Kernel(obj.n, direction), obj)
 
 
 def scd(obj):
@@ -203,7 +222,7 @@ def svrg_sparse(obj, y, z):
         idx = obj.term_support(i)
         gx = obj.term_grad_vals(i, src[idx])
         return idx, gx - obj.term_grad_vals(i, y[idx]) + obj.d_inv[idx] * z[idx]
-    return Kernel(obj.n, direction)
+    return _native(Kernel(obj.n, direction), obj, y, obj.d_inv * z)
 
 
 def svrg_dense(obj, y, z):
@@ -211,7 +230,7 @@ def svrg_dense(obj, y, z):
     def direction(i, src):
         idx = obj.term_support(i)
         return idx, obj.term_grad_vals(i, src[idx]) - obj.term_grad_vals(i, y[idx])
-    return Kernel(obj.n, direction, dense=z)
+    return _native(Kernel(obj.n, direction, dense=z), obj, y)
 
 
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
@@ -338,8 +357,9 @@ class _Tracer:
 
 def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     """The one sampling loop of the solver named algo: x[idx] += -gamma * g
-    with plain NumPy, then the kernel's dense part on every coordinate,
-    clamped to clamp_bounds (x0 too)."""
+    with plain adds, then the kernel's dense part on every coordinate,
+    clamped to clamp_bounds (x0 too).  Samples are drawn CHUNK at a time,
+    and a kernel with a native stretch runs each chunk in one call."""
     cfg = resolve_config(cfg, obj, algo)
     factory = SOLVERS[algo].kernel
     gamma = cfg.gamma
@@ -348,16 +368,22 @@ def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     rng = worker_rng(cfg.seed, 0)
     tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
     for t, bound, snap in _checkpoints(obj, cfg, factory, x):
-        samples, direction, dense = factory(obj, *snap)
-        for _ in range(bound - t):
-            idx, g = direction(int(rng.integers(samples)), x)
-            x[idx] += -gamma * g
-            if dense is not None:
-                x += -gamma * dense
-                if lo is not None:
-                    np.clip(x, lo, hi, out=x)
-            elif lo is not None:
-                x[idx] = np.clip(x[idx], lo, hi)
+        samples, direction, dense, stretch = factory(obj, *snap)
+        dense_step = None if dense is None else -gamma * dense  # once per segment, not per sample
+        for k in range(t, bound, CHUNK):
+            draws = rng.integers(samples, size=min(CHUNK, bound - k))
+            if stretch is not None:
+                stretch(x, draws, gamma, lo, hi, dense_step)
+                continue
+            for s in draws.tolist():
+                idx, g = direction(s, x)
+                x[idx] += -gamma * g
+                if dense_step is not None:
+                    x += dense_step
+                    if lo is not None:
+                        np.clip(x, lo, hi, out=x)
+                elif lo is not None:
+                    x[idx] = np.clip(x[idx], lo, hi)
         if not tracer.record(bound, x):
             break
     return tracer.result(x, cfg)

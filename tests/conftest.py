@@ -79,3 +79,20 @@ def theorem1_params(obj, xstar, eps=1e-2):
     a0 = float(xstar @ xstar)
     M = obj.grad_norm_bound(xstar, 2.0 * math.sqrt(a0))
     return a0, M
+
+
+@pytest.fixture
+def native_worker_calls(monkeypatch):
+    """The kernels of the engine workers that ran the native stretch loop, one
+    entry per worker and checkpoint segment."""
+    from asyncopt import engine
+
+    calls = []
+    real = engine._stretch_worker
+
+    def spy(kernel, *args):
+        calls.append(kernel)
+        return real(kernel, *args)
+
+    monkeypatch.setattr(engine, "_stretch_worker", spy)
+    return calls

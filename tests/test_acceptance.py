@@ -97,7 +97,7 @@ def test_criterion_02_serial_reduction(ridge_desk):
         np.testing.assert_array_equal(res.x, serial.x)
 
 
-def test_criterion_03_memory_commutativity(ridge_desk):
+def test_criterion_03_memory_commutativity(ridge_desk, native_worker_calls):
     obj, _ = ridge_desk
     with budget(3, 60):
         x0 = np.zeros(obj.d)
@@ -118,6 +118,9 @@ def test_criterion_03_memory_commutativity(ridge_desk):
             for idx, deltas in rep.log.updates:
                 total[idx] += deltas
             worst = max(worst, float(np.abs(res.x - total).max()))
+        # every run took the native multi-thread path: 4 workers per segment,
+        # one segment per Hogwild! run and one per KroMagnon epoch
+        assert len(native_worker_calls) == 50 * 4 + 50 * 2 * 4
         assert worst <= 1e-9, worst
 
 

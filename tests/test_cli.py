@@ -88,14 +88,22 @@ def test_run_remaining_modes(mode, horizon, capsys):
     assert ("tau observed:" in out) == (mode == "ascd")
 
 
-def test_run_refuses_bad_settings():
+def test_run_refuses_bad_settings(capsys):
+    # a usage error on stderr with exit status 2, as argparse's own refusals
     base = ["run", "--problem", "linreg", "--synthetic", "60,12,3", "--iters", "100"]
-    with pytest.raises(ValueError, match="workers=1"):
-        main(base + ["--mode", "sgm", "--gamma", "0.01", "--workers", "4"])
-    with pytest.raises(ValueError, match="finite and positive"):
-        main(base + ["--mode", "sgm", "--gamma", "nan"])
-    with pytest.raises(ValueError, match="log_every"):
-        main(base + ["--mode", "hogwild", "--gamma", "0.01", "--log-every", "-5"])
+    for flags, message in [
+        (["--mode", "sgm", "--gamma", "0.01", "--workers", "4"],
+         "sgm is serial; it runs with workers=1, not 4"),
+        (["--mode", "sgm", "--gamma", "nan"], "gamma must be finite and positive"),
+        (["--mode", "hogwild", "--gamma", "0.01", "--log-every", "-5"], "log_every must be >= 0"),
+        (["--mode", "hogwild", "--gamma", "0.01", "--workers", "0"], "workers must be >= 1"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(base + flags)
+        assert exc.value.code == 2, flags
+        err = capsys.readouterr().err
+        assert "usage: asyncopt run" in err, flags
+        assert f"error: {message}" in err, (flags, err)
 
 
 def test_run_linf_radius(capsys):

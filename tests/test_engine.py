@@ -132,11 +132,14 @@ def test_one_worker_kromagnon_matches_serial_sparse_svrg(ridge_small):
     np.testing.assert_array_equal(res.x, serial.x)
 
 
-def test_updates_commute_to_final_iterate(ridge_small):
+def test_updates_commute_to_final_iterate(ridge_small, native_worker_calls):
+    # four native workers on compare-and-swap adds: a lost update would leave
+    # x away from x0 plus the sum of the logged deltas
     obj, _ = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=2000, seed=11)
     x0 = np.zeros(obj.d)
     res, rep = run_hogwild(obj, cfg, x0=x0, workers=4, log_updates=True)
+    assert len(native_worker_calls) == 4  # one segment, four workers
     total = x0.copy()
     for idx, deltas in rep.log.updates:
         total[idx] += deltas
@@ -180,6 +183,18 @@ def test_measure_speedup_arithmetic():
     assert out[2]["speedup"] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         measure_speedup(runs, target_fraction=0.0)
+
+
+def test_measure_speedup_without_one_worker_progress():
+    # the 1-worker run never improves on its start, so its time is 0 and no
+    # speedup is defined, as bench.summarize reports it
+    def fake(f):
+        return RunResult(x=np.zeros(1), iters=1, gamma=0.1, seed=0, trace_iter=np.arange(2),
+                         trace_a=None, trace_f=np.asarray(f), trace_wall=np.array([0.0, 1.0]))
+
+    out = measure_speedup({1: fake([1.0, 2.0]), 2: fake([1.0, 0.5])}, 0.999)
+    assert out[1] == {"time_to_target": 0.0, "speedup": None}
+    assert out[2] == {"time_to_target": 1.0, "speedup": None}
 
 
 def test_kromagnon_respects_box_constraint():

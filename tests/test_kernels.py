@@ -3,7 +3,9 @@ run the same kernel.
 
 A 1-worker async run and a zero-delay simulation must reproduce their
 serial counterpart bit for bit on any shape, and every solver must stop at
-its first non-finite checkpoint.
+its first non-finite checkpoint.  The native stretch kernels must match the
+NumPy path they replace to 1e-12 relative (they sum a_i . x in another
+order), and when they cannot be built every run falls back to NumPy.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
+from asyncopt import _stretch
 from asyncopt.engine import (FULL_SNAPSHOT, SPARSE_INCONSISTENT, run, run_ascd, run_hogwild,
                              run_kromagnon)
-from asyncopt.serial import SOLVERS, SolverConfig, run_scd, run_sgm, run_svrg_sparse, scd
+from asyncopt.serial import (SOLVERS, SolverConfig, run_scd, run_sgm, run_svrg_sparse, scd, sgm,
+                             svrg_dense, svrg_sparse)
 from asyncopt.sim import gen_schedule, simulate
 
 from conftest import make_ridge_desk, make_vc_desk
@@ -181,3 +185,83 @@ def test_divergent_run_stops_at_first_nonfinite_checkpoint(algo):
     assert 0 < res.iters < 3000
     assert res.trace_iter[-1] == res.iters
     assert not np.isfinite(res.x).all()
+
+
+def _problem(problem, n, d, nnz, data_seed):
+    if problem == "vertexcover":  # its box [0, 1] clamps every write
+        nv = max(3, d)
+        edges = min(n, nv * (nv - 1) // 2)
+        return ao.vertex_cover_objective(make_vc_desk(nv, edges, seed=data_seed), box=True)
+    model = "logistic" if problem == "logreg" else "linear"
+    data = ao.gen_synthetic(ao.SyntheticSpec(n, d, nnz, label_model=model, seed=data_seed),
+                            l2_reg=0.1)
+    data, _ = ao.remap_covered(data)
+    return (ao.logistic_objective if problem == "logreg" else ao.least_squares_objective)(data)
+
+
+def _numpy_only(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with every kernel on its NumPy path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_stretch, "load", lambda: None)
+        return fn(*args, **kwargs)
+
+
+def _close(native, ref, scale):
+    return np.abs(native - ref).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["linreg", "logreg", "vertexcover"]),
+    algo=st.sampled_from(["sgm", "svrg_sparse", "svrg_dense"]), radius=RADII,
+    n=st.integers(1, 60), d=st.integers(1, 20), nnz=st.integers(1, 4),
+    data_seed=st.integers(0, 1000), seed=st.integers(0, 1000),
+)
+def test_native_kernels_match_numpy(problem, algo, radius, n, d, nnz, data_seed, seed):
+    assume(nnz <= d)
+    obj = _problem(problem, n, d, nnz, data_seed)
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-1.0, 1.0, (2, obj.d))
+    factory = SOLVERS[algo].kernel
+    snap = (y, obj.full_grad(y)) if SOLVERS[algo].epochal else ()
+    native, ref = factory(obj, *snap), _numpy_only(factory, obj, *snap)
+    assert native.stretch is not None and ref.stretch is None
+    dirs = [(native.direction(s, x), ref.direction(s, x)) for s in range(obj.n)]
+    scale = max(float(np.abs(g).max()) for _, (_, g) in dirs)
+    for (idx, g), (ref_idx, ref_g) in dirs:
+        assert np.array_equal(idx, ref_idx)
+        assert _close(g, ref_g, scale)
+
+    # whole runs: the native stretch against the NumPy sampling loop
+    gamma = 0.5 / obj.constants.L_term
+    linf = ao.LinfBall(radius)
+    if SOLVERS[algo].epochal:
+        cfg = SolverConfig(gamma=gamma, epoch_size=20, epochs=2, seed=seed, linf=linf)
+    else:
+        cfg = SolverConfig(gamma=gamma, total_iters=40, seed=seed, linf=linf, log_every=7)
+    x0 = np.full(obj.d, 0.5) if problem == "vertexcover" else x
+    res, _ = run(obj, algo, cfg, x0)
+    ref_res, _ = _numpy_only(run, obj, algo, cfg, x0)
+    assert _close(res.x, ref_res.x, float(np.abs(ref_res.x).max()))
+
+
+def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ridge_small):
+    def broken():
+        raise OSError("gcc failed: no compiler here")
+
+    monkeypatch.setattr(_stretch, "_build", broken)
+    monkeypatch.setattr(_stretch, "_tried", False)
+    monkeypatch.setattr(_stretch, "_lib", None)
+    obj, _ = ridge_small
+    x0 = np.zeros(obj.d)
+    flat = SolverConfig(gamma=0.02, total_iters=300, seed=2, log_every=70)
+    ep = SolverConfig(gamma=0.02, epoch_size=100, epochs=3, seed=2, linf=ao.LinfBall(0.05))
+    res, _ = run_hogwild(obj, flat, x0, workers=1, track_f=True)
+    assert_same_run(res, run_sgm(obj, flat, x0, track_f=True))
+    res, _ = run_kromagnon(obj, None, ep, x0, workers=1, track_f=True)
+    assert_same_run(res, run_svrg_sparse(obj, None, ep, x0, track_f=True))
+    assert all(k.stretch is None
+               for k in (sgm(obj), svrg_sparse(obj, x0, x0), svrg_dense(obj, x0, x0)))
+    err = capsys.readouterr().err
+    assert err.count("asyncopt: native stretch kernels unavailable") == 1
+    assert "(gcc failed: no compiler here); running the NumPy path" in err

@@ -14,8 +14,9 @@ the median, quartiles and spread of each side as perfbench/spread.py
 defines them (the definition BENCHMARK.json's bounds are judged against),
 the ratio of the medians (change over parent) and the number of pairs the
 change wins.  It also makes one --trace 1 pair on the first seed and keeps
-every metric of that pair.  Every run's gate result is kept, and so is
-src_lines, the total of `wc -l src/asyncopt/*.py`, of each checkout.
+every metric of that pair.  Every run's gate result is kept, and so are
+src_lines and native_lines, the totals of `wc -l src/asyncopt/*.py` and of
+`wc -l src/asyncopt/*.c`, of each checkout.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def run_once(checkout, workload, seed, seconds, trace):
     return out
 
 
-def src_lines(checkout):
-    """The total of `wc -l src/asyncopt/*.py`: newline characters, as wc counts them."""
+def src_lines(checkout, pattern="*.py"):
+    """The total of `wc -l src/asyncopt/<pattern>`: newline characters, as wc counts them."""
     total = 0
-    for path in glob.glob(os.path.join(checkout, "src", "asyncopt", "*.py")):
+    for path in glob.glob(os.path.join(checkout, "src", "asyncopt", pattern)):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
@@ -94,6 +95,8 @@ def main(argv=None):
         "seconds": seconds,
         "seeds": seeds,
         "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
+        "native_lines": {"parent": src_lines(args.parent, "*.c"),
+                         "change": src_lines(args.change, "*.c")},
         "workloads": {},
     }
     for w in (w["name"] for w in spec["workloads"]):
