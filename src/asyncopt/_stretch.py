@@ -1,13 +1,15 @@
 """The native stretch kernels of _stretch.c: build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
-first kernel a run builds, never at import), into ``__pycache__`` beside this
-file, or the temporary directory when that is not writable.  The file name
-hashes the source and the flags, and the build is written to a temporary
-file and moved into place, so processes that build at once do not clash and
-a changed source is rebuilt.  When the build or the load fails, a one-line
-notice goes to stderr, once per process, and every kernel keeps its NumPy
-path.  ctypes releases the interpreter lock for the length of each call, so
+first run of a term solver, before its clock starts; never at import), into
+``__pycache__`` beside this file, or ``~/.cache/asyncopt`` when that cannot
+be written.  A cache directory or cached build that another user could
+write is never used: what is loaded into the process must be this user's
+(or root's).  The file name hashes the source and the flags, and the build
+is written to a temporary file and moved into place, so processes that
+build at once do not clash and a changed source is rebuilt.  When the build
+or the load fails, a one-line notice goes to stderr, once per process, and
+every kernel keeps its NumPy path.  ctypes releases the interpreter lock for the length of each call, so
 engine workers in a stretch run in parallel.
 
 ``bind(obj, y, dz)`` gives the ``Stretch`` of the term kernels of an
@@ -59,24 +61,45 @@ class _Sync(ctypes.Structure):
     ]
 
 
+def _cache_dirs():
+    """Where the build may be cached, in order of preference."""
+    return [os.path.join(os.path.dirname(_SRC), "__pycache__"),
+            os.path.join(os.path.expanduser("~"), ".cache", "asyncopt")]
+
+
+def _private(path):
+    """Whether path belongs to this user or root and no one else may write it."""
+    st = os.stat(path)
+    return st.st_uid in (os.getuid(), 0) and not st.st_mode & 0o022
+
+
 def _build():
-    """Path of the shared library built from _stretch.c, building it if needed."""
+    """Path of the shared library built from _stretch.c, building it if needed,
+    in the first of _cache_dirs() that exists or can be made and that only
+    this user (or root) can write."""
     with open(_SRC, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(
         b"\0".join([source, _CC.encode(), " ".join(_FLAGS).encode(), platform.machine().encode()])
     ).hexdigest()[:16]
-    cache = os.path.join(os.path.dirname(_SRC), "__pycache__")
-    try:
-        os.makedirs(cache, exist_ok=True)
-    except OSError:
-        cache = tempfile.gettempdir()
-    if not os.access(cache, os.W_OK):
-        cache = tempfile.gettempdir()
-    path = os.path.join(cache, f"_stretch-{key}.so")
-    if os.path.exists(path):
-        return path
-    fd, tmp = tempfile.mkstemp(prefix="_stretch-", suffix=".so.tmp", dir=cache)
+    for cache in _cache_dirs():
+        try:
+            os.makedirs(cache, mode=0o700, exist_ok=True)
+        except OSError:
+            continue
+        if not _private(cache):
+            continue
+        path = os.path.join(cache, f"_stretch-{key}.so")
+        if os.path.exists(path) and _private(path):
+            return path
+        if os.access(cache, os.W_OK):
+            _compile(path)
+            return path
+    raise OSError("no cache directory that only this user can write")
+
+
+def _compile(path):
+    fd, tmp = tempfile.mkstemp(prefix="_stretch-", suffix=".so.tmp", dir=os.path.dirname(path))
     os.close(fd)
     try:
         proc = subprocess.run([_CC, *_FLAGS, "-o", tmp, _SRC, "-lm"], capture_output=True,
@@ -84,11 +107,11 @@ def _build():
         if proc.returncode != 0:
             lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
             raise OSError(f"{_CC} failed: {lines[0]}")
+        os.chmod(tmp, 0o644)  # readable by the users who may share this cache, writable by none
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return path
 
 
 def _bind_functions(lib):

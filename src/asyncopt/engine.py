@@ -27,8 +27,8 @@ each.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
 counterpart: the kernels are the serial ones, worker 0 takes the serial
-RNG stream in order (draws a stretch leaves unused carry over to the next),
-and a lone worker's add is the serial add.
+RNG stream in the serial loop's chunks, and a lone worker's add is the
+serial add.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .serial import (
     SolverConfig,
     _checkpoints,
     _epochs,
+    _load_native,
     _require_covered,
     _run_serial,
     _Tracer,
@@ -177,24 +178,7 @@ def overlap_report(log: SampleLog) -> OverlapReport:
     )
 
 
-class _Draws:
-    """One worker's samples from its stream, drawn at most CHUNK at a time.
-    Draws a stretch leaves unused carry over to the next, so a worker takes
-    its stream in order, whatever the chunks."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = np.empty(0, dtype=np.int64)
-        self.pos = 0
-
-    def unused(self, samples, need):
-        """The draws not yet taken, refilled with up to need new ones when none are left."""
-        if self.pos == self.buf.size:
-            self.buf, self.pos = self.rng.integers(samples, size=min(CHUNK, need)), 0
-        return self.buf[self.pos:]
-
-
-def _worker(kernel, gamma, shared, lo, hi, counter, limit, draws, wid, log, mode):
+def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
     """Apply -gamma * g of kernel steps to the shared iterate until the counter hits limit."""
     x = shared.x
     samples, direction = kernel.samples, kernel.direction
@@ -205,8 +189,7 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, draws, wid, log, mode
         t0 = time.perf_counter()
         # the snapshot variant reads the whole vector before sampling
         src = shared.snapshot() if mode == FULL_SNAPSHOT else x
-        s = int(draws.unused(samples, limit - j)[0])
-        draws.pos += 1
+        s = int(rng.integers(samples))
         idx, g = direction(s, src)
         applied = shared.add_clamped(idx, -gamma * g, lo, hi)
         t1 = time.perf_counter()
@@ -218,17 +201,17 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, draws, wid, log, mode
             log.updates[j] = (idx, applied)
 
 
-def _stretch_worker(kernel, gamma, x, lo, hi, sync, draws):
-    """Run the kernel's native stretch over this worker's draws until the
-    shared counter reaches the limit."""
+def _stretch_worker(kernel, gamma, x, lo, hi, sync, rng):
+    """Run the kernel's native stretch over draws from rng, CHUNK at most at a
+    time, until the shared counter reaches the limit.  A lone worker uses
+    every draw, as the serial loop does; with several, the draws left when
+    the others reach the limit first are dropped."""
     while True:
         need = sync.limit - int(sync.counter[0])
         if need <= 0:
             return
-        todo = draws.unused(kernel.samples, need)
-        used = kernel.stretch(x, todo, gamma, lo, hi, sync=sync)
-        draws.pos += used
-        if used < todo.size:
+        draws = rng.integers(kernel.samples, size=min(CHUNK, need))
+        if kernel.stretch(x, draws, gamma, lo, hi, sync=sync) < draws.size:
             return
 
 
@@ -246,17 +229,18 @@ def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
     cell = np.zeros(1, dtype=np.int64)  # the native workers' sample counter
     S, E = _epochs(cfg, epochal)
     log = SampleLog.empty(S * E, log_updates)
-    draws = [_Draws(worker_rng(cfg.seed, w)) for w in range(workers)]
+    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
+    _load_native(factory)
     tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
     for t, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
         kernels = [factory(obj, *snap) for _ in range(workers)]
         if mode == SPARSE_INCONSISTENT and kernels[0].stretch is not None:
             cell[0] = t
             jobs = [(_stretch_worker, (kernels[w], cfg.gamma, shared.x, lo, hi,
-                                       Sync(cell, bound, w, workers > 1, log), draws[w]))
+                                       Sync(cell, bound, w, workers > 1, log), rngs[w]))
                     for w in range(workers)]
         else:
-            jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, draws[w],
+            jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, rngs[w],
                                w, log, mode))
                     for w in range(workers)]
         threads = [threading.Thread(target=target, args=args) for target, args in jobs]

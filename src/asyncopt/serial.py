@@ -234,6 +234,14 @@ def svrg_dense(obj, y, z):
 
 
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
+NATIVE_KERNELS = (sgm, svrg_sparse, svrg_dense)  # with a native stretch when the build loads
+
+
+def _load_native(factory):
+    """Build or load the native library now when factory's kernels use it, so
+    that the clock of the run, started after, does not count it."""
+    if factory in NATIVE_KERNELS:
+        _stretch.load()
 
 
 class Solver(NamedTuple):
@@ -366,6 +374,7 @@ def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     lo, hi = clamp_bounds(obj, cfg)
     x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
     rng = worker_rng(cfg.seed, 0)
+    _load_native(factory)
     tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
     for t, bound, snap in _checkpoints(obj, cfg, factory, x):
         samples, direction, dense, stretch = factory(obj, *snap)

@@ -8,6 +8,10 @@ NumPy path they replace to 1e-12 relative (they sum a_i . x in another
 order), and when they cannot be built every run falls back to NumPy.
 """
 
+import os
+import stat
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -265,3 +269,73 @@ def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ri
     err = capsys.readouterr().err
     assert err.count("asyncopt: native stretch kernels unavailable") == 1
     assert "(gcc failed: no compiler here); running the NumPy path" in err
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch):
+    """The native loader as at the start of a process: nothing tried, nothing loaded."""
+    monkeypatch.setattr(_stretch, "_tried", False)
+    monkeypatch.setattr(_stretch, "_lib", None)
+    return monkeypatch
+
+
+def _build_name():
+    return os.path.basename(_stretch._build())
+
+
+def test_native_build_is_never_loaded_from_a_shared_directory(fresh_loader, capsys, tmp_path):
+    # a directory every user can write, holding a file under the build's name:
+    # it is neither loaded nor written, and the NumPy path runs
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    planted = shared / _build_name()
+    planted.write_bytes(b"not a library")
+    shared.chmod(0o777)
+    opened = []
+    fresh_loader.setattr(_stretch, "_cache_dirs", lambda: [str(shared)])
+    fresh_loader.setattr(_stretch.ctypes, "CDLL", lambda path: opened.append(path))
+    assert _stretch.load() is None
+    assert opened == []
+    assert planted.read_bytes() == b"not a library"
+    assert "no cache directory that only this user can write" in capsys.readouterr().err
+
+
+def test_native_build_skips_a_read_only_cache(monkeypatch, tmp_path):
+    # the first cache cannot be written (root may write a 0o555 directory, so
+    # os.access says so for every user), the second cannot be made, and the
+    # build goes to the third; a file there that others may write is rebuilt
+    read_only, blocked, private = tmp_path / "ro", tmp_path / "file" / "cache", tmp_path / "own"
+    read_only.mkdir(mode=0o555)
+    (tmp_path / "file").write_text("")
+    private.mkdir(mode=0o700)
+    stale = private / _build_name()
+    stale.write_bytes(b"writable by all")
+    stale.chmod(0o666)
+    real_access = os.access
+    monkeypatch.setattr(_stretch.os, "access",
+                        lambda p, mode: p != str(read_only) and real_access(p, mode))
+    monkeypatch.setattr(_stretch, "_cache_dirs",
+                        lambda: [str(read_only), str(blocked), str(private)])
+    assert _stretch._build() == str(stale)
+    assert list(read_only.iterdir()) == [] and not blocked.exists()
+    assert stale.read_bytes().startswith(b"\x7fELF")
+    assert stat.S_IMODE(stale.stat().st_mode) == 0o644
+
+
+def test_first_run_clock_excludes_the_native_build(fresh_loader, ridge_small):
+    # a build that takes 0.5 s, at the first run of a process, is setup
+    real_build = _stretch._build
+
+    def slow_build():
+        time.sleep(0.5)
+        return real_build()
+
+    fresh_loader.setattr(_stretch, "_build", slow_build)
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02, total_iters=200, seed=3, log_every=50)
+    for first_run in (lambda: run_sgm(obj, cfg, np.zeros(obj.d)),
+                      lambda: run_hogwild(obj, cfg, np.zeros(obj.d), workers=1)[0]):
+        fresh_loader.setattr(_stretch, "_tried", False)
+        res = first_run()
+        assert _stretch._lib is not None
+        assert res.trace_wall[-1] < 0.5, res.trace_wall
