@@ -110,9 +110,29 @@ static inline double dphi(const Terms *p, double t, double b)
     return -b * (u >= 0 ? 1.0 / (1.0 + q) : q / (1.0 + q));
 }
 
-/* x += step, then clamped to [lo, hi] when bounded: dense SVRG's O(d) part of
- * each sample.  Elementwise, so every vector width gives the same bits; on
- * x86-64 Linux the widest the CPU has is chosen at load time. */
+/* Dense SVRG's O(d) part: after each sample, x += step on every coordinate,
+ * then clamped to [lo, hi] when bounded.  Below BLOCK_MIN_D coordinates, x
+ * and step fit in the L1 cache and dense_add makes that pass per sample.
+ * From BLOCK_MIN_D on it is deferred over blocks of BLOCK samples: done[v]
+ * counts the steps of the current block already added to x[v].  A
+ * coordinate is brought up to date (catch_up) before a sample reads or
+ * writes it, and every coordinate at the end of a block (dense_flush).  Each
+ * x[v] still takes its adds and clamps one at a time, in sample order, so
+ * the bits are those of a pass after every sample; but x and step are
+ * streamed once per block, not once per sample. */
+enum { BLOCK = 16, LANES = 32, BLOCK_MIN_D = 4096 };
+
+static inline void catch_up(double *x, const double *step, uint8_t *done, int64_t v, int pos,
+                            int bounded, double lo, double hi)
+{
+    for (; done[v] < pos; done[v]++) {
+        x[v] += step[v];
+        if (bounded)
+            x[v] = clamp(x[v], lo, hi);
+    }
+}
+
+/* The step after one sample, on every coordinate at once. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && !defined(__clang__)
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
@@ -123,6 +143,50 @@ static void dense_add(double *x, const double *step, int64_t d, int bounded, dou
     if (bounded)
         for (int64_t v = 0; v < d; v++)
             x[v] = clamp(x[v], lo, hi);
+}
+
+/* The steps still owed after pos samples of a block, LANES coordinates at a
+ * time (owed[l] steps to lane l).  Elementwise, so every vector width gives
+ * the same bits; on x86-64 Linux the widest the CPU has is chosen at load
+ * time. */
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+static void dense_flush(double *x, const double *step, uint8_t *done, int64_t d, int pos,
+                        int bounded, double lo, double hi)
+{
+    int64_t v0 = 0;
+    for (; v0 + LANES <= d; v0 += LANES) {
+        double xs[LANES], ss[LANES];
+        int owed[LANES], full = 1;
+        for (int l = 0; l < LANES; l++) {
+            xs[l] = x[v0 + l];
+            ss[l] = step[v0 + l];
+            owed[l] = pos - done[v0 + l];
+            full &= owed[l] == pos;
+            done[v0 + l] = 0;
+        }
+        if (full && !bounded) {
+            for (int t = 0; t < pos; t++)
+                for (int l = 0; l < LANES; l++)
+                    xs[l] += ss[l];
+        } else {
+            for (int t = 0; t < pos; t++) {
+                for (int l = 0; l < LANES; l++) {
+                    double nv = xs[l] + ss[l];
+                    if (bounded)
+                        nv = clamp(nv, lo, hi);
+                    xs[l] = t < owed[l] ? nv : xs[l];
+                }
+            }
+        }
+        for (int l = 0; l < LANES; l++)
+            x[v0 + l] = xs[l];
+    }
+    for (; v0 < d; v0++) {
+        catch_up(x, step, done, v0, pos, bounded, lo, hi);
+        done[v0] = 0;
+    }
 }
 
 /* g of term i into g[0..len), reading each src value once; returns len */
@@ -173,8 +237,13 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
                 Sync *sync)
 {
     double *g = malloc((size_t)(p->maxlen > 0 ? p->maxlen : 1) * sizeof *g);
-    if (!g)
+    int defer = dense_step && d >= BLOCK_MIN_D, pos = 0;
+    uint8_t *done = defer ? calloc((size_t)d, 1) : NULL;
+    if (!g || (defer && !done)) {
+        free(g);
+        free(done);
         return -1;
+    }
     int64_t *jbuf = sync ? sync->jbuf : NULL;
     double *abuf = sync ? sync->abuf : NULL;
     int atomic = sync && sync->atomic;
@@ -189,8 +258,11 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
             t0 = now();
         }
         int64_t i = draws[used];
-        int64_t len = term_g(p, i, x, atomic, g);
         int64_t row = at(p->indptr, i, p->wide);
+        if (defer)
+            for (int64_t k = row; k < at(p->indptr, i + 1, p->wide); k++)
+                catch_up(x, dense_step, done, at(p->indices, k, p->wide), pos, bounded, lo, hi);
+        int64_t len = term_g(p, i, x, atomic, g);
         for (int64_t k = 0; k < len; k++) {
             double *xv = x + at(p->indices, row + k, p->wide);
             double delta = ngamma * g[k];
@@ -207,8 +279,12 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
             if (abuf)
                 *abuf++ = nw - old;
         }
-        if (dense_step)
+        if (defer && ++pos == BLOCK) {
+            dense_flush(x, dense_step, done, d, pos, bounded, lo, hi);
+            pos = 0;
+        } else if (dense_step && !defer) {
             dense_add(x, dense_step, d, bounded, lo, hi);
+        }
         if (sync) {
             sync->edge[j] = i;
             sync->worker[j] = (int32_t)sync->wid;
@@ -218,6 +294,9 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
                 *jbuf++ = j;
         }
     }
+    if (defer)
+        dense_flush(x, dense_step, done, d, pos, bounded, lo, hi);
     free(g);
+    free(done);
     return used;
 }

@@ -21,9 +21,10 @@ checkpoints of the serial loop's schedule.  A worker runs one of two loops:
     interpreter lock does not make `x[v] += u` atomic).
 
 The workers are joined at each checkpoint, so KroMagnon's snapshot,
-refreshed at an epoch start, is consistent.  ``run`` runs any name of
-serial.SOLVERS, serial or threaded; the ``run_*`` functions are one call
-each.
+refreshed at an epoch start, is consistent.  Worker 0 runs on the calling
+thread and each other worker on its own thread, so a lone worker starts no
+thread.  ``run`` runs any name of serial.SOLVERS, serial or threaded; the
+``run_*`` functions are one call each.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
 counterpart: the kernels are the serial ones, worker 0 takes the serial
@@ -243,11 +244,17 @@ def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
             jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, rngs[w],
                                w, log, mode))
                     for w in range(workers)]
-        threads = [threading.Thread(target=target, args=args) for target, args in jobs]
+        # worker 0 runs on this thread, so a lone worker starts no thread and
+        # keeps the core and the caches that the checkpoint before it used
+        threads = [threading.Thread(target=target, args=args) for target, args in jobs[1:]]
         for th in threads:
             th.start()
-        for th in threads:
-            th.join()
+        try:
+            target, args = jobs[0]
+            target(*args)
+        finally:
+            for th in threads:
+                th.join()
         if not tracer.record(bound, shared.x):
             break
     result = tracer.result(shared.x, cfg)

@@ -146,6 +146,38 @@ def test_updates_commute_to_final_iterate(ridge_small, native_worker_calls):
     assert np.abs(res.x - total).max() <= 1e-9
 
 
+def test_worker_zero_runs_on_the_calling_thread(ridge_small, monkeypatch):
+    # a lone worker starts no thread; with three, two threads per segment
+    from asyncopt import engine
+
+    started, ran_on = [], []
+    real_thread, real_worker = threading.Thread, engine._stretch_worker
+
+    def counting_thread(*args, **kwargs):
+        th = real_thread(*args, **kwargs)
+        started.append(th)
+        return th
+
+    def spy(kernel, gamma, x, lo, hi, sync, rng):
+        ran_on.append((sync.wid, threading.get_ident()))
+        return real_worker(kernel, gamma, x, lo, hi, sync, rng)
+
+    monkeypatch.setattr(engine.threading, "Thread", counting_thread)
+    monkeypatch.setattr(engine, "_stretch_worker", spy)
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.01, epoch_size=60, epochs=3, seed=7)
+    run_kromagnon(obj, obj.weights, cfg, x0=np.zeros(obj.d), workers=1)
+    assert not started
+    assert ran_on == [(0, threading.get_ident())] * 3
+    started.clear()
+    ran_on.clear()
+    run_hogwild(obj, SolverConfig(gamma=0.02, total_iters=600, seed=1), x0=np.zeros(obj.d),
+                workers=3)
+    assert len(started) == 2
+    assert (0, threading.get_ident()) in ran_on
+    assert sorted(wid for wid, _ in ran_on) == [0, 1, 2]
+
+
 def test_sampling_is_uniform_chi_square(monkeypatch):
     # 4-term instance; pooled edge draws across many short runs must be
     # consistent with the uniform distribution

@@ -249,6 +249,36 @@ def test_native_kernels_match_numpy(problem, algo, radius, n, d, nnz, data_seed,
     assert _close(res.x, ref_res.x, float(np.abs(ref_res.x).max()))
 
 
+@pytest.mark.parametrize("problem", ["linreg", "logreg"])
+@pytest.mark.parametrize("radius", [None, 0.05])
+def test_deferred_dense_step_equals_a_pass_per_sample(problem, radius):
+    # at d >= 4096 the native dense SVRG stretch defers its O(d) step over
+    # blocks of samples; the bits must be those of one pass after every sample
+    obj = _problem(problem, 3_000, 4_500, 5, data_seed=1)
+    assert obj.d >= 4_096
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1.0, 1.0, (2, obj.d))
+    kernel = svrg_dense(obj, y, obj.full_grad(y))
+    gamma = 0.5 / obj.constants.L_term
+    dense_step = -gamma * kernel.dense
+    lo, hi = (None, None) if radius is None else (-radius, radius)
+    if lo is not None:
+        np.clip(x, lo, hi, out=x)
+    ref = x.copy()
+    for draws in (rng.integers(obj.n, size=37), rng.integers(obj.n, size=100)):
+        kernel.stretch(x, draws, gamma, lo, hi, dense_step)
+        for s in draws.tolist():  # the serial loop without a stretch
+            idx, g = kernel.direction(s, ref)
+            ref[idx] += -gamma * g
+            ref += dense_step
+            if lo is not None:
+                np.clip(ref, lo, hi, out=ref)
+        assert np.array_equal(x, ref)
+    if radius is not None:
+        # the clamp was exercised: coordinates held at a bound the step points past
+        assert ((x == hi) & (dense_step > 0)).any() and ((x == lo) & (dense_step < 0)).any()
+
+
 def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ridge_small):
     def broken():
         raise OSError("gcc failed: no compiler here")
