@@ -1,5 +1,6 @@
 /* Native stretch kernels of asyncopt.serial's term kernels (sgm, svrg_sparse,
- * svrg_dense), loaded through ctypes by asyncopt._stretch.
+ * svrg_dense) and of its coordinate kernel (scd), loaded through ctypes by
+ * asyncopt._stretch.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -13,13 +14,25 @@
  * the build uses -ffp-contract=off, so no a*b+c is fused.  The dot product
  * a_i . w is summed left to right, which differs from BLAS at rounding level.
  *
+ * A coordinate sample v (scd) walks the CSC column v of A, the terms
+ * incident to v, and returns d times coordinate v of grad f:
+ *
+ *     g_v(w) = d * (sum_r a_rv phi'(a_r . w, b_r) / n + rho[v] w[v] + eta[v]),
+ *
+ * the column's sum also left to right, and writes x[v] only.  The column's
+ * rows lie scattered through A, so a walk row after row waits on memory and
+ * on each row's chain of adds; the rows are walked WAYS at a time, side by
+ * side (each row's sum still in its own order), which overlaps both.
+ *
  * stretch() applies x[v] += -gamma * g for a run of pre-drawn samples.  With
  * no Sync it adds plainly (the serial loop).  With a Sync it is one engine
  * worker: it takes each sample's global index j by an atomic fetch-add,
  * stops once j reaches the limit (leaving the rest of its draws unused),
  * and logs the sample.  When other workers run too, it reads each value by
- * an atomic load and writes by a compare-and-swap on the double's bits
- * (never by comparing doubles, which a NaN would never equal); alone, it
+ * an atomic load (a coordinate sample loads each value of its read set once,
+ * into a private O(d) buffer, so that its dots see one read of each) and
+ * writes by a compare-and-swap on the double's bits (never by comparing
+ * doubles, which a NaN would never equal); alone, it reads x in place and
  * adds plainly, as the serial loop does.  Indices are int32 or int64, as
  * scipy stored them.
  */
@@ -41,6 +54,12 @@ typedef struct {
     const double *y;   /* SVRG snapshot, or NULL */
     const double *dz;  /* sparse SVRG's d_inv * grad f(y), or NULL */
     int64_t maxlen;    /* longest row */
+    int64_t coords;    /* samples are coordinates (scd), read through the CSC below */
+    const double *cdata;
+    const void *cindices, *cindptr;
+    int64_t cwide;
+    const double *rho, *eta;
+    int64_t n, d;
 } Terms;
 
 typedef struct {
@@ -222,16 +241,95 @@ static int64_t term_g(const Terms *p, int64_t i, const double *src, int shared, 
     return len;
 }
 
+/* w[u] of a coordinate sample: src[u] in place, or, with a buffer, src[u]
+ * loaded once (atomically) into buf[u] and read from there after, stamp[u]
+ * marking the sample that loaded it */
+static inline double read_once(const double *src, double *buf, int64_t *stamp, int64_t mark,
+                               int64_t u)
+{
+    if (!buf)
+        return src[u];
+    if (stamp[u] != mark) {
+        buf[u] = load(src + u);
+        stamp[u] = mark;
+    }
+    return buf[u];
+}
+
+/* The dots a_r . w of the m <= WAYS rows r = cindices[k..k+m) into t, each
+ * summed left to right, the rows walked side by side so that their chains
+ * of adds overlap.  Inlined at each of row_dots' calls with constant wide
+ * and buffered, so that neither is tested per entry; the fields are held
+ * in locals, as buf's stores could alias *p and reload them per entry. */
+enum { WAYS = 8 };
+
+static inline __attribute__((always_inline)) void
+walk_rows(const Terms *p, int64_t k, int m, const double *src, double *buf, int64_t *stamp,
+          int64_t mark, double *t, const int64_t wide, const int buffered)
+{
+    const double *data = p->data;
+    const void *indices = p->indices, *indptr = p->indptr;
+    double *via = buffered ? buf : NULL;
+    int64_t lo[WAYS], len[WAYS], common = INT64_MAX;
+    for (int w = 0; w < m; w++) {
+        int64_t r = at(p->cindices, k + w, p->cwide);
+        lo[w] = at(indptr, r, wide);
+        len[w] = at(indptr, r + 1, wide) - lo[w];
+        common = len[w] < common ? len[w] : common;
+        t[w] = 0.0;
+    }
+    for (int64_t q = 0; q < common; q++)
+        for (int w = 0; w < m; w++) {
+            int64_t u = at(indices, lo[w] + q, wide);
+            t[w] += data[lo[w] + q] * read_once(src, via, stamp, mark, u);
+        }
+    for (int w = 0; w < m; w++)
+        for (int64_t q = lo[w] + common; q < lo[w] + len[w]; q++)
+            t[w] += data[q] * read_once(src, via, stamp, mark, at(indices, q, wide));
+}
+
+static void row_dots(const Terms *p, int64_t k, int m, const double *src, double *buf,
+                     int64_t *stamp, int64_t mark, double *t)
+{
+    if (buf && p->wide)
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 1, 1);
+    else if (buf)
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 0, 1);
+    else if (p->wide)
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 1, 0);
+    else
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 0, 0);
+}
+
+/* g of coordinate v, reading src through read_once */
+static double coord_g(const Terms *p, int64_t v, const double *src, double *buf, int64_t *stamp,
+                      int64_t mark)
+{
+    int64_t c0 = at(p->cindptr, v, p->cwide), c1 = at(p->cindptr, v + 1, p->cwide);
+    double sum = 0.0, t[WAYS];
+    for (int64_t k = c0; k < c1; k += WAYS) {
+        int m = c1 - k < WAYS ? (int)(c1 - k) : WAYS;
+        row_dots(p, k, m, src, buf, stamp, mark, t);
+        for (int w = 0; w < m; w++)
+            sum += p->cdata[k + w] * dphi(p, t[w], p->b[at(p->cindices, k + w, p->cwide)]);
+    }
+    double w = read_once(src, buf, stamp, mark, v);
+    return (double)p->d * (sum / (double)p->n + p->rho[v] * w + p->eta[v]);
+}
+
 /* One sample's direction: the kernel's direction(i, src) */
 void direction(const Terms *p, int64_t i, const double *src, double *g)
 {
-    term_g(p, i, src, 0, g);
+    if (p->coords)
+        g[0] = coord_g(p, i, src, NULL, NULL, 0);
+    else
+        term_g(p, i, src, 0, g);
 }
 
-/* Samples draws[0..ndraws) with step -gamma (ngamma), clamped to [lo, hi]
- * when bounded; dense_step, when given, is added to every one of the d
- * coordinates after each sample's sparse part.  Returns the number of draws
- * used, or -1 when out of memory. */
+/* Samples draws[0..ndraws) (terms, or coordinates when p->coords) with step
+ * -gamma (ngamma), clamped to [lo, hi] when bounded; dense_step, when given,
+ * is added to every one of the d coordinates after each sample's sparse
+ * part.  Returns the number of draws used, or -1 when out of memory. */
 int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int64_t ndraws,
                 double ngamma, int64_t bounded, double lo, double hi, const double *dense_step,
                 Sync *sync)
@@ -239,14 +337,18 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
     double *g = malloc((size_t)(p->maxlen > 0 ? p->maxlen : 1) * sizeof *g);
     int defer = dense_step && d >= BLOCK_MIN_D, pos = 0;
     uint8_t *done = defer ? calloc((size_t)d, 1) : NULL;
-    if (!g || (defer && !done)) {
+    int atomic = sync && sync->atomic, reads = p->coords && atomic;
+    double *buf = reads ? malloc((size_t)d * sizeof *buf) : NULL;
+    int64_t *stamp = reads ? calloc((size_t)d, sizeof *stamp) : NULL;
+    if (!g || (defer && !done) || (reads && (!buf || !stamp))) {
         free(g);
         free(done);
+        free(buf);
+        free(stamp);
         return -1;
     }
     int64_t *jbuf = sync ? sync->jbuf : NULL;
     double *abuf = sync ? sync->abuf : NULL;
-    int atomic = sync && sync->atomic;
     int64_t used = 0;
     for (; used < ndraws; used++) {
         int64_t j = 0;
@@ -257,14 +359,19 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
                 break;
             t0 = now();
         }
-        int64_t i = draws[used];
-        int64_t row = at(p->indptr, i, p->wide);
-        if (defer)
-            for (int64_t k = row; k < at(p->indptr, i + 1, p->wide); k++)
-                catch_up(x, dense_step, done, at(p->indices, k, p->wide), pos, bounded, lo, hi);
-        int64_t len = term_g(p, i, x, atomic, g);
+        int64_t i = draws[used], row = 0, len = 1;
+        if (p->coords) {
+            g[0] = coord_g(p, i, x, buf, stamp, used + 1);
+        } else {
+            row = at(p->indptr, i, p->wide);
+            if (defer)
+                for (int64_t k = row; k < at(p->indptr, i + 1, p->wide); k++)
+                    catch_up(x, dense_step, done, at(p->indices, k, p->wide), pos, bounded, lo,
+                             hi);
+            len = term_g(p, i, x, atomic, g);
+        }
         for (int64_t k = 0; k < len; k++) {
-            double *xv = x + at(p->indices, row + k, p->wide);
+            double *xv = x + (p->coords ? i : at(p->indices, row + k, p->wide));
             double delta = ngamma * g[k];
             double old, nw;
             if (atomic) {
@@ -298,5 +405,7 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
         dense_flush(x, dense_step, done, d, pos, bounded, lo, hi);
     free(g);
     free(done);
+    free(buf);
+    free(stamp);
     return used;
 }

@@ -1,7 +1,7 @@
 """The native stretch kernels of _stretch.c: build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
-first run of a term solver, before its clock starts; never at import), into
+first solver run, before its clock starts; never at import), into
 ``__pycache__`` beside this file, or ``~/.cache/asyncopt`` when that cannot
 be written.  A cache directory or cached build that another user could
 write is never used: what is loaded into the process must be this user's
@@ -9,11 +9,11 @@ write is never used: what is loaded into the process must be this user's
 is written to a temporary file and moved into place, so processes that
 build at once do not clash and a changed source is rebuilt.  When the build
 or the load fails, a one-line notice goes to stderr, once per process, and
-every kernel keeps its NumPy path.  ctypes releases the interpreter lock for the length of each call, so
-engine workers in a stretch run in parallel.
+every kernel keeps its NumPy path.  ctypes releases the interpreter lock
+for the length of each call, so engine workers in a stretch run in parallel.
 
-``bind(obj, y, dz)`` gives the ``Stretch`` of the term kernels of an
-objective whose phi has a native form, or None.
+``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
+of scd's coordinates) of an objective whose phi has a native form, or None.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ class _Terms(ctypes.Structure):
         ("wide", ctypes.c_int64), ("logistic", ctypes.c_int64), ("s", ctypes.c_double),
         ("b", ctypes.c_void_p), ("c", ctypes.c_void_p), ("e", ctypes.c_void_p),
         ("y", ctypes.c_void_p), ("dz", ctypes.c_void_p), ("maxlen", ctypes.c_int64),
+        ("coords", ctypes.c_int64), ("cdata", ctypes.c_void_p), ("cindices", ctypes.c_void_p),
+        ("cindptr", ctypes.c_void_p), ("cwide", ctypes.c_int64), ("rho", ctypes.c_void_p),
+        ("eta", ctypes.c_void_p), ("n", ctypes.c_int64), ("d", ctypes.c_int64),
     ]
 
 
@@ -145,24 +148,26 @@ def _f64(a, size):
 
 
 class Stretch:
-    """The native direction and stretch of one term kernel of obj: sgm (no
-    snapshot), svrg_dense (snapshot y) or svrg_sparse (y and dz = d_inv *
-    grad f(y)).  It serves one thread at a time (the engine builds a kernel
-    per worker)."""
+    """The native direction and stretch of one kernel of obj: sgm (no
+    snapshot), svrg_dense (snapshot y), svrg_sparse (y and dz = d_inv *
+    grad f(y)), or scd (coords, sampling coordinates).  It serves one thread
+    at a time (the engine builds a kernel per worker)."""
 
-    def __init__(self, lib, obj, y, dz):
-        A = obj.A
-        self.lib, self.obj, self.n, self.d = lib, obj, obj.n, obj.d
+    def __init__(self, lib, obj, y, dz, coords=False):
+        A, Ac, d = obj.A, obj._Ac, obj.d
+        self.lib, self.obj, self.d, self.coords = lib, obj, d, coords
+        self.samples = d if coords else obj.n
         self._row_len = obj._row_len
         self._keep = {  # the arrays the structure points into
             "data": A.data, "indices": A.indices, "indptr": A.indptr, "b": _f64(obj.b, obj.n),
-            "c": _f64(obj._c, obj.d), "e": _f64(obj._e, obj.d),
-            "y": None if y is None else _f64(y, obj.d),
-            "dz": None if dz is None else _f64(dz, obj.d),
+            "c": _f64(obj._c, d), "e": _f64(obj._e, d), "y": None if y is None else _f64(y, d),
+            "dz": None if dz is None else _f64(dz, d), "cdata": Ac.data, "cindices": Ac.indices,
+            "cindptr": Ac.indptr, "rho": _f64(obj.rho, d), "eta": _f64(obj.eta, d),
         }
         self._terms = _Terms(
             wide=A.indices.dtype == np.int64, logistic=obj._phi_kind == "logistic",
-            s=float(obj._sup_d2phi), maxlen=int(self._row_len.max()),
+            s=float(obj._sup_d2phi), maxlen=int(self._row_len.max()), coords=coords,
+            cwide=Ac.indices.dtype == np.int64, n=obj.n, d=d,
             **{name: _ptr(a) for name, a in self._keep.items()},
         )
         self._ref = ctypes.addressof(self._terms)
@@ -171,16 +176,27 @@ class Stretch:
         self._g_ptr = self._g.ctypes.data
         self._src = self._src_ptr = None
 
+    def support(self, i):
+        """The coordinates sample i writes."""
+        return np.array([i], dtype=np.int64) if self.coords else self.obj.term_support(i)
+
     def direction(self, i, src):
         """(idx, g) of sample i read from src, as the kernel's NumPy direction."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"term {i} out of range for {self.n} terms")
+        if not 0 <= i < self.samples:
+            raise IndexError(f"sample {i} out of range for {self.samples} samples")
         if src is not self._src:  # held, so its address stays valid
             self._src = _f64(src, self.d)
             self._src_ptr = self._src.ctypes.data
-        idx = self.obj.term_support(i)
+        idx = self.support(i)
         self.lib.direction(self._ref, i, self._src_ptr, self._g_ptr)
         return idx, self._g[:idx.size].copy()
+
+    def unpack(self, draws, abuf):
+        """The (idx, applied) of each of draws, from their deltas abuf, row after row."""
+        lens = np.ones(draws.size, dtype=np.int64) if self.coords else self._row_len[draws]
+        ends = np.cumsum(lens).tolist()
+        return [(self.support(i), abuf[end - n:end])
+                for i, n, end in zip(draws.tolist(), lens.tolist(), ends)]
 
     def __call__(self, x, draws, gamma, lo=None, hi=None, dense_step=None, sync=None):
         """x[idx] += -gamma * g for the samples draws, in place; returns how many
@@ -191,8 +207,8 @@ class Stretch:
         if x.dtype != np.float64 or not x.flags.c_contiguous or x.shape != (self.d,):
             raise ValueError("the iterate must be a contiguous float64 vector of length d")
         draws = np.ascontiguousarray(draws, dtype=np.int64)
-        if draws.size and (draws.min() < 0 or draws.max() >= self.n):
-            raise IndexError("a draw is out of the term range")
+        if draws.size and (draws.min() < 0 or draws.max() >= self.samples):
+            raise IndexError("a draw is out of the sample range")
         if dense_step is not None:
             if sync is not None:
                 raise ValueError("a dense step is written by the serial loop only")
@@ -200,9 +216,9 @@ class Stretch:
         jbuf = abuf = None
         c_sync = None
         if sync is not None:
-            if sync.log.updates is not None:
+            if sync.log.logs_updates:
                 jbuf = np.empty(draws.size, dtype=np.int64)
-                abuf = np.empty(int(self._row_len[draws].sum()))
+                abuf = np.empty(draws.size if self.coords else int(self._row_len[draws].sum()))
             c_sync = _Sync(sync.counter.ctypes.data, sync.limit, sync.wid, sync.atomic,
                            *(_ptr(a) for a in (sync.log.edge, sync.log.worker, sync.log.t_sample,
                                                sync.log.t_last_write, jbuf, abuf)))
@@ -213,11 +229,8 @@ class Stretch:
         )
         if used < 0:
             raise MemoryError("native stretch could not allocate its row buffer")
-        if jbuf is not None:
-            ends = np.cumsum(self._row_len[draws[:used]])
-            for j, i, end in zip(jbuf[:used].tolist(), draws[:used].tolist(), ends.tolist()):
-                sync.log.updates[j] = (self.obj.term_support(i),
-                                       abuf[end - self._row_len[i]:end])
+        if jbuf is not None:  # unpacked into sync.log.updates when that is read
+            sync.log.defer_updates(jbuf[:used], lambda taken=draws[:used]: self.unpack(taken, abuf))
         return used
 
 
@@ -247,15 +260,16 @@ def _ptr(a):
     return None if a is None else a.ctypes.data
 
 
-def bind(obj, y=None, dz=None):
-    """The Stretch of obj's terms, or None when the library is not loaded, the
-    objective's phi has no native form, or A's index arrays differ in dtype."""
+def bind(obj, y=None, dz=None, coords=False):
+    """The Stretch of obj's terms (or coordinates), or None when the library is
+    not loaded, the objective's phi has no native form, or the index arrays
+    of A or of its CSC differ in dtype."""
     if getattr(obj, "_phi_kind", None) not in ("quadratic", "logistic"):
         return None
-    A = obj.A
-    if not (A.indices.dtype == A.indptr.dtype and A.indices.dtype in (np.int32, np.int64)
-            and A.data.dtype == np.float64 and A.data.flags.c_contiguous
-            and A.indices.flags.c_contiguous and A.indptr.flags.c_contiguous):
+    if not all(M.indices.dtype == M.indptr.dtype and M.indices.dtype in (np.int32, np.int64)
+               and M.data.dtype == np.float64 and M.data.flags.c_contiguous
+               and M.indices.flags.c_contiguous and M.indptr.flags.c_contiguous
+               for M in (obj.A, obj._Ac)):
         return None
     lib = load()
-    return None if lib is None else Stretch(lib, obj, y, dz)
+    return None if lib is None else Stretch(lib, obj, y, dz, coords)

@@ -9,13 +9,13 @@ Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
 write of ``-gamma * g``, and one driver runs the workers between the
 checkpoints of the serial loop's schedule.  A worker runs one of two loops:
 
-  - the native stretch of a term kernel (asyncopt._stretch), in the default
-    sparse read mode: one C call per chunk of draws, outside the interpreter
-    lock, that takes each sample's index by an atomic fetch-add, writes by a
+  - the kernel's native stretch (asyncopt._stretch), in the default sparse
+    read mode: one C call per chunk of draws, outside the interpreter lock,
+    that takes each sample's index by an atomic fetch-add, writes by a
     compare-and-swap on the double's bits when several workers run (plainly
     when one does), and fills the SampleLog;
-  - the Python worker, for SCD/ASCD, the full_consistent_snapshot read mode
-    and when the native build is not loaded: its writes go through
+  - the Python worker, for the full_consistent_snapshot read mode and when
+    the native build is not loaded: its writes go through
     SharedIterate's striped lock table, which is how an indivisible
     read-modify-write on one float64 cell is realized in Python (the
     interpreter lock does not make `x[v] += u` atomic).
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._stretch import Sync
+from . import _stretch
 from .hypergraph import CoordinateWeights
 from .serial import (
     CHUNK,
@@ -48,7 +48,6 @@ from .serial import (
     SolverConfig,
     _checkpoints,
     _epochs,
-    _load_native,
     _require_covered,
     _run_serial,
     _Tracer,
@@ -130,18 +129,33 @@ class SharedIterate:
         return applied
 
 
-@dataclass
 class SampleLog:
-    """Per-sample records in global sample order (dense indices 0..T-1)."""
+    """Per-sample records in global sample order (dense indices 0..T-1): edge
+    (hyperedge id, or coordinate id for ASCD), worker, t_sample, t_last_write,
+    and updates, the applied (idx, deltas) per sample when logged (else None).
+    A native worker's updates stay flat until the first read (defer_updates)."""
 
-    edge: np.ndarray  # hyperedge id (or coordinate id for ASCD)
-    worker: np.ndarray
-    t_sample: np.ndarray
-    t_last_write: np.ndarray
-    updates: list | None  # applied (idx, deltas) per sample, when logged
+    def __init__(self, edge, worker, t_sample, t_last_write, updates, deferred=()):
+        self.edge, self.worker, self.t_sample = edge, worker, t_sample
+        self.t_last_write, self._updates, self._deferred = t_last_write, updates, list(deferred)
 
     def __len__(self):
         return int(self.edge.size)
+
+    logs_updates = property(lambda self: self._updates is not None)
+
+    @property
+    def updates(self):
+        for js, unpack in self._deferred:
+            for j, update in zip(js.tolist(), unpack()):
+                if j < len(self._updates):  # a head() drops the samples past it
+                    self._updates[j] = update
+        self._deferred = []
+        return self._updates
+
+    def defer_updates(self, js, unpack):
+        """The updates of samples js, as the list unpack() returns, at the first read."""
+        self._deferred.append((js, unpack))
 
     @classmethod
     def empty(cls, total, log_updates):
@@ -152,37 +166,40 @@ class SampleLog:
 
     def head(self, count):
         """The records of the first count samples."""
-        return SampleLog(*(v if v is None else v[:count] for v in vars(self).values()))
+        return SampleLog(self.edge[:count], self.worker[:count], self.t_sample[:count],
+                         self.t_last_write[:count],
+                         None if self._updates is None else self._updates[:count], self._deferred)
 
 
-@dataclass
 class OverlapReport:
-    tau_observed: int
-    histogram: np.ndarray  # histogram of per-sample overlap counts
-    log: SampleLog | None = None
+    """For each sample of log, how many other samples' [t_sample, t_last_write]
+    intervals overlap its own (open-interval overlap): their histogram, and
+    tau_observed, their maximum, both computed at the first read."""
+
+    def __init__(self, log: SampleLog):
+        self.log = log
+
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        start, end = self.log.t_sample, self.log.t_last_write
+        counts = (np.searchsorted(np.sort(start), end, side="left")
+                  - np.searchsorted(np.sort(end), start, side="right") - 1)
+        return np.bincount(np.maximum(counts, 0), minlength=1)
+
+    @property
+    def tau_observed(self) -> int:
+        return self.histogram.size - 1
 
 
 def overlap_report(log: SampleLog) -> OverlapReport:
-    """tau = max over samples of how many other samples' [t_sample,
-    t_last_write] intervals overlap its own (open-interval overlap)."""
-    starts = np.sort(log.t_sample)
-    ends = np.sort(log.t_last_write)
-    n_before_end = np.searchsorted(starts, log.t_last_write, side="left")
-    n_ended = np.searchsorted(ends, log.t_sample, side="right")
-    counts = n_before_end - n_ended - 1
-    counts = np.maximum(counts, 0)
-    tau = int(counts.max()) if counts.size else 0
-    return OverlapReport(
-        tau_observed=tau,
-        histogram=np.bincount(counts, minlength=1),
-        log=log,
-    )
+    """The OverlapReport of log, computed when it is read."""
+    return OverlapReport(log)
 
 
 def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
     """Apply -gamma * g of kernel steps to the shared iterate until the counter hits limit."""
     x = shared.x
-    samples, direction = kernel.samples, kernel.direction
+    samples, direction, updates = kernel.samples, kernel.direction, log.updates
     while True:
         j = counter.next(limit)
         if j is None:
@@ -198,8 +215,8 @@ def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
         log.worker[j] = wid
         log.t_sample[j] = t0
         log.t_last_write[j] = t1
-        if log.updates is not None:
-            log.updates[j] = (idx, applied)
+        if updates is not None:
+            updates[j] = (idx, applied)
 
 
 def _stretch_worker(kernel, gamma, x, lo, hi, sync, rng):
@@ -231,14 +248,14 @@ def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
     S, E = _epochs(cfg, epochal)
     log = SampleLog.empty(S * E, log_updates)
     rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
-    _load_native(factory)
+    _stretch.load()
     tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
     for t, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
         kernels = [factory(obj, *snap) for _ in range(workers)]
         if mode == SPARSE_INCONSISTENT and kernels[0].stretch is not None:
             cell[0] = t
             jobs = [(_stretch_worker, (kernels[w], cfg.gamma, shared.x, lo, hi,
-                                       Sync(cell, bound, w, workers > 1, log), rngs[w]))
+                                       _stretch.Sync(cell, bound, w, workers > 1, log), rngs[w]))
                     for w in range(workers)]
         else:
             jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, rngs[w],

@@ -10,12 +10,12 @@ from worker threads; asyncopt.sim stores g under a delay schedule; the
 enumeration oracles average g over every s.  So a 1-worker async run and a
 zero-delay simulation reproduce the serial trajectory bit for bit.
 
-The three term kernels (``sgm`` and both SVRGs) also carry the native
-``stretch`` of asyncopt._stretch when its build loads: one C loop over a run
-of samples, which the serial loop calls with plain adds and each engine
-worker with compare-and-swap adds (plain ones when it runs alone).  Their ``direction`` is then the
-same C routine for one sample, so every writer still shares one g.  Without
-the build, every kernel runs its NumPy direction.  ``SOLVERS`` is the one
+Every kernel also carries the native ``stretch`` of asyncopt._stretch when
+its build loads: one C loop over a run of samples, which the serial loop
+calls with plain adds and each engine worker with compare-and-swap adds
+(plain ones when it runs alone).  Its ``direction`` is then the same C
+routine for one sample, so every writer still shares one g.  Without the
+build, every kernel runs its NumPy direction.  ``SOLVERS`` is the one
 table of solver names, each with its kernel, its theorem step rule, and
 whether engine threads drive it.
 """
@@ -185,9 +185,9 @@ class Kernel(NamedTuple):
     stretch: Callable | None = None
 
 
-def _native(kernel, obj, y=None, dz=None):
-    """The term kernel with its native direction and stretch, when the build loads."""
-    native = _stretch.bind(obj, y, dz)
+def _native(kernel, obj, y=None, dz=None, coords=False):
+    """The kernel with its native direction and stretch, when the build loads."""
+    native = _stretch.bind(obj, y, dz, coords)
     return kernel if native is None else kernel._replace(direction=native.direction,
                                                          stretch=native)
 
@@ -212,7 +212,7 @@ def scd(obj):
         union = obj.coord_read_support(v)
         scratch[union] = src[union]
         return np.array([v], dtype=np.int64), np.array([obj.d * obj.full_grad_coord(v, scratch)])
-    return Kernel(obj.d, direction)
+    return _native(Kernel(obj.d, direction), obj, coords=True)
 
 
 def svrg_sparse(obj, y, z):
@@ -234,14 +234,6 @@ def svrg_dense(obj, y, z):
 
 
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
-NATIVE_KERNELS = (sgm, svrg_sparse, svrg_dense)  # with a native stretch when the build loads
-
-
-def _load_native(factory):
-    """Build or load the native library now when factory's kernels use it, so
-    that the clock of the run, started after, does not count it."""
-    if factory in NATIVE_KERNELS:
-        _stretch.load()
 
 
 class Solver(NamedTuple):
@@ -374,7 +366,7 @@ def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     lo, hi = clamp_bounds(obj, cfg)
     x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
     rng = worker_rng(cfg.seed, 0)
-    _load_native(factory)
+    _stretch.load()  # build or load now, so that the run's clock, started after, does not count it
     tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
     for t, bound, snap in _checkpoints(obj, cfg, factory, x):
         samples, direction, dense, stretch = factory(obj, *snap)

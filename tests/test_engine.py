@@ -97,6 +97,26 @@ def test_overlap_report_counts_open_interval_overlaps():
     assert rep.histogram.tolist() == [0, 2, 1]
 
 
+def test_overlap_report_sorts_only_when_read(ridge_small, monkeypatch):
+    # the report of a threaded run is computed at its first read, not at the run's end
+    sorts = []
+    real_sort = np.sort
+
+    def counting_sort(a, *args, **kwargs):
+        sorts.append(len(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02, total_iters=500, seed=3)
+    _, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=2, log_updates=False)
+    assert sorts == []
+    assert rep.tau_observed == rep.histogram.size - 1 and rep.histogram.sum() == 500
+    assert sorts == [500, 500]
+    rep.histogram, rep.tau_observed  # computed once
+    assert len(sorts) == 2
+
+
 def test_single_worker_has_zero_overlap(ridge_small):
     obj, xstar = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=200, seed=0)
@@ -144,6 +164,37 @@ def test_updates_commute_to_final_iterate(ridge_small, native_worker_calls):
     for idx, deltas in rep.log.updates:
         total[idx] += deltas
     assert np.abs(res.x - total).max() <= 1e-9
+
+
+def test_ascd_updates_commute_to_final_iterate(ridge_small, native_worker_calls):
+    # four native ASCD workers: each coordinate step reads its read set once
+    # into a private buffer and writes by compare-and-swap
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.005, total_iters=2000, seed=12)
+    x0 = np.zeros(obj.d)
+    res, rep = run_ascd(obj, cfg, x0=x0, workers=4, log_updates=True)
+    assert len(native_worker_calls) == 4  # one segment, four workers
+    total = x0.copy()
+    for (idx, deltas), v in zip(rep.log.updates, rep.log.edge):
+        assert idx.tolist() == [v] and deltas.shape == (1,)
+        total[idx] += deltas
+    assert np.abs(res.x - total).max() <= 1e-9
+
+
+def test_logged_updates_stop_at_the_last_checkpoint(native_worker_calls):
+    # a diverged run keeps the log of its finite checkpoints only, updates too
+    from conftest import make_ridge_desk
+
+    obj = ao.least_squares_objective(
+        make_ridge_desk(n=30, d=10, nnz=3, scale=0.8, bscale=1.0, seed=4, l2_reg=0.1)
+    )
+    cfg = SolverConfig(gamma=30.0 / obj.constants.L_term, total_iters=3000, seed=0,
+                       log_every=100)
+    res, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=2)
+    assert native_worker_calls and res.diverged and 0 < res.iters < 3000
+    assert len(rep.log.updates) == res.iters
+    assert all(idx.tolist() == obj.term_support(i).tolist()
+               for (idx, _), i in zip(rep.log.updates, rep.log.edge))
 
 
 def test_worker_zero_runs_on_the_calling_thread(ridge_small, monkeypatch):

@@ -14,13 +14,14 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
 from asyncopt import _stretch
-from asyncopt.engine import (FULL_SNAPSHOT, SPARSE_INCONSISTENT, run, run_ascd, run_hogwild,
-                             run_kromagnon)
+from asyncopt.engine import (FULL_SNAPSHOT, SPARSE_INCONSISTENT, SampleLog, run, run_ascd,
+                             run_hogwild, run_kromagnon)
 from asyncopt.serial import (SOLVERS, SolverConfig, run_scd, run_sgm, run_svrg_sparse, scd, sgm,
                              svrg_dense, svrg_sparse)
 from asyncopt.sim import gen_schedule, simulate
@@ -196,6 +197,12 @@ def _problem(problem, n, d, nnz, data_seed):
         nv = max(3, d)
         edges = min(n, nv * (nv - 1) // 2)
         return ao.vertex_cover_objective(make_vc_desk(nv, edges, seed=data_seed), box=True)
+    if problem == "ragged":  # logistic over rows of 1 to about 2 nnz entries
+        rng = np.random.default_rng(data_seed)
+        X = sp.random(n, d, density=nnz / d, random_state=rng, format="csr") + sp.csr_matrix(
+            (rng.standard_normal(n), (np.arange(n), rng.integers(d, size=n))), shape=(n, d))
+        data = ao.RegressionDataset(X, rng.choice([-1.0, 1.0], size=n), l2_reg=0.1)
+        return ao.logistic_objective(ao.remap_covered(data)[0])
     model = "logistic" if problem == "logreg" else "linear"
     data = ao.gen_synthetic(ao.SyntheticSpec(n, d, nnz, label_model=model, seed=data_seed),
                             l2_reg=0.1)
@@ -216,13 +223,25 @@ def _close(native, ref, scale):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    problem=st.sampled_from(["linreg", "logreg", "vertexcover"]),
-    algo=st.sampled_from(["sgm", "svrg_sparse", "svrg_dense"]), radius=RADII,
+    problem=st.sampled_from(["linreg", "logreg", "vertexcover", "ragged"]),
+    algo=st.sampled_from(["sgm", "scd", "svrg_sparse", "svrg_dense"]), radius=RADII,
     n=st.integers(1, 60), d=st.integers(1, 20), nnz=st.integers(1, 4),
     data_seed=st.integers(0, 1000), seed=st.integers(0, 1000),
 )
 def test_native_kernels_match_numpy(problem, algo, radius, n, d, nnz, data_seed, seed):
     assume(nnz <= d)
+    _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, seed)
+
+
+@pytest.mark.parametrize("problem", ["linreg", "logreg", "vertexcover", "ragged"])
+@pytest.mark.parametrize("radius", [None, 0.05])
+def test_native_scd_matches_numpy(problem, radius):
+    # every problem and clamp for SCD, whose C loop walks a column's rows
+    # side by side: the ragged rows leave a tail past the shortest row
+    _check_native_matches_numpy(problem, "scd", radius, 50, 14, 3, data_seed=2, seed=9)
+
+
+def _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, seed):
     obj = _problem(problem, n, d, nnz, data_seed)
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(-1.0, 1.0, (2, obj.d))
@@ -230,14 +249,15 @@ def test_native_kernels_match_numpy(problem, algo, radius, n, d, nnz, data_seed,
     snap = (y, obj.full_grad(y)) if SOLVERS[algo].epochal else ()
     native, ref = factory(obj, *snap), _numpy_only(factory, obj, *snap)
     assert native.stretch is not None and ref.stretch is None
-    dirs = [(native.direction(s, x), ref.direction(s, x)) for s in range(obj.n)]
+    dirs = [(native.direction(s, x), ref.direction(s, x)) for s in range(native.samples)]
     scale = max(float(np.abs(g).max()) for _, (_, g) in dirs)
     for (idx, g), (ref_idx, ref_g) in dirs:
         assert np.array_equal(idx, ref_idx)
         assert _close(g, ref_g, scale)
 
-    # whole runs: the native stretch against the NumPy sampling loop
-    gamma = 0.5 / obj.constants.L_term
+    # whole runs: the native stretch against the NumPy sampling loop (an SCD
+    # step moves its coordinate by gamma * d * grad_v f)
+    gamma = 0.5 / obj.constants.L_term / (obj.d if algo == "scd" else 1)
     linf = ao.LinfBall(radius)
     if SOLVERS[algo].epochal:
         cfg = SolverConfig(gamma=gamma, epoch_size=20, epochs=2, seed=seed, linf=linf)
@@ -279,6 +299,28 @@ def test_deferred_dense_step_equals_a_pass_per_sample(problem, radius):
         assert ((x == hi) & (dense_step > 0)).any() and ((x == lo) & (dense_step < 0)).any()
 
 
+@pytest.mark.parametrize("problem", ["logreg", "vertexcover"])
+def test_buffered_coordinate_reads_equal_in_place_reads(problem):
+    # with other workers writing, an SCD step loads each value of its read set
+    # once into a private buffer; with no writes in between, that is the
+    # in-place read of a lone worker, bit for bit
+    obj = _problem(problem, 60, 12, 3, data_seed=5)
+    kernel = scd(obj)
+    rng = np.random.default_rng(1)
+    draws = rng.integers(obj.d, size=300)
+    gamma = 0.5 / obj.constants.L_term / obj.d
+    lo, hi = obj.box if obj.box is not None else (None, None)
+    x = np.full(obj.d, 0.5) if problem == "vertexcover" else rng.uniform(-1.0, 1.0, obj.d)
+    ref = x.copy()
+    kernel.stretch(ref, draws, gamma, lo, hi)
+    log = SampleLog.empty(draws.size, log_updates=True)
+    sync = _stretch.Sync(np.zeros(1, dtype=np.int64), draws.size, 0, True, log)
+    assert kernel.stretch(x, draws, gamma, lo, hi, sync=sync) == draws.size
+    assert np.array_equal(x, ref)
+    assert np.array_equal(log.edge, draws)
+    assert [idx.tolist() for idx, _ in log.updates] == [[v] for v in draws.tolist()]
+
+
 def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ridge_small):
     def broken():
         raise OSError("gcc failed: no compiler here")
@@ -294,8 +336,10 @@ def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ri
     assert_same_run(res, run_sgm(obj, flat, x0, track_f=True))
     res, _ = run_kromagnon(obj, None, ep, x0, workers=1, track_f=True)
     assert_same_run(res, run_svrg_sparse(obj, None, ep, x0, track_f=True))
-    assert all(k.stretch is None
-               for k in (sgm(obj), svrg_sparse(obj, x0, x0), svrg_dense(obj, x0, x0)))
+    res, _ = run_ascd(obj, flat, x0, workers=1, track_f=True)
+    assert_same_run(res, run_scd(obj, flat, x0, track_f=True))
+    assert all(k.stretch is None for k in (sgm(obj), scd(obj), svrg_sparse(obj, x0, x0),
+                                           svrg_dense(obj, x0, x0)))
     err = capsys.readouterr().err
     assert err.count("asyncopt: native stretch kernels unavailable") == 1
     assert "(gcc failed: no compiler here); running the NumPy path" in err
