@@ -34,7 +34,7 @@ def main():
         print(f"workers={workers}: f={obj.value(res.x):.6f} "
               f"wall={res.wall_time:.2f}s tau_observed={rep.tau_observed}")
 
-    table = measure_speedup(runs, target_fraction=0.999)
+    table = measure_speedup(runs, obj.value(x0), target_fraction=0.999)
     for w, row in sorted(table.items()):
         s = f"{row['speedup']:.2f}x" if row["speedup"] else "-"
         print(f"time to 99.9% progress, {w} workers: "

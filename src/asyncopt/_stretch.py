@@ -238,12 +238,13 @@ class Sync:
     """One engine worker's share of a stretch: the shared sample counter (an
     int64 array of one cell, fetch-added by every worker), the limit at which
     the workers stop, the worker id, whether other workers write at the same
-    time (atomic reads and compare-and-swap adds; plain ones otherwise), and
-    the SampleLog each sample is recorded in at its index j (edge, worker,
+    time (atomic reads and compare-and-swap adds; plain ones otherwise), the
+    SampleLog each sample is recorded in at its index j (edge, worker,
     CLOCK_MONOTONIC stamps, and the applied deltas when the log keeps
-    updates)."""
+    updates), and whether each sample reads a consistent copy of x, which
+    only the NumPy reference stretch (serial.Kernel.reference) does."""
 
-    def __init__(self, counter, limit, wid, atomic, log):
+    def __init__(self, counter, limit, wid, atomic, log, snapshot=False):
         if counter.dtype != np.int64 or counter.shape != (1,):
             raise ValueError("the counter is one int64 cell")
         arrays = ((log.edge, np.int64), (log.worker, np.int32), (log.t_sample, np.float64),
@@ -253,7 +254,7 @@ class Sync:
             raise ValueError("the SampleLog arrays must be contiguous, of its dtypes, and "
                              "hold the limit's samples")
         self.counter, self.limit, self.wid, self.log = counter, int(limit), int(wid), log
-        self.atomic = bool(atomic)
+        self.atomic, self.snapshot = bool(atomic), bool(snapshot)
 
 
 def _ptr(a):

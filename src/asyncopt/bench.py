@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import SyntheticSpec, gen_synthetic, parse_edge_list, parse_libsvm
-from .engine import run, time_to_progress
+from .engine import _with_origin, run, time_to_progress
 from .hypergraph import conflict_stats, intersection_probability_bound, tau_bound_comparison
 from .objectives import (
     least_squares_objective,
@@ -80,15 +80,6 @@ def build_objective(plan: BenchPlan):
         data.labels = np.where(data.labels > 0, 1.0, -1.0)
         return logistic_objective(data)
     return least_squares_objective(data)
-
-
-def _with_origin(res, f0):
-    """The run with the t=0 point prepended, so normalization and targets see the start."""
-    return replace(
-        res, trace_iter=np.concatenate([[0], res.trace_iter]),
-        trace_wall=np.concatenate([[0.0], res.trace_wall]),
-        trace_f=np.concatenate([[f0], res.trace_f]),
-    )
 
 
 def conflict_summary(obj) -> dict:

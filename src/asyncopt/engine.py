@@ -6,19 +6,21 @@ per-coordinate write indivisibility.
 
 Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
 ``svrg_sparse`` of asyncopt.serial with a perturbed read and an indivisible
-write of ``-gamma * g``, and one driver runs the workers between the
-checkpoints of the serial loop's schedule.  A worker runs one of two loops:
+write of ``-gamma * g``.  One driver runs the workers between the
+checkpoints of the serial loop's schedule, and every worker is one loop,
+``_stretch_worker``, of calls to its kernel's stretch with a ``Sync`` that
+shares the sample counter and the SampleLog.  The stretch has two
+implementations:
 
-  - the kernel's native stretch (asyncopt._stretch), in the default sparse
-    read mode: one C call per chunk of draws, outside the interpreter lock,
-    that takes each sample's index by an atomic fetch-add, writes by a
-    compare-and-swap on the double's bits when several workers run (plainly
-    when one does), and fills the SampleLog;
-  - the Python worker, for the full_consistent_snapshot read mode and when
-    the native build is not loaded: its writes go through
-    SharedIterate's striped lock table, which is how an indivisible
-    read-modify-write on one float64 cell is realized in Python (the
-    interpreter lock does not make `x[v] += u` atomic).
+  - the native one (asyncopt._stretch), in the default sparse read mode: one
+    C call per chunk of draws, outside the interpreter lock, that takes each
+    sample's index by an atomic fetch-add and writes by a compare-and-swap
+    on the double's bits when several workers run (plainly when one does);
+  - the NumPy reference (serial.Kernel.reference), in the
+    full_consistent_snapshot read mode and when the build is not loaded: it
+    takes the index under a lock and writes through serial.add_clamped's
+    striped locks (an indivisible read-modify-write on one float64 cell in
+    Python), and a snapshot read copies x with every stripe lock held.
 
 The workers are joined at each checkpoint, so KroMagnon's snapshot,
 refreshed at an epoch start, is consistent.  Worker 0 runs on the calling
@@ -27,15 +29,15 @@ thread.  ``run`` runs any name of serial.SOLVERS, serial or threaded; the
 ``run_*`` functions are one call each.
 
 With workers=1 every algorithm reduces bit-exactly to its serial
-counterpart: the kernels are the serial ones, worker 0 takes the serial
-RNG stream in the serial loop's chunks, and a lone worker's add is the
-serial add.
+counterpart: the kernels and stretches are the serial ones, worker 0 takes
+the serial RNG stream in the serial loop's chunks, and a lone worker's add
+is the serial add.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +53,7 @@ from .serial import (
     _require_covered,
     _run_serial,
     _Tracer,
+    add_clamped,
     clamp_bounds,
     resolve_config,
     worker_rng,
@@ -65,75 +68,30 @@ __all__ = [
     "run_ascd",
     "run_kromagnon",
     "measure_speedup",
-    "overlap_report",
     "time_to_progress",
 ]
 
 SPARSE_INCONSISTENT = "sparse_inconsistent"
 FULL_SNAPSHOT = "full_consistent_snapshot"
 
-_N_STRIPES = 64
-
-
-class AtomicCounter:
-    """Bounded fetch-and-increment; assigns the global sample order.
-
-    next(limit) returns None without consuming an index once the limit is
-    reached, so epoch barriers do not burn sample slots.
-    """
-
-    def __init__(self, start=0):
-        self._value = start
-        self._lock = threading.Lock()
-
-    def next(self, limit=None):
-        with self._lock:
-            if limit is not None and self._value >= limit:
-                return None
-            v = self._value
-            self._value += 1
-            return v
-
 
 class SharedIterate:
-    """Dense shared vector with per-coordinate indivisible updates.
-
-    Reads are plain element loads (inconsistent across coordinates by
-    design); writes take the coordinate's stripe lock so concurrent
-    read-modify-writes to the same cell never lose an update.
-    """
+    """A dense float64 copy of x0 whose writes take serial.add_clamped's
+    stripe locks, so concurrent read-modify-writes to a cell lose no update."""
 
     def __init__(self, x0):
         self.x = np.array(x0, dtype=np.float64, copy=True)
-        self._locks = [threading.Lock() for _ in range(_N_STRIPES)]
-
-    def snapshot(self):
-        return self.x.copy()
 
     def add_clamped(self, idx, deltas, lo, hi):
         """x[v] += delta per coordinate, clamped; returns applied deltas."""
-        x = self.x
-        applied = np.empty(len(idx))
-        for k, v in enumerate(idx):
-            lock = self._locks[v % _N_STRIPES]
-            with lock:
-                old = x[v]
-                new = old + deltas[k]
-                if lo is not None:
-                    if new < lo:
-                        new = lo
-                    elif new > hi:
-                        new = hi
-                x[v] = new
-                applied[k] = new - old
-        return applied
+        return add_clamped(self.x, idx, deltas, lo, hi)
 
 
 class SampleLog:
     """Per-sample records in global sample order (dense indices 0..T-1): edge
     (hyperedge id, or coordinate id for ASCD), worker, t_sample, t_last_write,
     and updates, the applied (idx, deltas) per sample when logged (else None).
-    A native worker's updates stay flat until the first read (defer_updates)."""
+    A worker's updates stay flat until the first read (defer_updates)."""
 
     def __init__(self, edge, worker, t_sample, t_last_write, updates, deferred=()):
         self.edge, self.worker, self.t_sample = edge, worker, t_sample
@@ -191,91 +149,60 @@ class OverlapReport:
         return self.histogram.size - 1
 
 
-def overlap_report(log: SampleLog) -> OverlapReport:
-    """The OverlapReport of log, computed when it is read."""
-    return OverlapReport(log)
-
-
-def _worker(kernel, gamma, shared, lo, hi, counter, limit, rng, wid, log, mode):
-    """Apply -gamma * g of kernel steps to the shared iterate until the counter hits limit."""
-    x = shared.x
-    samples, direction, updates = kernel.samples, kernel.direction, log.updates
-    while True:
-        j = counter.next(limit)
-        if j is None:
-            return
-        t0 = time.perf_counter()
-        # the snapshot variant reads the whole vector before sampling
-        src = shared.snapshot() if mode == FULL_SNAPSHOT else x
-        s = int(rng.integers(samples))
-        idx, g = direction(s, src)
-        applied = shared.add_clamped(idx, -gamma * g, lo, hi)
-        t1 = time.perf_counter()
-        log.edge[j] = s
-        log.worker[j] = wid
-        log.t_sample[j] = t0
-        log.t_last_write[j] = t1
-        if updates is not None:
-            updates[j] = (idx, applied)
-
-
 def _stretch_worker(kernel, gamma, x, lo, hi, sync, rng):
-    """Run the kernel's native stretch over draws from rng, CHUNK at most at a
-    time, until the shared counter reaches the limit.  A lone worker uses
-    every draw, as the serial loop does; with several, the draws left when
-    the others reach the limit first are dropped."""
+    """Run the kernel's stretch, native or else its NumPy reference, over draws
+    from rng, CHUNK at most at a time, until the shared counter reaches the
+    limit.  A lone worker uses every draw, as the serial loop does; with
+    several, the draws left when the others reach the limit first are dropped."""
+    stretch = kernel.stretch or kernel.reference
     while True:
         need = sync.limit - int(sync.counter[0])
         if need <= 0:
             return
         draws = rng.integers(kernel.samples, size=min(CHUNK, need))
-        if kernel.stretch(x, draws, gamma, lo, hi, sync=sync) < draws.size:
+        if stretch(x, draws, gamma, lo, hi, sync=sync) < draws.size:
             return
 
 
 def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
-    """The one threaded driver of the solver named algo: workers share a
-    sample counter and stop at each checkpoint of serial._checkpoints.  Each
-    worker builds its own kernel, since SCD's read buffer is private, and
-    runs its native stretch when it has one and the read mode is sparse."""
+    """The one threaded driver of the solver named algo: every worker runs
+    _stretch_worker, sharing a sample counter, and stops at each checkpoint of
+    serial._checkpoints.  Each worker builds its own kernel, since SCD's read
+    buffer is private; in the full_consistent_snapshot mode it runs the
+    kernel's NumPy reference, whose reads copy x (a native whole-vector read
+    beside compare-and-swap writes would not be consistent)."""
     cfg = resolve_config(cfg, obj, algo)
     check_workers(algo, workers)
     factory, epochal = SOLVERS[algo].kernel, SOLVERS[algo].epochal
     lo, hi = clamp_bounds(obj, cfg)
-    shared = SharedIterate(x0 if lo is None else np.clip(x0, lo, hi))
-    counter = AtomicCounter()
-    cell = np.zeros(1, dtype=np.int64)  # the native workers' sample counter
+    x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
+    snapshot = mode == FULL_SNAPSHOT
+    cell = np.zeros(1, dtype=np.int64)  # the workers' sample counter
     S, E = _epochs(cfg, epochal)
     log = SampleLog.empty(S * E, log_updates)
     rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
     _stretch.load()
     tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
-    for t, bound, snap in _checkpoints(obj, cfg, factory, shared.x):
+    for t, bound, snap in _checkpoints(obj, cfg, factory, x):
+        cell[0] = t
         kernels = [factory(obj, *snap) for _ in range(workers)]
-        if mode == SPARSE_INCONSISTENT and kernels[0].stretch is not None:
-            cell[0] = t
-            jobs = [(_stretch_worker, (kernels[w], cfg.gamma, shared.x, lo, hi,
-                                       _stretch.Sync(cell, bound, w, workers > 1, log), rngs[w]))
-                    for w in range(workers)]
-        else:
-            jobs = [(_worker, (kernels[w], cfg.gamma, shared, lo, hi, counter, bound, rngs[w],
-                               w, log, mode))
-                    for w in range(workers)]
+        jobs = [(k._replace(stretch=None) if snapshot else k, cfg.gamma, x, lo, hi,
+                 _stretch.Sync(cell, bound, w, workers > 1, log, snapshot), rngs[w])
+                for w, k in enumerate(kernels)]
         # worker 0 runs on this thread, so a lone worker starts no thread and
         # keeps the core and the caches that the checkpoint before it used
-        threads = [threading.Thread(target=target, args=args) for target, args in jobs[1:]]
+        threads = [threading.Thread(target=_stretch_worker, args=args) for args in jobs[1:]]
         for th in threads:
             th.start()
         try:
-            target, args = jobs[0]
-            target(*args)
+            _stretch_worker(*jobs[0])
         finally:
             for th in threads:
                 th.join()
-        if not tracer.record(bound, shared.x):
+        if not tracer.record(bound, x):
             break
-    result = tracer.result(shared.x, cfg)
-    return result, overlap_report(log.head(result.iters))
+    result = tracer.result(x, cfg)
+    return result, OverlapReport(log.head(result.iters))
 
 
 def check_workers(algo, workers):
@@ -332,12 +259,21 @@ def time_to_progress(wall, f, target_fraction):
     return float(wall[hit[0]]) if hit.size else None
 
 
-def measure_speedup(runs: dict, target_fraction: float) -> dict:
-    """Time for each run to reach target_fraction of its own progress to its
-    own minimum, and speedup relative to the 1-worker run.  Each run needs
-    trace_f and trace_wall, whose first entries are the start it measures from.
-    A run with no time, or a 1-worker time of 0, has no speedup, as in
-    asyncopt.bench.summarize.
+def _with_origin(res, f0):
+    """The run with the t=0 point prepended, so normalization and targets see the start."""
+    return replace(
+        res, trace_iter=np.concatenate([[0], res.trace_iter]),
+        trace_wall=np.concatenate([[0.0], res.trace_wall]),
+        trace_f=np.concatenate([[f0], res.trace_f]),
+    )
+
+
+def measure_speedup(runs: dict, f0: float, target_fraction: float) -> dict:
+    """Time for each run, started at objective value f0, to reach
+    target_fraction of its own progress to its own minimum, and speedup
+    relative to the 1-worker run.  Each run needs trace_f and trace_wall; the
+    start (wall 0, f0) is prepended to them, as asyncopt.bench.summarize
+    does.  A run with no time, or a 1-worker time of 0, has no speedup.
     """
     if not 0.0 < target_fraction <= 1.0:
         raise ValueError("target_fraction must be in (0, 1]")
@@ -345,6 +281,7 @@ def measure_speedup(runs: dict, target_fraction: float) -> dict:
     for w, res in runs.items():
         if res.trace_f is None or res.trace_wall is None:
             raise ValueError("measure_speedup needs trace_f and trace_wall")
+        res = _with_origin(res, f0)
         times[w] = time_to_progress(res.trace_wall, res.trace_f, target_fraction)
     base = times.get(1)
     return {

@@ -10,20 +10,24 @@ from worker threads; asyncopt.sim stores g under a delay schedule; the
 enumeration oracles average g over every s.  So a 1-worker async run and a
 zero-delay simulation reproduce the serial trajectory bit for bit.
 
-Every kernel also carries the native ``stretch`` of asyncopt._stretch when
-its build loads: one C loop over a run of samples, which the serial loop
-calls with plain adds and each engine worker with compare-and-swap adds
-(plain ones when it runs alone).  Its ``direction`` is then the same C
-routine for one sample, so every writer still shares one g.  Without the
-build, every kernel runs its NumPy direction.  ``SOLVERS`` is the one
-table of solver names, each with its kernel, its theorem step rule, and
-whether engine threads drive it.
+Every kernel runs a run of samples as a stretch, ``stretch(x, draws,
+gamma, lo, hi, dense_step=None, sync=None) -> used``, one contract with two
+implementations: the native ``stretch`` of asyncopt._stretch, when its build
+loads (one C loop, whose ``direction`` is then the same C routine for one
+sample, so every writer still shares one g), and ``Kernel.reference``, the
+NumPy loop over ``direction`` that the native one is tested against.  The
+serial loop makes one stretch call per chunk of draws, with plain adds; each
+engine worker makes its calls with a ``sync`` (asyncopt._stretch.Sync).
+``SOLVERS`` is the one table of solver names, each with its kernel, its
+theorem step rule, and whether engine threads drive it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -176,13 +180,89 @@ class Kernel(NamedTuple):
     when set, is added to g on every coordinate (dense SVRG's grad f(y)); the
     writer applies it after the sparse part.  ``stretch``, when set, is the
     native loop over many samples (asyncopt._stretch.Stretch), and
-    ``direction`` is its one-sample form.
+    ``direction`` is its one-sample form; ``reference`` is the same loop in
+    NumPy.
     """
 
     samples: int
     direction: Callable
     dense: np.ndarray | None = None
     stretch: Callable | None = None
+
+    def reference(self, x, draws, gamma, lo=None, hi=None, dense_step=None, sync=None):
+        """The NumPy form of the native stretch, under its contract
+        (asyncopt._stretch.Stretch.__call__).  With sync, as one engine worker,
+        it takes each sample's index j under a lock, reads a copy of x when
+        sync.snapshot is set, and writes through add_clamped when sync.atomic."""
+        if sync is not None and dense_step is not None:
+            raise ValueError("a dense step is written by the serial loop only")
+        keep = sync is not None and sync.log.logs_updates
+        js, updates, used = [], [], 0
+        for s in draws.tolist():
+            if sync is not None:
+                with _COUNTER_LOCK:
+                    j = int(sync.counter[0])
+                    if j >= sync.limit:
+                        break
+                    sync.counter[0] = j + 1
+                t0 = time.perf_counter()
+            idx, g = self.direction(s, _snapshot(x) if sync is not None and sync.snapshot else x)
+            delta = -gamma * g
+            if sync is not None and sync.atomic:
+                applied = add_clamped(x, idx, delta, lo, hi)
+            else:
+                old = x[idx]
+                x[idx] = old + delta
+                if dense_step is not None:
+                    x += dense_step
+                    if lo is not None:
+                        np.clip(x, lo, hi, out=x)
+                elif lo is not None:
+                    x[idx] = np.clip(x[idx], lo, hi)
+                applied = x[idx] - old if keep else None
+            if sync is not None:
+                sync.log.edge[j], sync.log.worker[j], sync.log.t_sample[j] = s, sync.wid, t0
+                sync.log.t_last_write[j] = time.perf_counter()
+                if keep:
+                    js.append(j)
+                    updates.append((idx, applied))
+            used += 1
+        if js:
+            sync.log.defer_updates(np.array(js, dtype=np.int64), lambda: updates)
+        return used
+
+
+_STRIPES = [threading.Lock() for _ in range(64)]  # coordinate v's writes take lock v % 64
+_COUNTER_LOCK = threading.Lock()  # the reference workers' take of a sample index
+
+
+def add_clamped(x, idx, deltas, lo, hi):
+    """x[v] += delta for each v of idx, clamped to [lo, hi] unless lo is None;
+    returns the deltas applied.  Each read-modify-write holds v's stripe lock,
+    so writers on other threads lose no update: the interpreter lock does not
+    make x[v] += u indivisible (a thread may be switched out after the read)."""
+    applied = []
+    for v, delta in zip(idx.tolist(), deltas.tolist()):
+        with _STRIPES[v % len(_STRIPES)]:
+            old = x.item(v)
+            new = old + delta
+            if lo is not None:
+                if new < lo:
+                    new = lo
+                elif new > hi:
+                    new = hi
+            x[v] = new
+            applied.append(new - old)
+    return np.array(applied)
+
+
+def _snapshot(x):
+    """A copy of x with every stripe lock held: NumPy copies a large array
+    outside the interpreter lock, and no add_clamped write may land mid-copy."""
+    with ExitStack() as held:
+        for lock in _STRIPES:
+            held.enter_context(lock)
+        return x.copy()
 
 
 def _native(kernel, obj, y=None, dz=None, coords=False):
@@ -358,8 +438,8 @@ class _Tracer:
 def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     """The one sampling loop of the solver named algo: x[idx] += -gamma * g
     with plain adds, then the kernel's dense part on every coordinate,
-    clamped to clamp_bounds (x0 too).  Samples are drawn CHUNK at a time,
-    and a kernel with a native stretch runs each chunk in one call."""
+    clamped to clamp_bounds (x0 too).  Samples are drawn CHUNK at a time, and
+    each chunk is one call of the kernel's stretch, native or reference."""
     cfg = resolve_config(cfg, obj, algo)
     factory = SOLVERS[algo].kernel
     gamma = cfg.gamma
@@ -369,22 +449,12 @@ def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
     _stretch.load()  # build or load now, so that the run's clock, started after, does not count it
     tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
     for t, bound, snap in _checkpoints(obj, cfg, factory, x):
-        samples, direction, dense, stretch = factory(obj, *snap)
-        dense_step = None if dense is None else -gamma * dense  # once per segment, not per sample
+        kernel = factory(obj, *snap)
+        stretch = kernel.stretch or kernel.reference
+        dense_step = None if kernel.dense is None else -gamma * kernel.dense  # once per segment
         for k in range(t, bound, CHUNK):
-            draws = rng.integers(samples, size=min(CHUNK, bound - k))
-            if stretch is not None:
-                stretch(x, draws, gamma, lo, hi, dense_step)
-                continue
-            for s in draws.tolist():
-                idx, g = direction(s, x)
-                x[idx] += -gamma * g
-                if dense_step is not None:
-                    x += dense_step
-                    if lo is not None:
-                        np.clip(x, lo, hi, out=x)
-                elif lo is not None:
-                    x[idx] = np.clip(x[idx], lo, hi)
+            stretch(x, rng.integers(kernel.samples, size=min(CHUNK, bound - k)), gamma, lo, hi,
+                    dense_step)
         if not tracer.record(bound, x):
             break
     return tracer.result(x, cfg)

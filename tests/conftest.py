@@ -84,14 +84,16 @@ def theorem1_params(obj, xstar, eps=1e-2):
 @pytest.fixture
 def native_worker_calls(monkeypatch):
     """The kernels of the engine workers that ran the native stretch loop, one
-    entry per worker and checkpoint segment."""
-    from asyncopt import engine
+    entry per worker and checkpoint segment (a worker on the NumPy reference
+    stretch is not recorded)."""
+    from asyncopt import _stretch, engine
 
     calls = []
     real = engine._stretch_worker
 
     def spy(kernel, *args):
-        calls.append(kernel)
+        if isinstance(kernel.stretch, _stretch.Stretch):
+            calls.append(kernel)
         return real(kernel, *args)
 
     monkeypatch.setattr(engine, "_stretch_worker", spy)

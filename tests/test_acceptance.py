@@ -318,9 +318,10 @@ def test_criterion_11_soft_speedups():
 
         from asyncopt.engine import measure_speedup
 
-        hog_s = measure_speedup(hog, 0.999)[4]["speedup"]
-        krom_s = measure_speedup(krom, 0.999)[4]["speedup"]
-        kd = measure_speedup({1: krom[1], 4: dense}, 0.999)
+        f0 = obj.value(x0)
+        hog_s = measure_speedup(hog, f0, 0.999)[4]["speedup"]
+        krom_s = measure_speedup(krom, f0, 0.999)[4]["speedup"]
+        kd = measure_speedup({1: krom[1], 4: dense}, f0, 0.999)
         ratio = None
         if kd[1]["time_to_target"] and kd[4]["time_to_target"]:
             ratio = kd[4]["time_to_target"] / kd[1]["time_to_target"]

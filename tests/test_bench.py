@@ -225,3 +225,24 @@ def test_vertexcover_plan(tmp_path):
     assert man["gamma_rule_hogwild"] == "explicit"
     digest = summarize(outdir)
     assert digest["rows"]
+
+
+def test_speedup_digests_agree_when_the_first_checkpoint_is_late(tmp_path, monkeypatch):
+    # a run whose first checkpoint comes after its start, and already makes
+    # 99.95% of its progress: measured from the start, both digests see the
+    # target reached at that checkpoint (from the checkpoint, it is the next)
+    from asyncopt import bench
+    from asyncopt.engine import measure_speedup
+    from asyncopt.serial import RunResult
+
+    plan = small_plan(tmp_path, algorithms=("hogwild",), workers=(1,))
+    f0 = build_objective(plan).value(np.zeros(12))
+    fmin = f0 / 2
+    late = RunResult(x=np.zeros(12), iters=200, gamma=0.1, seed=0,
+                     trace_iter=np.array([100, 200]), trace_a=None,
+                     trace_f=np.array([fmin + 5e-4 * (f0 - fmin), fmin]),
+                     trace_wall=np.array([1.0, 2.0]))
+    monkeypatch.setattr(bench, "run", lambda *args, **kwargs: (late, None))
+    (row,) = summarize(run_plan(plan))["rows"]
+    assert row["time_999"] == 1.0
+    assert measure_speedup({1: late}, f0, 0.999)[1]["time_to_target"] == 1.0

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -8,50 +9,15 @@ import scipy.stats
 import asyncopt as ao
 from asyncopt.engine import (
     FULL_SNAPSHOT,
-    AtomicCounter,
     OverlapReport,
     SampleLog,
     SharedIterate,
     measure_speedup,
-    overlap_report,
     run_ascd,
     run_hogwild,
     run_kromagnon,
 )
 from asyncopt.serial import RunResult, SolverConfig, run_scd, run_sgm, run_svrg_sparse
-
-
-def test_atomic_counter_respects_bound():
-    c = AtomicCounter()
-    assert c.next(limit=2) == 0
-    assert c.next(limit=2) == 1
-    assert c.next(limit=2) is None
-    # hitting the bound must not consume an index
-    assert c.next(limit=3) == 2
-    assert c.next() == 3
-
-
-def test_atomic_counter_thread_safety():
-    c = AtomicCounter()
-    seen = []
-    lock = threading.Lock()
-
-    def grab():
-        got = []
-        while True:
-            j = c.next(limit=5000)
-            if j is None:
-                break
-            got.append(j)
-        with lock:
-            seen.extend(got)
-
-    threads = [threading.Thread(target=grab) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(seen) == list(range(5000))
 
 
 def test_shared_iterate_clamps_and_reports_applied_delta():
@@ -92,7 +58,7 @@ def test_overlap_report_counts_open_interval_overlaps():
         t_last_write=np.array([10.0, 3.0, 6.0]),
         updates=None,
     )
-    rep = overlap_report(log)
+    rep = OverlapReport(log)
     assert rep.tau_observed == 2
     assert rep.histogram.tolist() == [0, 2, 1]
 
@@ -181,6 +147,78 @@ def test_ascd_updates_commute_to_final_iterate(ridge_small, native_worker_calls)
     assert np.abs(res.x - total).max() <= 1e-9
 
 
+@pytest.fixture
+def frequent_switches():
+    """Hand the interpreter lock between threads every microsecond, so that a
+    Python read-modify-write left unguarded is interrupted often."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["built", "unbuilt"])
+@pytest.mark.parametrize("mode", [ao.SPARSE_INCONSISTENT, FULL_SNAPSHOT])
+@pytest.mark.parametrize("algo", ["hogwild", "ascd"])
+def test_four_numpy_workers_log_each_sample_once(ridge_small, monkeypatch, native_worker_calls,
+                                                 frequent_switches, algo, mode, native):
+    # four workers on the NumPy reference stretch (the snapshot read mode, or
+    # no native build): each sample index is taken under the counter lock and
+    # each write under its stripe lock, so every j is logged once and the
+    # logged updates sum to x
+    from asyncopt import _stretch, engine
+
+    if not native:
+        monkeypatch.setattr(_stretch, "load", lambda: None)
+    taken = []
+    real_defer = engine.SampleLog.defer_updates
+
+    def spy(log, js, unpack):
+        taken.append(js.copy())
+        return real_defer(log, js, unpack)
+
+    monkeypatch.setattr(engine.SampleLog, "defer_updates", spy)
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02 if algo == "hogwild" else 0.005, total_iters=3000, seed=14)
+    x0 = np.zeros(obj.d)
+    res, rep = engine.run(obj, algo, cfg, x0, workers=4, mode=mode, log_updates=True)
+    native_path = native and mode == ao.SPARSE_INCONSISTENT
+    assert len(native_worker_calls) == (4 if native_path else 0)
+    log = rep.log
+    assert res.iters == len(log) == 3000
+    assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(res.iters))
+    assert ((log.worker >= 0) & (log.worker < 4)).all()
+    assert ((log.t_sample > 0) & (log.t_last_write >= log.t_sample)).all()
+    total = x0.copy()
+    for idx, deltas in log.updates:
+        total[idx] += deltas
+    assert np.abs(res.x - total).max() <= 1e-12
+
+
+def test_snapshot_read_sees_no_write_half_done():
+    # NumPy copies a large vector outside the interpreter lock; a writer that
+    # keeps x[0] - x[-1] in {0, 1} between its adds must not be caught between
+    # them by the full_consistent_snapshot read
+    from asyncopt.serial import _snapshot, add_clamped
+
+    x = np.zeros(200_000)
+    stop = threading.Event()
+
+    def write():
+        while not stop.is_set():
+            add_clamped(x, np.array([0]), np.array([1.0]), None, None)
+            add_clamped(x, np.array([x.size - 1]), np.array([1.0]), None, None)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        gaps = [c[0] - c[-1] for c in (_snapshot(x) for _ in range(200))]
+    finally:
+        stop.set()
+        writer.join()
+    assert x[0] > 0 and all(0.0 <= gap <= 1.0 for gap in gaps)
+
+
 def test_logged_updates_stop_at_the_last_checkpoint(native_worker_calls):
     # a diverged run keeps the log of its finite checkpoints only, updates too
     from conftest import make_ridge_desk
@@ -260,12 +298,12 @@ def test_measure_speedup_arithmetic():
         1: fake([10.0, 5.0, 1.0, 0.0], [0.0, 1.0, 2.0, 4.0]),
         2: fake([10.0, 1.0, 0.0], [0.0, 1.0, 2.0]),
     }
-    out = measure_speedup(runs, target_fraction=0.9)
+    out = measure_speedup(runs, 10.0, target_fraction=0.9)
     # target = 0 + 0.1 * 10 = 1.0; 1-worker reaches it at t=2, 2-worker at t=1
     assert out[1]["time_to_target"] == 2.0
     assert out[2]["speedup"] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        measure_speedup(runs, target_fraction=0.0)
+        measure_speedup(runs, 10.0, target_fraction=0.0)
 
 
 def test_measure_speedup_without_one_worker_progress():
@@ -275,7 +313,7 @@ def test_measure_speedup_without_one_worker_progress():
         return RunResult(x=np.zeros(1), iters=1, gamma=0.1, seed=0, trace_iter=np.arange(2),
                          trace_a=None, trace_f=np.asarray(f), trace_wall=np.array([0.0, 1.0]))
 
-    out = measure_speedup({1: fake([1.0, 2.0]), 2: fake([1.0, 0.5])}, 0.999)
+    out = measure_speedup({1: fake([1.0, 2.0]), 2: fake([1.0, 0.5])}, 1.0, 0.999)
     assert out[1] == {"time_to_target": 0.0, "speedup": None}
     assert out[2] == {"time_to_target": 1.0, "speedup": None}
 

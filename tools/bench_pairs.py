@@ -36,11 +36,18 @@ PAIRS = 10
 
 
 def run_once(checkout, workload, seed, seconds, trace):
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=900, check=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True, timeout=900, check=True,
+        )
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join((exc.stderr or "").strip().splitlines()[-20:])
+        print(f"{os.path.abspath(checkout)} {workload} s{seed} t{trace}: perfbench/run.py "
+              f"exited with {exc.returncode}; the end of its stderr:\n{tail}", file=sys.stderr,
+              flush=True)
+        raise
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{os.path.basename(os.path.abspath(checkout))} {workload} s{seed} t{trace}: "
           f"correct={out['correct']} failed={out['failed']}", file=sys.stderr, flush=True)
