@@ -1,6 +1,6 @@
 /* Native stretch kernels of asyncopt.serial's term kernels (sgm, svrg_sparse,
- * svrg_dense) and of its coordinate kernel (scd), loaded through ctypes by
- * asyncopt._stretch.
+ * svrg_dense) and of its coordinate kernel (scd), and the libsvm block reader
+ * of asyncopt.data (at the end), loaded through ctypes by asyncopt._stretch.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -408,4 +408,126 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
     free(buf);
     free(stamp);
     return used;
+}
+
+/* ---- libsvm reader -------------------------------------------------------
+ *
+ * parse_libsvm() reads whole lines of a block of a libsvm file, the strict
+ * grammar below only, and writes each row's label, length, 0-based indices
+ * and values.  asyncopt.data._libsvm_row is the format's one definition; a
+ * line this grammar accepts is one that function accepts with the same
+ * values (strtod and Python's float both round correctly), and the reader
+ * stops at every other line for that function to parse or refuse.
+ *
+ *   line    := ws* ( '#' any* | label ( ws+ feature )* ws* )? ( '\r'? '\n' | end )
+ *   label   := number (finite)
+ *   feature := digit{1,18} ':' number (finite), the index >= 1, above the
+ *              row's previous one, and at most d
+ *   number  := [+-]? ( digit+ ( '.' digit* )? | '.' digit+ ) ( [eE] [+-]? digit+ )?
+ *   ws      := ' ' | '\t'
+ */
+
+#define NUMBER_MAX 64 /* longer numbers are left to the reference */
+
+static inline int is_digit(char c) { return c >= '0' && c <= '9'; }
+static inline int is_ws(char c) { return c == ' ' || c == '\t'; }
+
+/* The finite value of the number that is all of s[0:n], or 0 when it is not one. */
+static int number(const char *s, int64_t n, double *out)
+{
+    const char *q = s, *end = s + n;
+    int64_t digits = 0;
+    if (q < end && (*q == '+' || *q == '-'))
+        q++;
+    for (; q < end && is_digit(*q); q++)
+        digits++;
+    if (q < end && *q == '.')
+        for (q++; q < end && is_digit(*q); q++)
+            digits++;
+    if (!digits)
+        return 0;
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        q++;
+        if (q < end && (*q == '+' || *q == '-'))
+            q++;
+        const char *e = q;
+        for (; q < end && is_digit(*q); q++)
+            ;
+        if (q == e)
+            return 0;
+    }
+    if (q != end || n > NUMBER_MAX)
+        return 0;
+    char buf[NUMBER_MAX + 1], *stop;
+    memcpy(buf, s, (size_t)n); /* strtod reads up to a NUL, which s need not have */
+    buf[n] = '\0';
+    double v = strtod(buf, &stop);
+    if (stop != buf + n || !isfinite(v)) /* a locale whose decimal point is not '.' stops early */
+        return 0;
+    *out = v;
+    return 1;
+}
+
+/* The label and features of the line p[0:end - p], which starts with neither
+ * ws nor '#': the number of features, written from indices[0] and values[0],
+ * or -1 when the line is outside the grammar. */
+static int64_t row(const char *p, const char *end, int64_t d, double *lab, int64_t *indices,
+                   double *values)
+{
+    const char *q = p;
+    while (q < end && !is_ws(*q))
+        q++;
+    if (!number(p, q - p, lab))
+        return -1;
+    int64_t k = 0, prev = 0;
+    for (;;) {
+        for (p = q; p < end && is_ws(*p); p++)
+            ;
+        if (p == end)
+            return k;
+        int64_t idx = 0;
+        for (q = p; q < end && is_digit(*q) && q - p < 18; q++)
+            idx = idx * 10 + (*q - '0');
+        if (q == p || q == end || *q != ':' || idx <= prev || idx > d)
+            return -1;
+        const char *v = ++q;
+        while (q < end && !is_ws(*q))
+            q++;
+        if (!number(v, q - v, &values[k]))
+            return -1;
+        indices[k++] = idx - 1;
+        prev = idx;
+    }
+}
+
+/* Parses the lines of s[st[0]:len] into the output arrays from row st[2] and
+ * feature st[3] on (they hold every row and feature the block can have),
+ * counting the lines it passes in st[1].  Returns 0 at len, or 1 with st[0]
+ * at the start of the first line outside the grammar. */
+int64_t parse_libsvm(const char *s, int64_t len, int64_t d, int64_t *st, double *label,
+                     int64_t *rowlen, int64_t *indices, double *values)
+{
+    int64_t pos = st[0], lines = st[1], rows = st[2], nnz = st[3];
+    while (pos < len) {
+        const char *p = s + pos, *nl = memchr(p, '\n', (size_t)(len - pos));
+        const char *end = nl ? nl : s + len;
+        if (nl && end > p && end[-1] == '\r')
+            end--;
+        while (p < end && is_ws(*p))
+            p++;
+        if (p < end && *p != '#') {
+            int64_t m = row(p, end, d, &label[rows], indices + nnz, values + nnz);
+            if (m < 0)
+                break;
+            rowlen[rows++] = m;
+            nnz += m;
+        }
+        lines++;
+        pos = nl ? nl - s + 1 : len;
+    }
+    st[0] = pos;
+    st[1] = lines;
+    st[2] = rows;
+    st[3] = nnz;
+    return pos < len;
 }

@@ -1,16 +1,18 @@
-"""The native stretch kernels of _stretch.c: build, load, and bind to a kernel.
+"""The native stretch kernels and libsvm reader of _stretch.c: build, load,
+and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
-first solver run, before its clock starts; never at import), into
-``__pycache__`` beside this file, or ``~/.cache/asyncopt`` when that cannot
-be written.  A cache directory or cached build that another user could
-write is never used: what is loaded into the process must be this user's
-(or root's).  The file name hashes the source and the flags, and the build
-is written to a temporary file and moved into place, so processes that
-build at once do not clash and a changed source is rebuilt.  When the build
-or the load fails, a one-line notice goes to stderr, once per process, and
-every kernel keeps its NumPy path.  ctypes releases the interpreter lock
-for the length of each call, so engine workers in a stretch run in parallel.
+first solver run, before its clock starts, or the first parse_libsvm; never
+at import), into ``__pycache__`` beside this file, or ``~/.cache/asyncopt``
+when that cannot be written.  A cache directory or cached build that another
+user could write is never used: what is loaded into the process must be
+this user's (or root's).  The file name hashes the source and the flags, and
+the build is written to a temporary file and moved into place, so processes
+that build at once do not clash and a changed source is rebuilt.  When the
+build or the load fails, a one-line notice goes to stderr, once per process,
+every kernel keeps its NumPy path and parse_libsvm its Python reader.
+ctypes releases the interpreter lock for the length of each call, so engine
+workers in a stretch run in parallel.
 
 ``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
 of scd's coordinates) of an objective whose phi has a native form, or None.
@@ -123,6 +125,8 @@ def _bind_functions(lib):
     lib.direction.restype = None
     lib.stretch.argtypes = [p, p, i64, p, i64, f64, i64, f64, f64, p, p]
     lib.stretch.restype = i64
+    lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p, p]
+    lib.parse_libsvm.restype = i64
     return lib
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import os
 import platform
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import SyntheticSpec, gen_synthetic, parse_edge_list, parse_libsvm
+from .data import SyntheticSpec, gen_synthetic, parse_edge_list, parse_libsvm, remap_covered
 from .engine import _with_origin, run, time_to_progress
 from .hypergraph import conflict_stats, intersection_probability_bound, tau_bound_comparison
 from .objectives import (
@@ -76,6 +77,11 @@ def build_objective(plan: BenchPlan):
         data = parse_libsvm(plan.dataset, l2_reg=plan.l2_reg)
     else:
         data = gen_synthetic(plan.synthetic, l2_reg=plan.l2_reg)
+    d = data.d
+    data, kept = remap_covered(data)  # the objectives need every coordinate covered
+    if kept.size < d:
+        print(f"asyncopt: dropped {d - kept.size} of {d} feature columns that no row uses",
+              file=sys.stderr)
     if plan.problem == "logreg":
         data.labels = np.where(data.labels > 0, 1.0, -1.0)
         return logistic_objective(data)

@@ -44,9 +44,22 @@ def _plan_from_args(args):
     )
 
 
+def _refused_as_usage(args, make):
+    """make(), with a refused input (a data file that cannot be opened or that
+    the loader refuses, a refused setting) reported as a usage error, as
+    argparse's own refusals are."""
+    try:
+        return make()
+    except (OSError, ValueError) as exc:
+        args.usage_error(str(exc))
+
+
+def _objective(args):
+    return _refused_as_usage(args, lambda: build_objective(_plan_from_args(args)))
+
+
 def cmd_stats(args):
-    plan = _plan_from_args(args)
-    obj = build_objective(plan)
+    obj = _objective(args)
     st = conflict_summary(obj)
     print(f"terms (n):              {obj.n}")
     print(f"coordinates (d):        {obj.d}")
@@ -61,12 +74,12 @@ def cmd_stats(args):
 
 
 def cmd_run(args):
-    plan = _plan_from_args(args)
-    obj = build_objective(plan)
+    obj = _objective(args)
     rule = "explicit" if args.gamma is not None else SOLVERS[args.mode].rule
     common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
                   linf=LinfBall(args.linf_radius))
-    try:  # a refused setting is a usage error, as argparse's own refusals are
+
+    def settings():
         if SOLVERS[args.mode].epochal:
             cfg = SolverConfig(epoch_size=args.epoch_size or obj.n, epochs=args.epochs or 5,
                                log_every=args.log_every, **common)
@@ -76,8 +89,9 @@ def cmd_run(args):
                                **common)
         cfg = resolve_config(cfg, obj, args.mode)
         check_workers(args.mode, args.workers)
-    except ValueError as exc:
-        args.usage_error(str(exc))
+        return cfg
+
+    cfg = _refused_as_usage(args, settings)
     if rule != "explicit":
         print(f"step size {cfg.gamma:.3e} from rule {rule}", file=sys.stderr)
     mode = FULL_SNAPSHOT if args.read == "full" else SPARSE_INCONSISTENT
@@ -108,7 +122,7 @@ def _plan_value(field, value):
     return {"str": str, "int": int, "float": float}[kind](value)
 
 
-def cmd_bench(args):
+def _bench_plan(args):
     # config-file values first, then command-line flags; unset flags are None
     raw = read_key_values(args.config) if args.config else {}
     flags = vars(args)
@@ -123,7 +137,11 @@ def cmd_bench(args):
         values["synthetic"] = _synthetic_spec(
             values["synthetic"], values.get("problem", BenchPlan.problem), args.synthetic_seed
         )
-    outdir = run_plan(BenchPlan(**values))
+    return BenchPlan(**values)
+
+
+def cmd_bench(args):
+    outdir = _refused_as_usage(args, lambda: run_plan(_bench_plan(args)))
     print(f"benchmark artifacts in {outdir}")
     return 0
 
@@ -156,7 +174,7 @@ def main(argv=None):
 
     p = sub.add_parser("stats", help="hypergraph conflict statistics")
     _add_data_args(p)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, usage_error=p.error)
 
     p = sub.add_parser("run", help="run a single solver")
     _add_data_args(p)
@@ -184,7 +202,7 @@ def main(argv=None):
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--epoch-size", type=int, default=None)
     p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, usage_error=p.error)
 
     p = sub.add_parser("summarize", help="summarize a benchmark directory")
     p.add_argument("dir")

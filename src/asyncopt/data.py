@@ -4,16 +4,23 @@ Covers the libsvm text format (sparse rows, 1-based indices), a synthetic
 sparse regression generator with a planted weight vector, and plain edge
 lists for the vertex cover relaxation.  Files ending in .gz are read and
 written through gzip transparently.
+
+``_libsvm_row`` is the one definition of a libsvm line.  ``parse_libsvm``
+reads a file in blocks of whole lines with the native reader of _stretch.c,
+which takes a strict subset of that format, and hands each line it stops at
+to ``_libsvm_row``; without the library, ``_libsvm_row`` reads every line.
 """
 
 from __future__ import annotations
 
 import gzip
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _stretch
 from .objectives import RegressionDataset, VertexCoverProblem
 
 __all__ = [
@@ -27,7 +34,7 @@ __all__ = [
 ]
 
 
-def _open_text(path, mode="rt"):
+def _open(path, mode="rt"):
     path = str(path)
     if path.endswith(".gz"):
         return gzip.open(path, mode)
@@ -54,65 +61,157 @@ class SyntheticSpec:
             raise ValueError(f"unknown label_model {self.label_model!r}")
 
 
-def parse_libsvm(path, d=None, l2_reg=0.0) -> RegressionDataset:
-    """Parse 'label idx:val ...' lines; 1-based indices become 0-based."""
-    labels = []
-    indptr = [0]
-    indices = []
-    data = []
-    max_idx = -1
-    with _open_text(path) as fh:
+_BLOCK = 1 << 22  # bytes the native reader reads at a time; a block is cut at a line end
+_NO_D = int(np.iinfo(np.int64).max)  # the native reader's index limit when d is not given
+
+
+def _libsvm_row(line, lineno, d):
+    """The libsvm format, one line at a time: None for a blank or '#' line,
+    else (label, 0-based indices, values) of 'label idx:val ...' with 1-based,
+    strictly increasing indices, at most d when d is given.  A line outside
+    the format raises ValueError naming lineno."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split()
+    try:
+        label = float(parts[0])
+    except ValueError:
+        label = np.nan
+    if not np.isfinite(label):
+        raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
+    indices, values = [], []
+    prev = -1
+    for tok in parts[1:]:
+        try:
+            i_s, v_s = tok.split(":")
+            idx = int(i_s) - 1
+            val = float(v_s)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed feature {tok!r}") from None
+        if idx < 0 or not np.isfinite(val):
+            raise ValueError(f"line {lineno}: bad feature {tok!r}")
+        if idx <= prev:
+            raise ValueError(f"line {lineno}: indices must be strictly increasing")
+        if d is not None and idx >= d:
+            raise ValueError(f"line {lineno}: feature index {idx + 1} exceeds requested d={d}")
+        prev = idx
+        indices.append(idx)
+        values.append(val)
+    return label, indices, values
+
+
+def _read_text(path, d):
+    """(labels, row lengths, indices, values) of the file, line by line in text mode."""
+    labels, lens, indices, values = [], [], [], []
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+            row = _libsvm_row(line, lineno, d)
+            if row is not None:
+                labels.append(row[0])
+                lens.append(len(row[1]))
+                indices += row[1]
+                values += row[2]
+    return (np.asarray(labels, dtype=np.float64), np.asarray(lens, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
+
+
+def _blocks(fh):
+    """(block, end) pairs of a binary file: block[:end] is whole lines, and
+    what follows end is carried into the next block."""
+    tail = b""
+    while True:
+        chunk = fh.read(_BLOCK)
+        block = tail + chunk
+        if not chunk:
+            if block:
+                yield block, len(block)
+            return
+        end = block.rfind(b"\n") + 1
+        tail = block[end:]
+        if end:
+            yield block, end
+
+
+def _plain(block, end):
+    """Whether the lines of block[:end] read the same in binary and in text mode:
+    ASCII only, and every \\r the start of a \\r\\n."""
+    return block.isascii() and (b"\r" not in block
+                                or block.count(b"\r", 0, end) == block.count(b"\r\n", 0, end))
+
+
+def _read_block(lib, block, end, base, d):
+    """The arrays of the lines of block[:end], the first of them line base + 1:
+    the native reader's, and _libsvm_row's for each line it stops at."""
+    rows = block.count(b"\n", 0, end) + 1
+    labels, lens = np.empty(rows), np.empty(rows, dtype=np.int64)
+    nnz = block.count(b":", 0, end)  # every feature has its own colon
+    indices, values = np.empty(nnz, dtype=np.int64), np.empty(nnz)
+    st = np.zeros(4, dtype=np.int64)  # position, lines passed, rows and features written
+    ptrs = [a.ctypes.data for a in (st, labels, lens, indices, values)]
+    limit = _NO_D if d is None else min(d, _NO_D)
+    while lib.parse_libsvm(block, end, limit, *ptrs):
+        pos, lines, r, k = st.tolist()
+        stop = block.find(b"\n", pos, end)
+        nxt = end if stop < 0 else stop + 1
+        row = _libsvm_row(block[pos:nxt].decode("ascii"), base + lines + 1, d)
+        if row is not None:
+            m = len(row[1])
+            labels[r], lens[r] = row[0], m
+            indices[k:k + m], values[k:k + m] = row[1], row[2]
+            st[2:] = r + 1, k + m
+        st[:2] = nxt, lines + 1
+    lines, r, k = st[1:].tolist()
+    return lines, (labels[:r], lens[:r], indices[:k], values[:k])
+
+
+def _read_native(lib, path, d):
+    """The arrays of _read_text(path, d), read in blocks of whole lines by the
+    native reader; None, for _read_text to read (and raise what it raises),
+    when the file's byte lines are not its text lines (a byte outside ASCII, a
+    lone \\r), an index does not fit in int64, or the file is empty."""
+    parts, base = [], 0
+    with _open(path, "rb") as fh:
+        blocks = _blocks(fh)
+        for block, end in blocks:
+            if not _plain(block, end):
+                return None
             try:
-                label = float(parts[0])
+                lines, arrays = _read_block(lib, block, end, base, d)
             except ValueError:
-                label = np.nan
-            if not np.isfinite(label):
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}")
-            labels.append(label)
-            prev = -1
-            for tok in parts[1:]:
-                try:
-                    i_s, v_s = tok.split(":")
-                    idx = int(i_s) - 1
-                    val = float(v_s)
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: malformed feature {tok!r}"
-                    ) from None
-                if idx < 0 or not np.isfinite(val):
-                    raise ValueError(f"line {lineno}: bad feature {tok!r}")
-                if idx <= prev:
-                    raise ValueError(
-                        f"line {lineno}: indices must be strictly increasing"
-                    )
-                prev = idx
-                indices.append(idx)
-                data.append(val)
-            max_idx = max(max_idx, prev)
-            indptr.append(len(indices))
-    dim = (max_idx + 1) if d is None else d
-    if max_idx >= dim:
-        raise ValueError(f"feature index {max_idx} exceeds requested d={dim}")
-    X = sp.csr_matrix(
-        (
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-        ),
-        shape=(len(labels), dim),
-    )
-    return RegressionDataset(X=X, labels=np.asarray(labels), l2_reg=l2_reg)
+                # the text reader raises the same, unless it fails to decode first
+                if all(_plain(b, e) for b, e in blocks):
+                    raise
+                return None
+            except OverflowError:
+                return None
+            parts.append(arrays)
+            base += lines
+    if not parts:  # an empty file
+        return None
+    return tuple(a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*parts))
+
+
+def parse_libsvm(path, d=None, l2_reg=0.0) -> RegressionDataset:
+    """Parse 'label idx:val ...' lines (_libsvm_row); 1-based indices become
+    0-based, and d defaults to the largest index.  The result, or the error,
+    is the same with and without the native reader."""
+    if d is not None:
+        d = operator.index(d)  # an integer, refused alike by both readers otherwise
+    lib = _stretch.load()
+    arrays = None if lib is None else _read_native(lib, path, d)
+    labels, lens, indices, values = arrays if arrays is not None else _read_text(path, d)
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    dim = (int(indices.max()) + 1 if indices.size else 0) if d is None else d
+    X = sp.csr_matrix((values, indices, indptr), shape=(labels.size, dim))
+    return RegressionDataset(X=X, labels=labels, l2_reg=l2_reg)
 
 
 def write_libsvm(path, dataset: RegressionDataset):
     """Inverse of parse_libsvm (indices written 1-based)."""
     X = dataset.X
-    with _open_text(path, "wt") as fh:
+    with _open(path, "wt") as fh:
         for i in range(dataset.n):
             lo, hi = X.indptr[i], X.indptr[i + 1]
             feats = " ".join(
@@ -151,7 +250,7 @@ def parse_edge_list(path, beta=1.0, num_vertices=None) -> VertexCoverProblem:
     """Whitespace-separated 'u v' lines; dedups edges and drops self-loops."""
     seen = set()
     max_v = -1
-    with _open_text(path) as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -178,7 +277,7 @@ def write_edge_list(path, problem: VertexCoverProblem):
     """Inverse of parse_edge_list.  An isolated last vertex is written as a
     self-loop, which the parser counts as a vertex and then drops."""
     top = problem.num_vertices - 1
-    with _open_text(path, "wt") as fh:
+    with _open(path, "wt") as fh:
         for u, v in problem.edges:
             fh.write(f"{u} {v}\n")
         if top > problem.edges.max(initial=-1):
@@ -187,8 +286,7 @@ def write_edge_list(path, problem: VertexCoverProblem):
 
 def remap_covered(dataset: RegressionDataset):
     """Drop all-zero feature columns; returns (new dataset, kept column ids)."""
-    col_counts = np.diff(dataset.X.tocsc().indptr)
-    kept = np.flatnonzero(col_counts > 0)
+    kept = np.flatnonzero(np.bincount(dataset.X.indices, minlength=dataset.d))
     if kept.size == dataset.d:
         return dataset, kept
     X = dataset.X[:, kept].tocsr()

@@ -187,3 +187,37 @@ def test_bench_flags_override_config_file(tmp_path):
     man = (outdir / "manifest.txt").read_text()
     assert "l2_reg=0.5" in man and "epochs=2" in man and "problem=linreg" in man
     assert (outdir / "runs" / "svrg_dense_w1_s0.csv").exists()
+
+
+def test_libsvm_file_with_an_unused_feature_id(tmp_path, capsys):
+    # feature ids 1, 3, 4: column 2 is covered by no term and is remapped out
+    p = tmp_path / "skip.txt"
+    p.write_text("1 1:0.5 3:1\n-1 3:2\n1 1:1 4:0.5\n")
+    for argv in (["stats", "--problem", "logreg", "--data", str(p)],
+                 ["run", "--problem", "linreg", "--data", str(p), "--mode", "sgm",
+                  "--gamma", "0.01", "--iters", "50"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "dropped 1 of 4 feature columns" in captured.err
+    assert main(["stats", "--problem", "linreg", "--synthetic", "50,1000,3"]) == 0
+    captured = capsys.readouterr()
+    assert "dropped 860 of 1000 feature columns" in captured.err
+    assert "coordinates (d):        140" in captured.out
+
+
+@pytest.mark.parametrize("command", ["stats", "run", "bench"])
+def test_refused_data_file_is_a_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 1:0.5\n-1 2:x\n")
+    flags = {"stats": [], "run": ["--mode", "sgm", "--gamma", "0.01"],
+             "bench": ["--outdir", str(tmp_path / "out")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "logreg", "--data", str(p), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: asyncopt {command}" in err
+    assert "error: line 2: malformed feature '2:x'" in err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "logreg", "--data", str(tmp_path / "missing.txt"), *flags])
+    assert exc.value.code == 2
+    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err

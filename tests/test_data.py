@@ -1,4 +1,6 @@
+import functools
 import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
+from asyncopt import _stretch
+from asyncopt import data as data_mod
 from asyncopt.data import parse_edge_list, parse_libsvm, write_edge_list, write_libsvm
+
+
+def _reference(call, *args, **kwargs):
+    """call(*args, **kwargs) with the native library unloaded: the per-line Python reader."""
+    with mock.patch.object(_stretch, "load", lambda: None):
+        return call(*args, **kwargs)
+
+
+def _outcome(call, *args, **kwargs):
+    """Every array of the parsed dataset as bytes, or the exception's type and message."""
+    try:
+        ds = call(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    X = ds.X
+    return (X.shape, X.indptr.dtype, X.indptr.tobytes(), X.indices.dtype, X.indices.tobytes(),
+            X.data.tobytes(), ds.labels.dtype, ds.labels.tobytes())
 
 
 def test_parse_libsvm_basic(tmp_path):
@@ -50,6 +71,16 @@ def test_parse_libsvm_rejects_nonfinite_label(tmp_path):
         p.write_text(f"1 1:0.5\n{label} 1:1.0\n")
         with pytest.raises(ValueError, match=f"line 2: bad label '{label}'"):
             parse_libsvm(p, l2_reg=0.0)
+
+
+@pytest.mark.parametrize("reader", ["native", "reference"])
+def test_parse_libsvm_index_above_requested_d(tmp_path, reader):
+    p = tmp_path / "wide.txt"
+    p.write_text("-1 1:2.0\n1 3:1.0\n")
+    parse = parse_libsvm if reader == "native" else functools.partial(_reference, parse_libsvm)
+    with pytest.raises(ValueError, match=r"^line 2: feature index 3 exceeds requested d=2$"):
+        parse(p, d=2)
+    assert parse(p, d=3).X.shape == (2, 3)
 
 
 def test_libsvm_roundtrip(tmp_path):
@@ -182,3 +213,100 @@ def test_remap_covered():
     assert mapped.X.shape == (2, 2)
     obj = ao.least_squares_objective(mapped)
     assert obj.d == 2
+
+
+# The differential test's alphabet: numbers the native grammar takes, numbers only
+# Python's int and float take, tokens neither takes, and bytes whose text-mode lines
+# differ from their byte lines.
+_LABELS = ["1", "-1", "+1", "0.25", "-0", "3e2", ".5", "7.", "1_0"]
+_BAD_LABELS = ["0x10", "inf", "nan", "-inf", "abc", "1e999", "1:2"]
+_INDEX_FORMS = [str] * 8 + [lambda i: f"+{i}", lambda i: f"00{i}", lambda i: "_".join(str(i))]
+_VALUES = ["0.5", "-1.25e-3", "7", ".5", "1.", "-0", "+2", "1E+2", "1e-400", "4.9e-324",
+           "0.1000000000000000055511151231257827", "123456789012345678901234567890",
+           "1_0", "+2_5e-1"]
+_BAD_FEATURES = ["0x10:1", "1e3:1", "3:inf", "3:nan", "3:-inf", "3:0x1p3", "3:1e999", "1.5:2",
+                 "3:", ":3", "qid:1", "1:2:3", "0:1", "-3:2", "#", "3:\x0c1",
+                 "99999999999999999999:1"]
+_SEPS = [" ", "\t", "  ", " \t "]
+
+
+@st.composite
+def _libsvm_file(draw):
+    """A file's bytes: lines of the grammar and of Python's wider numbers; in some
+    files refused tokens on some lines; in a few, bytes whose text-mode lines are
+    not their byte lines (a byte outside ASCII, a lone \\r)."""
+    bad_file, odd = draw(st.booleans()), not draw(st.integers(0, 3))
+    raw = b""
+    for _ in range(draw(st.integers(0, 12))):
+        bad = bad_file and draw(st.booleans())
+        kind = draw(st.sampled_from(["row"] * 12 + ["comment", "blank", "label"]
+                                    + ["odd"] * 2 * odd))
+        if kind == "comment":
+            body = draw(st.sampled_from(["# c 1:2", "  #", "\t# x"]))
+        elif kind == "blank":
+            body = draw(st.sampled_from(["", "  ", "\t"]))
+        elif kind == "label":  # a row with no feature, which the dataset refuses
+            body = draw(st.sampled_from(_LABELS))
+        elif kind == "odd":
+            body = draw(st.sampled_from(["1 1:2\xff", "\xff", "1 1:2\r3:4"]))
+        else:
+            body = draw(st.sampled_from(_LABELS + _BAD_LABELS * bad))
+            idx = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=5)))
+            if bad and draw(st.booleans()):
+                idx = draw(st.permutations(idx + idx[:1]))
+            feats = [f"{draw(st.sampled_from(_INDEX_FORMS))(i)}:{draw(st.sampled_from(_VALUES))}"
+                     for i in idx]
+            if bad and draw(st.booleans()):
+                feats.insert(draw(st.integers(0, len(feats))),
+                             draw(st.sampled_from(_BAD_FEATURES)))
+            for f in feats:
+                body += draw(st.sampled_from(_SEPS)) + f
+            body = draw(st.sampled_from(["", " ", "\t"])) + body + draw(st.sampled_from(["", " "]))
+        end = draw(st.sampled_from(["\n", "\r\n", " \r\n"] + ["\r"] * odd))
+        raw += body.encode("latin-1") + end.encode()
+    if draw(st.booleans()):  # no line end after the last line
+        raw = raw.rstrip(b"\r\n")
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(_libsvm_file(), st.booleans(), st.integers(1, 48), st.none() | st.integers(6, 13))
+def test_native_libsvm_reader_matches_the_reference(tmp_path_factory, raw, gz, block, d):
+    if _stretch.load() is None:
+        pytest.skip("the native library did not build")
+    p = tmp_path_factory.mktemp("diff") / ("f.txt.gz" if gz else "f.txt")
+    with (gzip.open if gz else open)(p, "wb") as fh:
+        fh.write(raw)
+    expected = _outcome(_reference, parse_libsvm, p, d=d)
+    text_reads = []
+    read_text = data_mod._read_text
+    with mock.patch.object(data_mod, "_BLOCK", block), \
+            mock.patch.object(data_mod, "_read_text",
+                              lambda *a: text_reads.append(a) or read_text(*a)):
+        got = _outcome(parse_libsvm, p, d=d)
+    assert got == expected
+    # the native reader reads every nonempty file whose byte lines are its text lines
+    plain = raw.isascii() and raw.count(b"\r") == raw.count(b"\r\n")
+    if raw and plain and expected[0] is not OverflowError:
+        assert not text_reads
+
+
+@pytest.mark.parametrize("line", [f"{label} 2:0.5 5:-1" for label in _LABELS + _BAD_LABELS]
+                         + [f"1 2:0.5 {feat}" for feat in _BAD_FEATURES]
+                         + [f"1 {form(7)}:{v}" for form in _INDEX_FORMS[7:] for v in _VALUES])
+def test_native_libsvm_reader_matches_the_reference_token_by_token(tmp_path, line):
+    if _stretch.load() is None:
+        pytest.skip("the native library did not build")
+    p = tmp_path / "line.txt"
+    p.write_bytes(f"1 1:2\n{line}\n-1 3:4\n".encode())
+    assert _outcome(parse_libsvm, p) == _outcome(_reference, parse_libsvm, p)
+
+
+@pytest.mark.parametrize("d", [1_000, 100_000])  # the benchmark's two shapes, fewer rows
+def test_native_libsvm_reader_on_written_datasets(tmp_path, d):
+    spec = ao.SyntheticSpec(n=3_000, d=d, nnz=20, label_model="logistic", seed=3000)
+    p = tmp_path / "w.txt"
+    write_libsvm(p, ao.gen_synthetic(spec))
+    with mock.patch.object(data_mod, "_BLOCK", 1 << 16):  # many blocks
+        got = _outcome(parse_libsvm, p)
+    assert got == _outcome(_reference, parse_libsvm, p)

@@ -13,8 +13,14 @@ alternates from pair to pair.  It records, for every end-to-end metric,
 the median, quartiles and spread of each side as perfbench/spread.py
 defines them (the definition BENCHMARK.json's bounds are judged against),
 the ratio of the medians (change over parent) and the number of pairs the
-change wins.  It also makes one --trace 1 pair on the first seed and keeps
-every metric of that pair.  Every run's gate result is kept, and so are
+change wins, and two verdicts: `gain`, when the change wins at least nine
+in ten pairs and its median differs from the parent's, in the better
+direction, by more than the distance between the parent's quartiles; and
+`within_bound`, when the change's median is no worse than the parent's by
+more than the metric's BENCHMARK.json bound (a fraction of the parent's
+median).  It prints one line per workload naming the metrics that gained
+and any out of bound.  It also makes one --trace 1 pair on the first seed
+and keeps every metric of that pair.  Every run's gate result is kept, and so are
 src_lines and native_lines, the totals of `wc -l src/asyncopt/*.py` and of
 `wc -l src/asyncopt/*.c`, of each checkout.
 """
@@ -78,10 +84,23 @@ def compare(spec, parent_runs, change_runs):
             s = summaries[side][name]
             row[side] = {k: s[k] for k in ("median", "q1", "q3", "spread")}
             row[side]["values"] = values[side]
-        row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+        parent, change = row["parent"]["median"], row["change"]["median"]
+        gained = parent - change if lower else change - parent
+        row["ratio"] = change / parent
         row["change_wins"] = wins
+        row["gain"] = wins >= 0.9 * len(values["parent"]) and gained > (
+            row["parent"]["q3"] - row["parent"]["q1"])
+        row["within_bound"] = gained >= -m["bound"] * parent
         table[name] = row
     return table
+
+
+def verdict(workload, table):
+    """One line: the metrics that gained, and any whose median is out of bound."""
+    gains = [k for k, row in table.items() if row["gain"]]
+    out = [k for k, row in table.items() if not row["within_bound"]]
+    return (f"{workload}: gain in {', '.join(gains) or 'none'}; "
+            f"out of bound: {', '.join(out) or 'none'}")
 
 
 def main(argv=None):
@@ -114,10 +133,12 @@ def main(argv=None):
                 runs.append(run_once(path, w, s, seconds, 0))
         traced = {side: run_once(path, w, seeds[0], seconds, 1)["metrics"]
                   for side, path in (("parent", args.parent), ("change", args.change))}
+        table = compare(spec, parent_runs, change_runs)
+        print(verdict(w, table), flush=True)
         result["workloads"][w] = {
             "gates": {side: [{"correct": r["correct"], "failed": r["failed"]} for r in runs]
                       for side, runs in (("parent", parent_runs), ("change", change_runs))},
-            "end_to_end": compare(spec, parent_runs, change_runs),
+            "end_to_end": table,
             "per_layer_first_seed": {
                 k: {side: traced[side][k]["value"] for side in traced} for k in traced["change"]
             },
