@@ -1,6 +1,7 @@
 /* Native stretch kernels of asyncopt.serial's term kernels (sgm, svrg_sparse,
- * svrg_dense) and of its coordinate kernel (scd), and the libsvm block reader
- * of asyncopt.data (at the end), loaded through ctypes by asyncopt._stretch.
+ * svrg_dense) and of its coordinate kernel (scd), the libsvm block reader of
+ * asyncopt.data and the conflict-degree count of asyncopt.hypergraph (both
+ * at the end), loaded through ctypes by asyncopt._stretch.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -530,4 +531,64 @@ int64_t parse_libsvm(const char *s, int64_t len, int64_t d, int64_t *st, double 
     st[2] = rows;
     st[3] = nnz;
     return pos < len;
+}
+
+/* ---- conflict degrees ----------------------------------------------------
+ *
+ * conflict_degrees() counts, for each term i in [lo, hi), the distinct other
+ * terms that share a coordinate with it: the degrees of asyncopt.hypergraph's
+ * conflict graph.  It walks the term lists of i's coordinates, the columns
+ * of the de-duplicated 0/1 pattern B held as the CSR of B^T (cindptr,
+ * cindices), and stamps each term it meets with i's mark in an array of n
+ * stamps, i's own first so that i is not counted.  A term costs its
+ * coordinates' summed term counts, sum_v count_v^2 in all, in O(n) memory,
+ * and no part of B B^T is formed.  The count is branch-free: a branch on
+ * the stamp mispredicts about as often as a neighbour repeats, and measured
+ * 3.5 times slower at d = 1,000.  The stamps are 32-bit, half the cache
+ * footprint of 64-bit ones (1.4 times faster at n = 20,000); after 2^32 - 1
+ * marks they are cleared and the marks start again.  Each call has its own
+ * stamps, so calls on disjoint row ranges can run on threads at once. */
+
+/* The terms in the column entries cindices[c0..c1) not stamped with mark,
+ * stamping them all; inlined with a constant cwide. */
+static inline __attribute__((always_inline)) int64_t
+unstamped(const void *cindices, int64_t c0, int64_t c1, const int64_t cwide, uint32_t *stamp,
+          uint32_t mark)
+{
+    int64_t c = 0;
+    for (int64_t q = c0; q < c1; q++) {
+        int64_t k = at(cindices, q, cwide);
+        c += stamp[k] != mark;
+        stamp[k] = mark;
+    }
+    return c;
+}
+
+/* degrees[i] for i in [lo, hi) from B (indptr, indices; wide) and B^T
+ * (cindptr, cindices; cwide), of n terms.  Returns 0, or -1 when out of
+ * memory. */
+int64_t conflict_degrees(const void *indptr, const void *indices, int64_t wide,
+                         const void *cindptr, const void *cindices, int64_t cwide, int64_t n,
+                         int64_t lo, int64_t hi, int64_t *degrees)
+{
+    uint32_t *stamp = calloc((size_t)(n > 0 ? n : 1), sizeof *stamp), mark = 0;
+    if (!stamp)
+        return -1;
+    for (int64_t i = lo; i < hi; i++) {
+        if (++mark == 0) {
+            memset(stamp, 0, (size_t)n * sizeof *stamp);
+            mark = 1;
+        }
+        int64_t c = 0;
+        stamp[i] = mark;
+        for (int64_t q = at(indptr, i, wide); q < at(indptr, i + 1, wide); q++) {
+            int64_t v = at(indices, q, wide);
+            int64_t c0 = at(cindptr, v, cwide), c1 = at(cindptr, v + 1, cwide);
+            c += cwide ? unstamped(cindices, c0, c1, 1, stamp, mark)
+                       : unstamped(cindices, c0, c1, 0, stamp, mark);
+        }
+        degrees[i] = c;
+    }
+    free(stamp);
+    return 0;
 }

@@ -1,18 +1,22 @@
-"""The native stretch kernels and libsvm reader of _stretch.c: build, load,
-and bind to a kernel.
+"""The native stretch kernels, libsvm reader and conflict-degree count of
+_stretch.c: build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
-first solver run, before its clock starts, or the first parse_libsvm; never
-at import), into ``__pycache__`` beside this file, or ``~/.cache/asyncopt``
-when that cannot be written.  A cache directory or cached build that another
-user could write is never used: what is loaded into the process must be
-this user's (or root's).  The file name hashes the source and the flags, and
-the build is written to a temporary file and moved into place, so processes
-that build at once do not clash and a changed source is rebuilt.  When the
-build or the load fails, a one-line notice goes to stderr, once per process,
-every kernel keeps its NumPy path and parse_libsvm its Python reader.
-ctypes releases the interpreter lock for the length of each call, so engine
-workers in a stretch run in parallel.
+first solver run, before its clock starts, the first parse_libsvm or the
+first conflict_stats; never at import), into ``__pycache__`` beside this
+file, or ``~/.cache/asyncopt`` when that cannot be written.  A cache
+directory or cached build that another user could write is never used:
+what is loaded into the process must be this user's (or root's).  The
+file name hashes the source and the flags, and the build is written to a
+temporary file and moved into place, so processes that build at once do
+not clash and a changed source is rebuilt.  A build into ``__pycache__``
+removes this user's older builds there; the shared ``~/.cache/asyncopt``
+is never pruned, as another checkout may be loading from it.  When the
+build or the load fails, a one-line notice goes to stderr, once per
+process, every kernel keeps its NumPy path, parse_libsvm its Python reader
+and conflict_stats its blocked B @ B^T.  ctypes releases the interpreter
+lock for the length of each call, so engine workers in a stretch, and the
+threads of a conflict count, run in parallel.
 
 ``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
 of scd's coordinates) of an objective whose phi has a native form, or None.
@@ -21,6 +25,7 @@ of scd's coordinates) of an objective whose phi has a native form, or None.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import platform
@@ -87,7 +92,7 @@ def _build():
     key = hashlib.sha256(
         b"\0".join([source, _CC.encode(), " ".join(_FLAGS).encode(), platform.machine().encode()])
     ).hexdigest()[:16]
-    for cache in _cache_dirs():
+    for rank, cache in enumerate(_cache_dirs()):
         try:
             os.makedirs(cache, mode=0o700, exist_ok=True)
         except OSError:
@@ -99,8 +104,22 @@ def _build():
             return path
         if os.access(cache, os.W_OK):
             _compile(path)
+            if rank == 0:  # the checkout's own; another checkout may load from the others
+                _prune(cache, path)
             return path
     raise OSError("no cache directory that only this user can write")
+
+
+def _prune(cache, keep):
+    """Remove this user's builds in cache other than keep, each edit of the
+    source having left one; a build that cannot be removed stays."""
+    for name in glob.glob("_stretch-*.so", root_dir=cache):
+        path = os.path.join(cache, name)
+        try:
+            if path != keep and os.stat(path).st_uid == os.getuid():
+                os.unlink(path)
+        except OSError:
+            pass
 
 
 def _compile(path):
@@ -127,6 +146,8 @@ def _bind_functions(lib):
     lib.stretch.restype = i64
     lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p, p]
     lib.parse_libsvm.restype = i64
+    lib.conflict_degrees.argtypes = [p, p, i64, p, p, i64, i64, i64, i64, p]
+    lib.conflict_degrees.restype = i64
     return lib
 
 

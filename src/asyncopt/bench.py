@@ -107,7 +107,7 @@ def _stats_block(obj, budget):
     cost = int((obj.weights.counts**2).sum())  # the pair work of conflict_stats
     lines = [f"stats_cost={cost}"]
     if cost > budget:
-        lines.append("conflict_stats=skipped (cost above budget)")
+        lines.append(f"conflict_stats=skipped (pair work {cost} above stats_budget {budget})")
     else:
         lines += [f"{k}={v}" for k, v in conflict_summary(obj).items()]
     return "\n".join(lines)

@@ -208,16 +208,22 @@ def parse_libsvm(path, d=None, l2_reg=0.0) -> RegressionDataset:
     return RegressionDataset(X=X, labels=labels, l2_reg=l2_reg)
 
 
+_WRITE_ROWS = 4096  # rows formatted at once by write_libsvm; bounds its Python objects
+
+
 def write_libsvm(path, dataset: RegressionDataset):
     """Inverse of parse_libsvm (indices written 1-based)."""
     X = dataset.X
     with _open(path, "wt") as fh:
-        for i in range(dataset.n):
-            lo, hi = X.indptr[i], X.indptr[i + 1]
-            feats = " ".join(
-                f"{j + 1}:{v:.17g}" for j, v in zip(X.indices[lo:hi], X.data[lo:hi])
-            )
-            fh.write(f"{dataset.labels[i]:.17g} {feats}\n")
+        for r0 in range(0, dataset.n, _WRITE_ROWS):  # the Python numbers of one block at a time
+            r1 = min(r0 + _WRITE_ROWS, dataset.n)
+            lo, hi = X.indptr[r0], X.indptr[r1]
+            pairs = [None] * (2 * (hi - lo))  # index, value, index, value, ...
+            pairs[0::2] = (X.indices[lo:hi].astype(np.int64) + 1).tolist()
+            pairs[1::2] = X.data[lo:hi].tolist()
+            ends = (2 * (X.indptr[r0:r1 + 1] - lo)).tolist()
+            for label, a, b in zip(dataset.labels[r0:r1].tolist(), ends, ends[1:]):
+                fh.write(("%.17g" + " %d:%.17g" * ((b - a) // 2) + "\n") % (label, *pairs[a:b]))
 
 
 def gen_synthetic(spec: SyntheticSpec, l2_reg=0.0) -> RegressionDataset:

@@ -3,16 +3,23 @@
 Two terms conflict when their hyperedges share at least one coordinate.  The
 average conflict degree drives how much staleness an asynchronous run can
 tolerate, so these statistics are reported alongside every benchmark.  They
-and the coordinate weights are read from one 0/1 sparse pattern of the
-hyperedges; the degrees cost sum_v count_v^2 pair work, in bounded blocks.
+and the coordinate weights are read from one 0/1 sparse pattern B of the
+hyperedges.  The degrees cost sum_v count_v^2 pair work: the native count
+of _stretch.c walks each term's columns of B with a stamp array, on one
+thread per CPU when the work is large; when the library does not load,
+the reference forms B @ B^T in row blocks of bounded pair work.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import _stretch
 
 __all__ = [
     "ConflictStats",
@@ -25,7 +32,8 @@ __all__ = [
     "weights_from_counts",
 ]
 
-BLOCK_PAIR_WORK = 2**25  # pair work of one row block of B @ B^T; bounds its memory
+BLOCK_PAIR_WORK = 2**25  # pair work of one row block of the reference's B @ B^T; bounds its memory
+THREAD_PAIR_WORK = 2**23  # least pair work of a thread of the native count, ~10 ms
 
 
 @dataclass(frozen=True)
@@ -79,22 +87,22 @@ def _pattern(edges, d):
 def conflict_stats(edges, d) -> ConflictStats:
     """Conflict-graph degree statistics from the pattern B of the hyperedges.
 
-    Term i's degree is the number of nonzeros in row i of B @ B^T, less
-    itself.  The product is formed and discarded in row blocks of at most
-    BLOCK_PAIR_WORK pair work, a row's being the sum of its coordinates' term
-    counts, so the cost is sum_v count_v^2 pair work in bounded memory.
+    Term i's degree is the number of distinct other terms in the columns of
+    B that row i touches, the nonzeros of row i of B @ B^T less itself.  A
+    row's pair work is the sum of its coordinates' term counts, so the cost
+    is sum_v count_v^2 pair work.  The native count walks the columns with a
+    stamp array of n entries and forms no part of B @ B^T; when the library
+    does not load, the product is formed and discarded in row blocks.
     """
     B = _pattern(edges, d)
     Bt = B.T.tocsr()
     row_len = np.diff(B.indptr)
     col_len = np.diff(Bt.indptr).astype(np.int64)
-    work = np.concatenate([[0], np.cumsum(B @ col_len)])
-    degrees = np.empty(B.shape[0], dtype=np.int64)
-    lo = 0
-    while lo < B.shape[0]:
-        hi = max(lo + 1, np.searchsorted(work, work[lo] + BLOCK_PAIR_WORK, side="right") - 1)
-        degrees[lo:hi] = np.diff((B[lo:hi] @ Bt).indptr) - (row_len[lo:hi] > 0)
-        lo = hi
+    lib = _stretch.load()
+    if lib is None:
+        degrees = _reference_degrees(B, Bt, col_len)
+    else:
+        degrees = _native_degrees(lib, B, Bt, col_len)
     return ConflictStats(
         avg_conflict_degree=float(degrees.mean()),
         max_conflict_degree=int(degrees.max()),
@@ -102,6 +110,58 @@ def conflict_stats(edges, d) -> ConflictStats:
         max_right_degree=int(col_len.max()),
         degrees=degrees,
     )
+
+
+def _row_work(B, col_len):
+    """The prefix sums, from 0, of the rows' pair work."""
+    return np.concatenate([[0], np.cumsum(B @ col_len)])
+
+
+def _reference_degrees(B, Bt, col_len):
+    """The row counts of B @ B^T less the term itself, the product formed in
+    row blocks of at most BLOCK_PAIR_WORK pair work, so in bounded memory."""
+    row_len = np.diff(B.indptr)
+    work = _row_work(B, col_len)
+    degrees = np.empty(B.shape[0], dtype=np.int64)
+    lo = 0
+    while lo < B.shape[0]:
+        hi = max(lo + 1, np.searchsorted(work, work[lo] + BLOCK_PAIR_WORK, side="right") - 1)
+        degrees[lo:hi] = np.diff((B[lo:hi] @ Bt).indptr) - (row_len[lo:hi] > 0)
+        lo = hi
+    return degrees
+
+
+def _native_degrees(lib, B, Bt, col_len):
+    """The degrees by the native stamp count of _stretch.c, over contiguous
+    row blocks of equal pair work, one thread each: at most one per CPU this
+    process may run on, and at least THREAD_PAIR_WORK pair work each."""
+    n = B.shape[0]
+    total = int(col_len @ col_len)
+    parts = max(1, min(len(os.sched_getaffinity(0)), total // THREAD_PAIR_WORK))
+    bounds = [0, n]
+    if parts > 1:
+        bounds = np.searchsorted(_row_work(B, col_len), total * np.arange(parts + 1) // parts)
+        bounds = bounds.tolist()
+        bounds[-1] = n  # rows of no pair work (empty hyperedges) after the last target
+    held, args = [], []  # held: the index arrays passed, so their addresses stay valid
+    for M in (B, Bt):
+        dt = np.int64 if np.int64 in (M.indptr.dtype, M.indices.dtype) else np.int32
+        held += [np.ascontiguousarray(M.indptr, dt), np.ascontiguousarray(M.indices, dt)]
+        args += [held[-2].ctypes.data, held[-1].ctypes.data, int(dt == np.int64)]
+    degrees = np.empty(n, dtype=np.int64)
+
+    def count(k):
+        return lib.conflict_degrees(*args, n, bounds[k], bounds[k + 1], degrees.ctypes.data)
+
+    if parts == 1:
+        codes = [count(0)]
+    else:
+        with ThreadPoolExecutor(parts - 1) as pool:  # ctypes drops the interpreter lock
+            futures = [pool.submit(count, k) for k in range(1, parts)]
+            codes = [count(0)] + [f.result() for f in futures]
+    if min(codes) < 0:
+        raise MemoryError("the native conflict count could not allocate its stamp array")
+    return degrees
 
 
 def conflict_stats_bruteforce(edges, d) -> ConflictStats:

@@ -143,7 +143,9 @@ def test_stats_budget_gate(tmp_path):
     plan = small_plan(tmp_path, stats_budget=1)
     run_plan(plan)
     stats = (tmp_path / "out" / "stats.txt").read_text()
-    assert "skipped" in stats
+    cost = int(stats.splitlines()[0].removeprefix("stats_cost="))
+    assert cost > 1
+    assert f"conflict_stats=skipped (pair work {cost} above stats_budget 1)" in stats
     assert "avg_conflict_degree" not in stats
 
 

@@ -94,6 +94,42 @@ def test_libsvm_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.labels, data.labels)
 
 
+def _write_libsvm_per_feature(path, dataset):
+    """write_libsvm as one f-string per feature: the writer whose bytes it keeps."""
+    X = dataset.X
+    with open(path, "w") as fh:
+        for i in range(dataset.n):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            feats = " ".join(
+                f"{j + 1}:{v:.17g}" for j, v in zip(X.indices[lo:hi], X.data[lo:hi])
+            )
+            fh.write(f"{dataset.labels[i]:.17g} {feats}\n")
+
+
+@pytest.mark.parametrize("block_rows", [3, 4096])
+def test_write_libsvm_bytes_equal_per_feature_formatting(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(data_mod, "_WRITE_ROWS", block_rows)
+    values = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 3.0, -2.0, 1e16,
+              0.1, 1 / 3, -1.7976931348623157e308, 123456789.0, 2.5e-300]
+    labels = np.array([2.5, -7.0, 0.0, -0.0, 1e308, 4.0, 5e-324])
+    rng = np.random.default_rng(4)
+    rows = [np.sort(rng.choice(9, size=k, replace=False)) for k in (3, 1, 9, 1, 4, 5, 2)]
+    indices = np.concatenate(rows)
+    data = np.resize(values, indices.size)
+    indptr = np.cumsum([0] + [r.size for r in rows])
+    ds = ao.RegressionDataset(X=sp.csr_matrix((data, indices, indptr), shape=(len(rows), 9)),
+                              labels=labels)
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    write_libsvm(new, ds)
+    _write_libsvm_per_feature(old, ds)
+    assert new.read_bytes() == old.read_bytes()
+    for parse in (parse_libsvm, functools.partial(_reference, parse_libsvm)):
+        back = parse(new, d=9)
+        assert back.X.indptr.tolist() == indptr.tolist()
+        assert back.X.indices.tolist() == indices.tolist()
+        assert back.X.data.tobytes() == data.tobytes() and back.labels.tobytes() == labels.tobytes()
+
+
 def test_libsvm_gzip(tmp_path):
     p = tmp_path / "toy.txt.gz"
     with gzip.open(p, "wt") as fh:

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncopt import hypergraph
+from asyncopt import _stretch, hypergraph
 from asyncopt.hypergraph import (
     conflict_stats,
     conflict_stats_bruteforce,
@@ -51,21 +53,94 @@ def assert_matches_oracle(edges, d):
 
 @st.composite
 def hypergraphs(draw):
-    """Unsorted hyperedges, possibly empty, with repeated coordinates."""
+    """Unsorted hyperedges, possibly empty, with repeated coordinates, over d
+    coordinates and up to 3 more that no hyperedge uses."""
     d = draw(st.integers(1, 40))
     edge = st.lists(st.integers(0, d - 1), max_size=8)
     edges = draw(st.lists(edge, min_size=1, max_size=60))
-    return [np.array(e, dtype=np.int64) for e in edges], d
+    return [np.array(e, dtype=np.int64) for e in edges], d + draw(st.integers(0, 3))
+
+
+def _reference_stats(edges, d):
+    """conflict_stats with the native library unloaded: the blocked B @ B^T."""
+    with mock.patch.object(_stretch, "load", lambda: None):
+        return conflict_stats(edges, d)
+
+
+def _wide_indices(native):
+    """native (hypergraph._native_degrees) on B and B^T with int64 index arrays,
+    as scipy stores them past 2^31 nonzeros."""
+    def call(lib, B, Bt, col_len):
+        for M in (B, Bt):
+            M.indptr, M.indices = M.indptr.astype(np.int64), M.indices.astype(np.int64)
+        return native(lib, B, Bt, col_len)
+    return call
 
 
 @settings(max_examples=100, deadline=None)
-@given(hypergraphs())
-def test_matches_bruteforce_on_any_hypergraph(graph):
-    assert_matches_oracle(*graph)
+@given(hypergraphs(), st.sampled_from([np.int32, np.int64]))
+def test_matches_bruteforce_on_any_hypergraph(graph, index_dtype):
+    # the native count (B's index arrays in either dtype), the blocked
+    # reference and brute force give the same degrees
+    edges, d = graph
+    assert _stretch.load() is not None
+    native = hypergraph._native_degrees
+    if index_dtype == np.int64:
+        native = _wide_indices(native)
+    with mock.patch.object(hypergraph, "_native_degrees", native):
+        assert_matches_oracle(edges, d)
+    ref = _reference_stats(edges, d)
+    assert ref.degrees.tolist() == conflict_stats_bruteforce(edges, d).degrees.tolist()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_threaded_native_count_covers_every_row_once(monkeypatch, cpus):
+    # a floor of 1 splits any graph into one block per CPU; the blocks tile
+    # the rows, trailing empty hyperedges included, and the degrees are equal
+    lib = _stretch.load()
+    assert lib is not None
+    real = lib.conflict_degrees
+    spans = []
+
+    def count(*args):
+        spans.append(args[-3:-1])
+        return real(*args)
+
+    monkeypatch.setattr(lib, "conflict_degrees", count)
+    monkeypatch.setattr(hypergraph, "THREAD_PAIR_WORK", 1)
+    monkeypatch.setattr(hypergraph.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 17, 200):
+        d = int(rng.integers(1, 30))
+        edges = [rng.integers(0, d, size=int(rng.integers(0, 7))) for _ in range(n)]
+        edges += [np.array([], dtype=np.int64)] * int(rng.integers(0, 3))
+        spans.clear()
+        fast = conflict_stats(edges, d)
+        assert fast.degrees.tolist() == _reference_stats(edges, d).degrees.tolist()
+        work = int((coordinate_weights(edges, d).counts ** 2).sum())
+        assert len(spans) == min(cpus, max(work, 1))
+        tiles = sorted(spans)
+        assert tiles[0][0] == 0 and tiles[-1][1] == len(edges)
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+
+
+def test_failed_build_gives_the_same_stats_with_one_notice(monkeypatch, capsys):
+    def broken():
+        raise OSError("gcc failed: no compiler here")
+
+    monkeypatch.setattr(_stretch, "_build", broken)
+    monkeypatch.setattr(_stretch, "_tried", False)
+    monkeypatch.setattr(_stretch, "_lib", None)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        assert_matches_oracle(random_hypergraph(rng, 30, 12, 4), 12)
+    err = capsys.readouterr().err
+    assert err.count("asyncopt: native stretch kernels unavailable") == 1
 
 
 def test_matches_bruteforce_one_row_per_block(monkeypatch):
     monkeypatch.setattr(hypergraph, "BLOCK_PAIR_WORK", 1)
+    monkeypatch.setattr(_stretch, "load", lambda: None)  # the blocked reference
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(1, 50))

@@ -396,6 +396,48 @@ def test_native_build_skips_a_read_only_cache(monkeypatch, tmp_path):
     assert stat.S_IMODE(stale.stat().st_mode) == 0o644
 
 
+def test_new_build_prunes_this_users_older_builds_in_the_own_cache(monkeypatch, tmp_path):
+    # a build into the first cache removes this user's other _stretch-*.so
+    # there, but not another user's, one that cannot be removed, a build still
+    # being written (.so.tmp) or any other file; a build into a later (shared)
+    # cache removes nothing
+    own, shared = tmp_path / "own", tmp_path / "shared"
+    own.mkdir(mode=0o700)
+    shared.mkdir(mode=0o700)
+    names = ["_stretch-0000000000000001.so", "_stretch-0000000000000002.so",
+             "_stretch-foreign.so", "_stretch-locked.so", "_stretch-x.so.tmp", "notes.txt"]
+    for cache in (own, shared):
+        for name in names:
+            (cache / name).write_bytes(b"old")
+    real_stat, real_unlink = os.stat, os.unlink
+
+    def stat_as(path, *args, **kwargs):
+        st = real_stat(path, *args, **kwargs)
+        if str(path).endswith("_stretch-foreign.so"):  # another user's build
+            return os.stat_result((st.st_mode, st.st_ino, st.st_dev, st.st_nlink,
+                                   st.st_uid + 1, *st[5:10]))
+        return st
+
+    def unlink(path, *args, **kwargs):
+        if str(path).endswith("_stretch-locked.so"):
+            raise PermissionError(path)
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(_stretch.os, "stat", stat_as)
+    monkeypatch.setattr(_stretch.os, "unlink", unlink)
+    monkeypatch.setattr(_stretch, "_compile", lambda path: open(path, "wb").close())
+    monkeypatch.setattr(_stretch, "_cache_dirs", lambda: [str(own), str(shared)])
+    built = _stretch._build()
+    assert os.path.dirname(built) == str(own)
+    left = {"_stretch-foreign.so", "_stretch-locked.so", "_stretch-x.so.tmp", "notes.txt"}
+    assert {p.name for p in own.iterdir()} == left | {os.path.basename(built)}
+
+    own.chmod(0o777)  # others may write it: the build goes to the shared cache
+    built = _stretch._build()
+    assert os.path.dirname(built) == str(shared)
+    assert {p.name for p in shared.iterdir()} == set(names) | {os.path.basename(built)}
+
+
 def test_first_run_clock_excludes_the_native_build(fresh_loader, ridge_small):
     # a build that takes 0.5 s, at the first run of a process, is setup
     real_build = _stretch._build
