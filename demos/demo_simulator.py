@@ -50,8 +50,7 @@ def main():
     print(f"seed-averaged recursion:    ok={rep['ok']} "
           f"worst_margin={rep['worst_margin']:.3e}")
 
-    edges = [obj.term_support(i) for i in range(obj.n)]
-    st = conflict_stats(edges, obj.d)
+    st = conflict_stats(obj.A, obj.d)
     a0 = float(xstar @ xstar)
     M = obj.grad_norm_bound(xstar, 2.0 * np.sqrt(a0))
     rep = check_hogwild_bounds(traces, obj.constants, st.avg_conflict_degree, M=M)

@@ -17,8 +17,7 @@ from asyncopt.hypergraph import (
 
 
 def describe(name, obj):
-    edges = [obj.term_support(i) for i in range(obj.n)]
-    st = conflict_stats(edges, obj.d)
+    st = conflict_stats(obj.A, obj.d)  # the term pattern is the hyperedges
     tau_avg, tau_bip = tau_bound_comparison(st, obj.n)
     print(f"\n{name}: n={obj.n} terms over d={obj.d} coordinates")
     print(f"  avg conflict degree:  {st.avg_conflict_degree:.3f}")

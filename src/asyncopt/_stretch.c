@@ -1,7 +1,10 @@
 /* Native stretch kernels of asyncopt.serial's term kernels (sgm, svrg_sparse,
- * svrg_dense) and of its coordinate kernel (scd), the libsvm block reader of
- * asyncopt.data and the conflict-degree count of asyncopt.hypergraph (both
- * at the end), loaded through ctypes by asyncopt._stretch.
+ * svrg_dense) and of its coordinate kernel (scd), loaded through ctypes by
+ * asyncopt._stretch.  After the stretch come, in this order: moment(), the
+ * enumeration of every sample's direction for asyncopt.serial's oracles;
+ * sim_segment(), one epoch segment of asyncopt.sim.simulate; the libsvm
+ * block reader of asyncopt.data; and the conflict-degree count of
+ * asyncopt.hypergraph.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -209,8 +212,11 @@ static void dense_flush(double *x, const double *step, uint8_t *done, int64_t d,
     }
 }
 
-/* g of term i into g[0..len), reading each src value once; returns len */
-static int64_t term_g(const Terms *p, int64_t i, const double *src, int shared, double *g)
+/* g of term i into g[0..len), reading each src value once; returns len.
+ * Kept out of line, as when the stretch was its one caller: inlined into
+ * the stretch, sgm measured slower. */
+static __attribute__((noinline)) int64_t
+term_g(const Terms *p, int64_t i, const double *src, int shared, double *g)
 {
     int64_t lo = at(p->indptr, i, p->wide), len = at(p->indptr, i + 1, p->wide) - lo;
     const double *a = p->data + lo;
@@ -409,6 +415,100 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
     free(buf);
     free(stamp);
     return used;
+}
+
+/* ---- simulated segment ---------------------------------------------------
+ *
+ * moment() enumerates a kernel's directions at one x for the oracles of
+ * asyncopt.serial, and sim_segment() runs one epoch segment of
+ * asyncopt.sim.simulate; both call the stretches' term_g and coord_g, so g
+ * keeps one definition.  sim_segment() follows the order of operations of
+ * the NumPy reference segment (asyncopt.sim._reference_segment) element by
+ * element, so the two give the same bits from the same direction code. */
+
+/* m ? a : b by masking bits, with no branch, which a random mask would
+ * mispredict half the time; a loop of picks vectorizes */
+static inline double pick(uint8_t m, double a, double b)
+{
+    uint64_t ab, bb, keep = -(uint64_t)(m != 0);
+    memcpy(&ab, &a, sizeof ab);
+    memcpy(&bb, &b, sizeof bb);
+    ab = (ab & keep) | (bb & ~keep);
+    memcpy(&a, &ab, sizeof a);
+    return a;
+}
+
+/* E_s ||g(x, s)||^2 over every sample s (terms, or coordinates when
+ * p->coords), each ||g||^2 and their total summed left to right; when sum
+ * is given, each g is added into it on its support, sample after sample.
+ * Returns -1 when out of memory. */
+double moment(const Terms *p, const double *x, double *sum)
+{
+    int64_t samples = p->coords ? p->d : p->n;
+    double *g = malloc((size_t)(p->maxlen > 0 ? p->maxlen : 1) * sizeof *g), total = 0.0;
+    if (!g)
+        return -1.0;
+    for (int64_t s = 0; s < samples; s++) {
+        int64_t row = 0, len = 1;
+        if (p->coords) {
+            g[0] = coord_g(p, s, x, NULL, NULL, 0);
+        } else {
+            row = at(p->indptr, s, p->wide);
+            len = term_g(p, s, x, 0, g);
+        }
+        double gg = 0.0;
+        for (int64_t k = 0; k < len; k++) {
+            gg += g[k] * g[k];
+            if (sum)
+                sum[p->coords ? s : at(p->indices, row + k, p->wide)] += g[k];
+        }
+        total += gg;
+    }
+    free(g);
+    return total / (double)samples;
+}
+
+/* Steps j = ep0 .. ep0 + ndraws - 1 of one epoch, in the rows of X (X[ep0]
+ * set), Xhat and U (rows of d; U's rows zero) and of the (T, tau, d) mask
+ * missing: Xhat[j] = X[j], plus gamma U[j - lag] at every v the mask marks
+ * for lag = 1 .. min(tau, j - ep0), lag after lag; U[j] = g(Xhat[j],
+ * draws[j - ep0]) on its support; q[j] = moment(Xhat[j]) when q is given;
+ * X[j + 1] = X[j] - gamma U[j].  Returns 0, or -1 when out of memory. */
+int64_t sim_segment(const Terms *p, double *X, double *Xhat, double *U, double *q,
+                    const uint8_t *missing, int64_t tau, int64_t ep0, const int64_t *draws,
+                    int64_t ndraws, double gamma)
+{
+    int64_t d = p->d;
+    double *g = malloc((size_t)(p->maxlen > 0 ? p->maxlen : 1) * sizeof *g);
+    if (!g)
+        return -1;
+    for (int64_t j = ep0; j < ep0 + ndraws; j++) {
+        const double *x = X + j * d;
+        double *xhat = Xhat + j * d, *u = U + j * d, *next = X + (j + 1) * d;
+        memcpy(xhat, x, (size_t)d * sizeof *xhat);
+        for (int64_t lag = 1; lag <= tau && lag <= j - ep0; lag++) {
+            const uint8_t *mask = missing + (j * tau + lag - 1) * d;
+            const double *w = U + (j - lag) * d;
+            for (int64_t v = 0; v < d; v++)
+                xhat[v] = pick(mask[v], xhat[v] + gamma * w[v], xhat[v]);
+        }
+        int64_t s = draws[j - ep0];
+        if (p->coords) {
+            u[s] = coord_g(p, s, xhat, NULL, NULL, 0);
+        } else {
+            int64_t row = at(p->indptr, s, p->wide), len = term_g(p, s, xhat, 0, g);
+            for (int64_t k = 0; k < len; k++)
+                u[at(p->indices, row + k, p->wide)] = g[k];
+        }
+        if (q && (q[j] = moment(p, xhat, NULL)) < 0) {
+            free(g);
+            return -1;
+        }
+        for (int64_t v = 0; v < d; v++)
+            next[v] = x[v] - gamma * u[v];
+    }
+    free(g);
+    return 0;
 }
 
 /* ---- libsvm reader -------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The native stretch kernels, libsvm reader and conflict-degree count of
-_stretch.c: build, load, and bind to a kernel.
+"""The native stretch kernels, enumeration (``moment``), simulated segment
+(``sim_segment``), libsvm reader and conflict-degree count of _stretch.c:
+build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
 first solver run, before its clock starts, the first parse_libsvm or the
@@ -20,6 +21,10 @@ threads of a conflict count, run in parallel.
 
 ``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
 of scd's coordinates) of an objective whose phi has a native form, or None.
+Besides the stretch and its one-sample ``direction``, a ``Stretch`` runs
+``moment`` (E_s ||g(x, s)||^2 over every sample, and optionally the sum of
+g, for the enumeration oracles) and ``simulate`` (one epoch segment of
+asyncopt.sim.simulate in a single call) on the same C direction code.
 """
 
 from __future__ import annotations
@@ -144,6 +149,10 @@ def _bind_functions(lib):
     lib.direction.restype = None
     lib.stretch.argtypes = [p, p, i64, p, i64, f64, i64, f64, f64, p, p]
     lib.stretch.restype = i64
+    lib.moment.argtypes = [p, p, p]
+    lib.moment.restype = f64
+    lib.sim_segment.argtypes = [p, p, p, p, p, p, i64, i64, p, i64, f64]
+    lib.sim_segment.restype = i64
     lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p, p]
     lib.parse_libsvm.restype = i64
     lib.conflict_degrees.argtypes = [p, p, i64, p, p, i64, i64, i64, i64, p]
@@ -216,6 +225,43 @@ class Stretch:
         self.lib.direction(self._ref, i, self._src_ptr, self._g_ptr)
         return idx, self._g[:idx.size].copy()
 
+    def moment(self, x, out=None):
+        """E_s ||g(x, s)||^2 over every sample s, adding each g into out (a
+        contiguous float64 vector of d) on its support when given."""
+        x = _f64(x, self.d)
+        if out is not None:
+            _require_rows(out, (self.d,))
+        m = self.lib.moment(self._ref, x.ctypes.data, _ptr(out))
+        if m < 0:
+            raise MemoryError("native moment could not allocate its row buffer")
+        return m
+
+    def simulate(self, X, Xhat, U, q, missing, tau, ep0, draws, gamma):
+        """Steps ep0 .. ep0 + draws.size - 1, one epoch segment of
+        asyncopt.sim.simulate, in the rows of X, Xhat, U and q (None: not
+        recorded) under the bool mask missing, in one call; the contract of
+        asyncopt.sim._reference_segment, with the same bits."""
+        T, end = Xhat.shape[0], ep0 + draws.size
+        for a, shape in ((X, (T + 1, self.d)), (Xhat, (T, self.d)), (U, (T, self.d)), (q, (T,))):
+            if a is not None:
+                _require_rows(a, shape)
+        if (missing.dtype != np.bool_ or not missing.flags.c_contiguous or missing.shape[1:]
+                != (tau, self.d) or not 0 <= ep0 <= end <= min(T, len(missing))):
+            raise ValueError(f"steps {ep0}..{end} need a contiguous bool mask of shape "
+                             f"(>= {end}, {tau}, {self.d}) and a trace of as many")
+        draws = self._draws(draws)
+        if self.lib.sim_segment(self._ref, X.ctypes.data, Xhat.ctypes.data, U.ctypes.data,
+                                _ptr(q), missing.ctypes.data, tau, ep0, draws.ctypes.data,
+                                draws.size, gamma) < 0:
+            raise MemoryError("native sim_segment could not allocate its row buffer")
+
+    def _draws(self, draws):
+        """draws as a contiguous int64 array, each a sample index."""
+        draws = np.ascontiguousarray(draws, dtype=np.int64)
+        if draws.size and (draws.min() < 0 or draws.max() >= self.samples):
+            raise IndexError("a draw is out of the sample range")
+        return draws
+
     def unpack(self, draws, abuf):
         """The (idx, applied) of each of draws, from their deltas abuf, row after row."""
         lens = np.ones(draws.size, dtype=np.int64) if self.coords else self._row_len[draws]
@@ -229,11 +275,8 @@ class Stretch:
         followed by dense_step on every coordinate when given, and the writes
         are clamped to [lo, hi] unless lo is None.  With sync (one engine
         worker), see Sync."""
-        if x.dtype != np.float64 or not x.flags.c_contiguous or x.shape != (self.d,):
-            raise ValueError("the iterate must be a contiguous float64 vector of length d")
-        draws = np.ascontiguousarray(draws, dtype=np.int64)
-        if draws.size and (draws.min() < 0 or draws.max() >= self.samples):
-            raise IndexError("a draw is out of the sample range")
+        _require_rows(x, (self.d,))
+        draws = self._draws(draws)
         if dense_step is not None:
             if sync is not None:
                 raise ValueError("a dense step is written by the serial loop only")
@@ -284,6 +327,12 @@ class Sync:
 
 def _ptr(a):
     return None if a is None else a.ctypes.data
+
+
+def _require_rows(a, shape):
+    """a must be a contiguous float64 array of shape, as C writes it in place."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != shape:
+        raise ValueError(f"expected a contiguous float64 array of shape {shape}")
 
 
 def bind(obj, y=None, dz=None, coords=False):

@@ -90,7 +90,7 @@ def build_objective(plan: BenchPlan):
 
 def conflict_summary(obj) -> dict:
     """Conflict-graph statistics of every term and the staleness budgets they imply."""
-    st = conflict_stats([obj.term_support(i) for i in range(obj.n)], obj.d)
+    st = conflict_stats(obj.A, obj.d)
     this_tau, prior_tau = tau_bound_comparison(st, obj.n)
     return {
         "avg_conflict_degree": st.avg_conflict_degree,

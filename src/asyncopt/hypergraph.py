@@ -70,22 +70,31 @@ class CoordinateWeights:
 
 
 def _pattern(edges, d):
-    """The de-duplicated 0/1 CSR pattern B (terms x coordinates) of the hyperedges."""
-    if len(edges) < 1:
+    """The de-duplicated 0/1 CSR pattern B (terms x coordinates) of the
+    hyperedges: a list of coordinate arrays, or a scipy sparse matrix whose
+    row i stores hyperedge i (an objective's A), read through its CSR."""
+    n = edges.shape[0] if sp.issparse(edges) else len(edges)
+    if n < 1:
         raise ValueError("need at least one hyperedge")
-    indptr = np.concatenate([[0], np.cumsum(np.fromiter(map(len, edges), np.int64, len(edges)))])
-    cols = np.concatenate(edges).astype(np.int64, copy=False)
+    if sp.issparse(edges):
+        csr = edges.tocsr()
+        indptr, cols = csr.indptr.copy(), csr.indices.copy()  # B sorts its own, not the caller's
+    else:
+        indptr = np.concatenate([[0], np.cumsum(np.fromiter(map(len, edges), np.int64, n))])
+        cols = np.concatenate(edges).astype(np.int64, copy=False)
     bad = np.flatnonzero((cols < 0) | (cols >= d))
     if bad.size:
         i = np.searchsorted(indptr, bad[0], side="right") - 1
         raise ValueError(f"hyperedge {i} references coordinate {cols[bad[0]]} outside [0, {d})")
-    B = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols, indptr), shape=(len(edges), d))
+    B = sp.csr_matrix((np.ones(cols.size, dtype=bool), cols, indptr), shape=(n, d))
     B.sum_duplicates()
     return B
 
 
 def conflict_stats(edges, d) -> ConflictStats:
-    """Conflict-graph degree statistics from the pattern B of the hyperedges.
+    """Conflict-graph degree statistics from the pattern B of the hyperedges
+    (a list of coordinate arrays, or a sparse matrix such as an objective's
+    A, whose rows' stored entries are the hyperedges).
 
     Term i's degree is the number of distinct other terms in the columns of
     B that row i touches, the nonzeros of row i of B @ B^T less itself.  A

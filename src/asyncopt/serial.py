@@ -511,12 +511,19 @@ def svrg_variance_check(obj, weights, x, y, xstar=None) -> VarianceCheck:
                          dz_quadratic=dz)
 
 
-def _second_moment(kernel, x):
-    """E_s ||g(x, s)||^2 by enumeration of every sample s (dense part excluded)."""
+def _second_moment(kernel, x, out=None):
+    """E_s ||g(x, s)||^2 by enumeration of every sample s (dense part excluded),
+    adding each g into out on its support when out is given.  The kernel's
+    native moment when it has a stretch (which sums ||g||^2 left to right
+    where g @ g calls BLAS), else this loop."""
+    if kernel.stretch is not None:
+        return kernel.stretch.moment(x, out)
     total = 0.0
     for s in range(kernel.samples):
-        g = kernel.direction(s, x)[1]
+        idx, g = kernel.direction(s, x)
         total += float(g @ g)
+        if out is not None:
+            out[idx] += g
     return total / kernel.samples
 
 
@@ -528,9 +535,7 @@ def enumerated_mean_direction(obj, x, algo, y=None):
     factory = SOLVERS[algo].kernel
     kernel = factory(obj, y, obj.full_grad(y)) if factory in EPOCHAL_KERNELS else factory(obj)
     out = np.zeros(obj.d)
-    for s in range(kernel.samples):
-        idx, g = kernel.direction(s, x)
-        out[idx] += g
+    _second_moment(kernel, x, out)
     out /= kernel.samples
     return out if kernel.dense is None else out + kernel.dense
 

@@ -72,7 +72,7 @@ class DelaySchedule:
     T: int
     tau: int
     d: int
-    missing: np.ndarray  # bool, shape (T, tau, d)
+    missing: np.ndarray  # bool, shape (T, tau, d), C-contiguous
 
     def __post_init__(self):
         if self.tau < 0:
@@ -80,6 +80,10 @@ class DelaySchedule:
         expect = (self.T, self.tau, self.d)
         if self.missing.shape != expect:
             raise ValueError(f"missing mask must have shape {expect}")
+        # an integer mask would index xhat[mask] by position, not select
+        if self.missing.dtype != np.bool_:
+            raise ValueError(f"missing mask must be bool, got dtype {self.missing.dtype}")
+        object.__setattr__(self, "missing", np.ascontiguousarray(self.missing))
 
 
 def gen_schedule(T, tau, d, seed=0, style="random") -> DelaySchedule:
@@ -163,8 +167,10 @@ def simulate(
     record_q=True,
 ) -> SimTrace:
     """Run one seed of {sgm|scd|svrg_sparse} under the given visibility
-    schedule, with the solvers' kernel and epochs.  Projection/clamping is
-    not simulated (the identities being checked are for the unconstrained
+    schedule, with the solvers' kernel, sample stream and epochs.  Each epoch
+    is one segment: the kernel's native ``simulate`` (one C call) when it
+    has a stretch, else _reference_segment.  Projection/clamping is not
+    simulated (the identities being checked are for the unconstrained
     recursions)."""
     if algo not in ("sgm", "scd", "svrg_sparse"):
         raise ValueError(f"unknown algo {algo!r}")
@@ -192,26 +198,42 @@ def simulate(
         kernel = factory(obj, *snap)
         epoch_start[ep0:end] = ep0
         snapshot_a[ep0:end] = sq_distance(snap[0], xstar) if snap else 0.0
-        for j in range(ep0, end):
-            # read iterate: add back the in-window writes marked missing
-            # (staleness does not cross the epoch barrier)
-            xhat = x.copy()
-            for lag in range(1, min(tau, j - ep0) + 1):
-                mask = schedule.missing[j, lag - 1]
-                if mask.any():
-                    xhat[mask] += gamma * U[j - lag][mask]
-            Xhat[j] = xhat
-            idx, vals = kernel.direction(int(rng.integers(kernel.samples)), xhat)
-            U[j, idx] = vals
-            if record_q:
-                q[j] = _second_moment(kernel, xhat)
-            x -= gamma * U[j]
-            X[j + 1] = x
+        # the serial stream: one draw of a chunk is one draw at a time
+        segment = (X, Xhat, U, q if record_q else None, schedule.missing, tau, ep0,
+                   rng.integers(kernel.samples, size=end - ep0), gamma)
+        if kernel.stretch is not None:
+            kernel.stretch.simulate(*segment)
+        else:
+            _reference_segment(kernel, *segment)
+        x[:] = X[end]
     return SimTrace(
         algo=algo, gamma=gamma, tau=tau, seed=cfg.seed, X=X, Xhat=Xhat, U=U, q=q,
         epoch_start=epoch_start, snapshot_a=snapshot_a,
         xstar=np.asarray(xstar, dtype=np.float64),
     )
+
+
+def _reference_segment(kernel, X, Xhat, U, q, missing, tau, ep0, draws, gamma):
+    """Steps ep0 .. ep0 + draws.size - 1 of one epoch, in place, in NumPy: the
+    contract of the native segment (asyncopt._stretch.Stretch.simulate).
+    X[ep0] holds the epoch's first fake iterate and U's rows are zero; q is
+    None when not recorded."""
+    x = X[ep0].copy()
+    for j, s in enumerate(draws.tolist(), ep0):
+        # read iterate: add back the in-window writes marked missing
+        # (staleness does not cross the epoch barrier)
+        xhat = x.copy()
+        for lag in range(1, min(tau, j - ep0) + 1):
+            mask = missing[j, lag - 1]
+            if mask.any():
+                xhat[mask] += gamma * U[j - lag][mask]
+        Xhat[j] = xhat
+        idx, vals = kernel.direction(s, xhat)
+        U[j, idx] = vals
+        if q is not None:
+            q[j] = _second_moment(kernel, xhat)
+        x -= gamma * U[j]
+        X[j + 1] = x
 
 
 # ---------------------------------------------------------------------------

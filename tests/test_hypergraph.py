@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,35 @@ def test_matches_bruteforce_on_any_hypergraph(graph, index_dtype):
         assert_matches_oracle(edges, d)
     ref = _reference_stats(edges, d)
     assert ref.degrees.tolist() == conflict_stats_bruteforce(edges, d).degrees.tolist()
+
+
+def _same_stats(a, b):
+    return (np.array_equal(a.degrees, b.degrees) and a.avg_conflict_degree == b.avg_conflict_degree
+            and a.max_conflict_degree == b.max_conflict_degree
+            and a.max_left_degree == b.max_left_degree
+            and a.max_right_degree == b.max_right_degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs())
+def test_sparse_pattern_gives_the_stats_of_its_rows(graph):
+    # a sparse matrix whose row i stores hyperedge i (unsorted, repeated
+    # coordinates, empty rows) is read through its CSR, without being changed
+    edges, d = graph
+    indptr = np.concatenate([[0], np.cumsum([e.size for e in edges])])
+    cols = np.concatenate(edges)
+    M = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(len(edges), d))
+    before = (M.indices.copy(), M.indptr.copy())
+    assert _same_stats(conflict_stats(M, d), conflict_stats(edges, d))
+    assert _same_stats(conflict_stats(M.tocsc(), d), conflict_stats(edges, d))
+    assert coordinate_weights(M, d).counts.tolist() == coordinate_weights(edges, d).counts.tolist()
+    assert np.array_equal(M.indices, before[0]) and np.array_equal(M.indptr, before[1])
+
+
+def test_objective_pattern_gives_the_stats_of_its_term_supports(logistic_desk):
+    obj, _ = logistic_desk
+    supports = [obj.term_support(i) for i in range(obj.n)]
+    assert _same_stats(conflict_stats(obj.A, obj.d), conflict_stats(supports, obj.d))
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -200,3 +230,7 @@ def test_rejects_out_of_range_coordinate():
                 fn(edges, 3)
         with pytest.raises(ValueError):
             fn([], 3)
+    with pytest.raises(ValueError, match="hyperedge 1 references coordinate 1 "):
+        conflict_stats(sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]])), 1)
+    with pytest.raises(ValueError, match="need at least one hyperedge"):
+        conflict_stats(sp.csr_matrix((0, 3)), 3)

@@ -19,11 +19,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asyncopt as ao
-from asyncopt import _stretch
+from asyncopt import _stretch, sim
 from asyncopt.engine import (FULL_SNAPSHOT, SPARSE_INCONSISTENT, SampleLog, run, run_ascd,
                              run_hogwild, run_kromagnon)
-from asyncopt.serial import (SOLVERS, SolverConfig, run_scd, run_sgm, run_svrg_sparse, scd, sgm,
-                             svrg_dense, svrg_sparse)
+from asyncopt.serial import (SOLVERS, Kernel, SolverConfig, _second_moment, run_scd, run_sgm,
+                             run_svrg_sparse, scd, sgm, svrg_dense, svrg_sparse)
 from asyncopt.sim import gen_schedule, simulate
 
 from conftest import make_ridge_desk, make_vc_desk
@@ -254,6 +254,12 @@ def _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, see
     for (idx, g), (ref_idx, ref_g) in dirs:
         assert np.array_equal(idx, ref_idx)
         assert _close(g, ref_g, scale)
+    # the enumeration: the native moment against the loop over direction,
+    # E_s ||g||^2 and the sum of g over every sample
+    sums = np.zeros((2, obj.d))
+    moments = [_second_moment(k, x, out) for k, out in zip((native, ref), sums)]
+    assert _close(moments[0], moments[1], moments[1])
+    assert _close(sums[0], sums[1], scale * native.samples)
 
     # whole runs: the native stretch against the NumPy sampling loop (an SCD
     # step moves its coordinate by gamma * d * grad_v f)
@@ -267,6 +273,101 @@ def _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, see
     res, _ = run(obj, algo, cfg, x0)
     ref_res, _ = _numpy_only(run, obj, algo, cfg, x0)
     assert _close(res.x, ref_res.x, float(np.abs(ref_res.x).max()))
+
+
+def _reference_segment(stretch, *args):
+    """asyncopt.sim's NumPy segment, with the native kernel's own direction."""
+    sim._reference_segment(Kernel(stretch.samples, stretch.direction, stretch=stretch), *args)
+
+
+def _simulate(problem, algo, tau, style, n, d, nnz, data_seed, seed, snapshot_interval):
+    """A function running one simulate (with q) of the drawn setting, and its objective."""
+    obj = _problem(problem, n, d, nnz, data_seed)
+    rng = np.random.default_rng(seed)
+    x0, xstar = rng.uniform(-1.0, 1.0, (2, obj.d))
+    gamma = 0.5 / obj.constants.L_term
+    if algo == "svrg_sparse":
+        cfg = SolverConfig(gamma=gamma, epoch_size=10, epochs=3, seed=seed,
+                           snapshot_interval=snapshot_interval)
+    else:
+        cfg = SolverConfig(gamma=gamma / obj.d if algo == "scd" else gamma, total_iters=30,
+                           seed=seed)
+    sched = gen_schedule(30, tau, obj.d, seed=seed, style=style)
+    return lambda: simulate(obj, cfg, x0, sched, algo, xstar=xstar), obj
+
+
+TRACE_ROWS = ("X", "Xhat", "U", "epoch_start", "snapshot_a")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["linreg", "logreg", "ragged"]),
+    algo=st.sampled_from(["sgm", "scd", "svrg_sparse"]), tau=st.integers(0, 5),
+    style=st.sampled_from(["none", "random", "adversarial_stale"]),
+    n=st.integers(1, 40), d=st.integers(1, 15), nnz=st.integers(1, 4),
+    data_seed=st.integers(0, 1000), seed=st.integers(0, 1000),
+    snapshot_interval=st.integers(1, 2),
+)
+def test_native_simulated_segment_equals_the_reference(
+    problem, algo, tau, style, n, d, nnz, data_seed, seed, snapshot_interval,
+):
+    # one C call per epoch gives the bits of the NumPy segment on the same
+    # native direction, and the NumPy path's trace to 1e-12
+    assume(nnz <= d)
+    run_trace, obj = _simulate(problem, algo, tau, style, n, d, nnz, data_seed, seed,
+                               snapshot_interval)
+    native = run_trace()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_stretch.Stretch, "simulate", _reference_segment)
+        ref = run_trace()
+    for name in TRACE_ROWS:
+        assert getattr(native, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert _close(native.q, ref.q, float(np.abs(ref.q).max()))
+    numpy = _numpy_only(run_trace)
+    for name in TRACE_ROWS + ("q",):
+        a, b = getattr(native, name), getattr(numpy, name)
+        assert _close(a, b, float(np.abs(b).max(initial=0.0))), name
+
+
+def test_simulated_segment_without_a_native_form_runs_the_reference(monkeypatch):
+    # an objective whose phi has no native form has no stretch, so each epoch
+    # runs the NumPy segment; it agrees with the native run of the same phi
+    run_trace, obj = _simulate("logreg", "svrg_sparse", 3, "random", 40, 12, 3, data_seed=4,
+                               seed=6, snapshot_interval=1)
+    native = run_trace()
+    monkeypatch.setattr(obj, "_phi_kind", None)
+    real, kernels = sim._reference_segment, []
+
+    def spy(kernel, *args):
+        kernels.append(kernel)
+        return real(kernel, *args)
+
+    monkeypatch.setattr(sim, "_reference_segment", spy)
+    ref = run_trace()
+    assert len(kernels) == 3 and all(k.stretch is None for k in kernels)
+    for name in TRACE_ROWS + ("q",):
+        a, b = getattr(native, name), getattr(ref, name)
+        assert _close(a, b, float(np.abs(b).max())), name
+
+
+def test_native_simulation_and_enumeration_make_no_per_sample_call(monkeypatch, ridge_small):
+    # with the build loaded, a simulated epoch (q included) and each
+    # enumeration is one C call: no step or sample goes through direction
+    obj, xstar = ridge_small
+
+    def per_sample_call(*args):
+        raise AssertionError("a per-sample call of the one-sample direction")
+
+    monkeypatch.setattr(_stretch.Stretch, "direction", per_sample_call)
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(-1.0, 1.0, (2, obj.d))
+    for algo, cfg in (("sgm", SolverConfig(gamma=0.02, total_iters=20, seed=1)),
+                      ("scd", SolverConfig(gamma=0.002, total_iters=20, seed=1)),
+                      ("svrg_sparse", SolverConfig(gamma=0.02, epoch_size=10, epochs=2, seed=1))):
+        sched = gen_schedule(20, 2, obj.d, seed=1, style="random")
+        assert simulate(obj, cfg, x, sched, algo, xstar=xstar).q.all()
+        ao.enumerated_mean_direction(obj, x, algo, y=y)
+    ao.svrg_variance_check(obj, obj.weights, x, y, xstar=xstar)
 
 
 @pytest.mark.parametrize("problem", ["linreg", "logreg"])

@@ -224,7 +224,9 @@ def test_svrg_variance_check_holds(ridge_small):
 
 
 def test_svrg_variance_check_equals_explicit_loop(ridge_small, logistic_desk):
-    # the three enumerations are the kernels' second moments, bit for bit
+    # the three enumerations are the kernels' second moments; the native
+    # moment sums each ||g||^2 left to right where v @ v calls BLAS, and its
+    # directions sum a_i . x so too, so they agree to rounding (1e-12 relative)
     for obj, xstar in (ridge_small, logistic_desk):
         rng = np.random.default_rng(5)
         x = xstar + 0.5 * rng.standard_normal(obj.d)
@@ -242,7 +244,9 @@ def test_svrg_variance_check_equals_explicit_loop(ridge_small, logistic_desk):
             t2 += float((gy - gs) @ (gy - gs))
         dz = float(z @ (obj.d_inv * z))
         chk = svrg_variance_check(obj, obj.weights, x, y, xstar=xstar)
-        assert chk == (lhs / obj.n, 2.0 * t1 / obj.n + 2.0 * t2 / obj.n - 2.0 * dz, dz)
+        expect = (lhs / obj.n, 2.0 * t1 / obj.n + 2.0 * t2 / obj.n - 2.0 * dz, dz)
+        np.testing.assert_allclose(chk, expect, rtol=1e-12, atol=0)
+        assert chk.dz_quadratic == dz
 
 
 def test_trace_csv_schema(tmp_path, ridge_small):

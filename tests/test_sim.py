@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import asyncopt as ao
 from asyncopt.serial import SolverConfig, run_scd, run_sgm, run_svrg_sparse
 from asyncopt.sim import (
+    DelaySchedule,
     check_ascd_windows,
     check_recursion,
     check_step_identity,
@@ -34,6 +35,25 @@ def test_gen_schedule_styles():
         gen_schedule(10, -1, 3)
     with pytest.raises(ValueError):
         gen_schedule(10, 1, 3, style="nope")
+
+
+def test_schedule_mask_must_be_bool(ridge_small):
+    # an integer 0/1 mask would index the read by position instead of
+    # selecting coordinates, and give wrong reads without an error
+    obj, xstar = ridge_small
+    sched = gen_schedule(40, 3, obj.d, seed=5, style="random")
+    for dtype in (np.int64, np.uint8, np.float64):
+        with pytest.raises(ValueError, match=f"must be bool, got dtype {np.dtype(dtype)}"):
+            DelaySchedule(40, 3, obj.d, sched.missing.astype(dtype))
+    # a strided bool mask is kept as a contiguous copy and gives the same trace
+    wide = np.zeros((40, 3, 2 * obj.d), dtype=bool)
+    wide[:, :, ::2] = sched.missing
+    strided = DelaySchedule(40, 3, obj.d, wide[:, :, ::2])
+    assert strided.missing.flags.c_contiguous
+    cfg = SolverConfig(gamma=0.03, total_iters=40, seed=2)
+    a, b = (simulate(obj, cfg, np.zeros(obj.d), sc, "sgm", xstar=xstar, record_q=False)
+            for sc in (sched, strided))
+    assert a.Xhat.tobytes() == b.Xhat.tobytes() and a.X.tobytes() == b.X.tobytes()
 
 
 def test_window_indices():
