@@ -30,22 +30,23 @@
  *
  * stretch() applies x[v] += -gamma * g for a run of pre-drawn samples.  With
  * no Sync it adds plainly (the serial loop).  With a Sync it is one engine
- * worker: it takes each sample's global index j by an atomic fetch-add,
+ * worker: it takes each sample's global index j from the shared counter,
  * stops once j reaches the limit (leaving the rest of its draws unused),
- * and logs the sample.  When other workers run too, it reads each value by
- * an atomic load (a coordinate sample loads each value of its read set once,
- * into a private O(d) buffer, so that its dots see one read of each) and
- * writes by a compare-and-swap on the double's bits (never by comparing
- * doubles, which a NaN would never equal); alone, it reads x in place and
- * adds plainly, as the serial loop does.  Indices are int32 or int64, as
- * scipy stored them.
+ * and logs the sample, with end[j], the counter's value once j's write has
+ * landed: the index the worker takes next, or for its last sample one load
+ * of the counter as the call ends.  When other workers run too, it takes j
+ * by an atomic fetch-add, reads each value by an atomic load (a coordinate
+ * sample loads each value of its read set once, into a private O(d) buffer,
+ * so that its dots see one read of each) and writes by a compare-and-swap
+ * on the double's bits (never by comparing doubles, which a NaN would never
+ * equal); alone, it increments the counter, reads x in place and adds
+ * plainly, as the serial loop does.  Indices are int32 or int64, as scipy
+ * stored them.
  */
-#define _POSIX_C_SOURCE 199309L
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#include <time.h>
 
 typedef struct {
     const double *data;
@@ -70,10 +71,10 @@ typedef struct {
     int64_t *counter;  /* next global sample index, shared by the workers */
     int64_t limit;
     int64_t wid;
-    int64_t atomic;    /* other workers write too: compare-and-swap adds (else plain) */
+    int64_t atomic;    /* other workers run too: fetch-add and compare-and-swap (else plain) */
     int64_t *edge;     /* SampleLog arrays, indexed by j */
     int32_t *worker;
-    double *t_sample, *t_last_write;
+    int64_t *end;
     int64_t *jbuf;     /* j of each sample taken, in order, or NULL */
     double *abuf;      /* their applied deltas, row after row, or NULL */
 } Sync;
@@ -116,13 +117,6 @@ static inline double cas_add(double *p, double delta, int bounded, double lo, do
     } while (!__atomic_compare_exchange_n(q, &old_bits, new_bits, 1, __ATOMIC_RELAXED,
                                           __ATOMIC_RELAXED));
     return nw;
-}
-
-static inline double now(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
 static inline double dphi(const Terms *p, double t, double b)
@@ -356,15 +350,16 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
     }
     int64_t *jbuf = sync ? sync->jbuf : NULL;
     double *abuf = sync ? sync->abuf : NULL;
-    int64_t used = 0;
+    int64_t used = 0, last = -1; /* last: the sample whose end is owed */
     for (; used < ndraws; used++) {
         int64_t j = 0;
-        double t0 = 0.0;
         if (sync) {
-            j = __atomic_fetch_add(sync->counter, 1, __ATOMIC_RELAXED);
+            j = atomic ? __atomic_fetch_add(sync->counter, 1, __ATOMIC_RELAXED)
+                       : (*sync->counter)++;
+            if (last >= 0)
+                sync->end[last] = j;
             if (j >= sync->limit)
                 break;
-            t0 = now();
         }
         int64_t i = draws[used], row = 0, len = 1;
         if (p->coords) {
@@ -402,12 +397,13 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
         if (sync) {
             sync->edge[j] = i;
             sync->worker[j] = (int32_t)sync->wid;
-            sync->t_sample[j] = t0;
-            sync->t_last_write[j] = now();
+            last = j;
             if (jbuf)
                 *jbuf++ = j;
         }
     }
+    if (last >= 0 && used == ndraws) /* else the take that met the limit wrote it */
+        sync->end[last] = __atomic_load_n(sync->counter, __ATOMIC_RELAXED);
     if (defer)
         dense_flush(x, dense_step, done, d, pos, bounded, lo, hi);
     free(g);

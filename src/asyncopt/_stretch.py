@@ -69,10 +69,8 @@ class _Terms(ctypes.Structure):
 class _Sync(ctypes.Structure):
     _fields_ = [
         ("counter", ctypes.c_void_p), ("limit", ctypes.c_int64), ("wid", ctypes.c_int64),
-        ("atomic", ctypes.c_int64),
-        ("edge", ctypes.c_void_p), ("worker", ctypes.c_void_p),
-        ("t_sample", ctypes.c_void_p), ("t_last_write", ctypes.c_void_p),
-        ("jbuf", ctypes.c_void_p), ("abuf", ctypes.c_void_p),
+        ("atomic", ctypes.c_int64), ("edge", ctypes.c_void_p), ("worker", ctypes.c_void_p),
+        ("end", ctypes.c_void_p), ("jbuf", ctypes.c_void_p), ("abuf", ctypes.c_void_p),
     ]
 
 
@@ -281,15 +279,14 @@ class Stretch:
             if sync is not None:
                 raise ValueError("a dense step is written by the serial loop only")
             dense_step = _f64(dense_step, self.d)
-        jbuf = abuf = None
-        c_sync = None
+        jbuf = abuf = c_sync = None
         if sync is not None:
             if sync.log.logs_updates:
                 jbuf = np.empty(draws.size, dtype=np.int64)
                 abuf = np.empty(draws.size if self.coords else int(self._row_len[draws].sum()))
             c_sync = _Sync(sync.counter.ctypes.data, sync.limit, sync.wid, sync.atomic,
-                           *(_ptr(a) for a in (sync.log.edge, sync.log.worker, sync.log.t_sample,
-                                               sync.log.t_last_write, jbuf, abuf)))
+                           *(_ptr(a) for a in (sync.log.edge, sync.log.worker, sync.log.end,
+                                               jbuf, abuf)))
         used = self.lib.stretch(
             self._ref, x.ctypes.data, self.d, draws.ctypes.data, draws.size, -gamma,
             lo is not None, 0.0 if lo is None else lo, 0.0 if hi is None else hi,
@@ -304,19 +301,18 @@ class Stretch:
 
 class Sync:
     """One engine worker's share of a stretch: the shared sample counter (an
-    int64 array of one cell, fetch-added by every worker), the limit at which
-    the workers stop, the worker id, whether other workers write at the same
-    time (atomic reads and compare-and-swap adds; plain ones otherwise), the
-    SampleLog each sample is recorded in at its index j (edge, worker,
-    CLOCK_MONOTONIC stamps, and the applied deltas when the log keeps
-    updates), and whether each sample reads a consistent copy of x, which
-    only the NumPy reference stretch (serial.Kernel.reference) does."""
+    int64 array of one cell) each sample takes its index j from, the limit at
+    which the workers stop, the worker id, whether other workers run at the
+    same time (fetch-add takes, atomic reads and compare-and-swap adds; plain
+    ones otherwise), the SampleLog each sample is recorded in at j (edge,
+    worker, end[j]: the counter once j's write has landed, and the applied
+    deltas when the log keeps updates), and whether each sample reads a
+    consistent copy of x, which only serial.Kernel.reference does."""
 
     def __init__(self, counter, limit, wid, atomic, log, snapshot=False):
         if counter.dtype != np.int64 or counter.shape != (1,):
             raise ValueError("the counter is one int64 cell")
-        arrays = ((log.edge, np.int64), (log.worker, np.int32), (log.t_sample, np.float64),
-                  (log.t_last_write, np.float64))
+        arrays = ((log.edge, np.int64), (log.worker, np.int32), (log.end, np.int64))
         if not all(a.dtype == dt and a.flags.c_contiguous and a.size >= limit
                    for a, dt in arrays):
             raise ValueError("the SampleLog arrays must be contiguous, of its dtypes, and "

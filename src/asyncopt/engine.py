@@ -88,14 +88,14 @@ class SharedIterate:
 
 
 class SampleLog:
-    """Per-sample records in global sample order (dense indices 0..T-1): edge
-    (hyperedge id, or coordinate id for ASCD), worker, t_sample, t_last_write,
-    and updates, the applied (idx, deltas) per sample when logged (else None).
-    A worker's updates stay flat until the first read (defer_updates)."""
+    """Per-sample records at the index j each sample took from the shared
+    counter (0..T-1): edge (hyperedge id, or coordinate id for ASCD), worker,
+    end, the counter once j's write had landed, and updates, the applied (idx,
+    deltas) when logged (else None), flat until the first read (defer_updates)."""
 
-    def __init__(self, edge, worker, t_sample, t_last_write, updates, deferred=()):
-        self.edge, self.worker, self.t_sample = edge, worker, t_sample
-        self.t_last_write, self._updates, self._deferred = t_last_write, updates, list(deferred)
+    def __init__(self, edge, worker, end, updates, deferred=()):
+        self.edge, self.worker, self.end = edge, worker, end
+        self._updates, self._deferred = updates, list(deferred)
 
     def __len__(self):
         return int(self.edge.size)
@@ -119,27 +119,26 @@ class SampleLog:
     def empty(cls, total, log_updates):
         return cls(
             np.zeros(total, dtype=np.int64), np.zeros(total, dtype=np.int32),
-            np.zeros(total), np.zeros(total), [None] * total if log_updates else None,
+            np.zeros(total, dtype=np.int64), [None] * total if log_updates else None,
         )
 
     def head(self, count):
         """The records of the first count samples."""
-        return SampleLog(self.edge[:count], self.worker[:count], self.t_sample[:count],
-                         self.t_last_write[:count],
+        return SampleLog(self.edge[:count], self.worker[:count], self.end[:count],
                          None if self._updates is None else self._updates[:count], self._deferred)
 
 
 class OverlapReport:
-    """For each sample of log, how many other samples' [t_sample, t_last_write]
-    intervals overlap its own (open-interval overlap): their histogram, and
-    tau_observed, their maximum, both computed at the first read."""
+    """For each sample j of log, how many others k overlap it in sample order
+    (k < end[j] and j < end[k]: each started before the other's write landed):
+    their histogram, and tau_observed, their maximum, both at the first read."""
 
     def __init__(self, log: SampleLog):
         self.log = log
 
     @cached_property
     def histogram(self) -> np.ndarray:
-        start, end = self.log.t_sample, self.log.t_last_write
+        start, end = np.arange(len(self.log)), self.log.end
         counts = (np.searchsorted(np.sort(start), end, side="left")
                   - np.searchsorted(np.sort(end), start, side="right") - 1)
         return np.bincount(np.maximum(counts, 0), minlength=1)

@@ -197,7 +197,10 @@ class DecomposableObjective:
         )
 
     def full_grad(self, x) -> np.ndarray:
-        return self.A.T @ self._dphi(self.A @ x, self.b) / self.n + self.rho * x + self.eta
+        g = self.A.T @ self._dphi(self.A @ x, self.b) / self.n  # a fresh array: add in place
+        g += self.rho * x
+        g += self.eta
+        return g
 
     def full_grad_coord(self, v, x) -> float:
         """Coordinate v of the full gradient, touching only incident terms."""
@@ -279,7 +282,7 @@ class LeastSquaresObjective(_Quadratic):
 def _sigmoid(t):
     """1 / (1 + exp(-t)) without overflow, for a scalar or an array alike."""
     q = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + q), q / (1.0 + q))
+    return np.where(t >= 0, 1.0, q) / (1.0 + q)
 
 
 class LogisticObjective(DecomposableObjective):
@@ -295,7 +298,9 @@ class LogisticObjective(DecomposableObjective):
         super().__init__(*_regression_form(data))
 
     def _phi(self, t, b):
-        return np.logaddexp(0.0, -b * t)
+        # np.logaddexp(0, u)'s formula, whose exp and log1p vectorize where it calls libm
+        u = -b * t
+        return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
     def _dphi(self, t, b):
         return -b * _sigmoid(-b * t)

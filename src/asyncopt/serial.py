@@ -205,7 +205,6 @@ class Kernel(NamedTuple):
                     if j >= sync.limit:
                         break
                     sync.counter[0] = j + 1
-                t0 = time.perf_counter()
             idx, g = self.direction(s, _snapshot(x) if sync is not None and sync.snapshot else x)
             delta = -gamma * g
             if sync is not None and sync.atomic:
@@ -221,8 +220,7 @@ class Kernel(NamedTuple):
                     x[idx] = np.clip(x[idx], lo, hi)
                 applied = x[idx] - old if keep else None
             if sync is not None:
-                sync.log.edge[j], sync.log.worker[j], sync.log.t_sample[j] = s, sync.wid, t0
-                sync.log.t_last_write[j] = time.perf_counter()
+                sync.log.edge[j], sync.log.worker[j], sync.log.end[j] = s, sync.wid, sync.counter[0]
                 if keep:
                     js.append(j)
                     updates.append((idx, applied))

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -5,6 +6,8 @@ import time
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asyncopt as ao
 from asyncopt.engine import (
@@ -49,18 +52,45 @@ def test_shared_iterate_no_lost_updates():
 
 
 def test_overlap_report_counts_open_interval_overlaps():
-    # three samples: [0, 10] overlaps both others, [2, 3] and [5, 6] are
-    # disjoint from each other
+    # three samples in counter order: sample 0's write lands once the counter
+    # reads 3, so it overlaps both others; sample 1's lands at 2, before
+    # sample 2 starts, so those two do not overlap
     log = SampleLog(
         edge=np.zeros(3, dtype=np.int64),
         worker=np.zeros(3, dtype=np.int32),
-        t_sample=np.array([0.0, 2.0, 5.0]),
-        t_last_write=np.array([10.0, 3.0, 6.0]),
+        end=np.array([3, 2, 3]),
         updates=None,
     )
     rep = OverlapReport(log)
     assert rep.tau_observed == 2
     assert rep.histogram.tolist() == [0, 2, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(workers=st.integers(1, 4), total=st.integers(0, 40),
+       picks=st.lists(st.integers(0, 3), max_size=200))
+def test_overlap_report_equals_a_pairwise_count(workers, total, picks):
+    # each step, the picked worker (worker 0 once picks run out) takes the
+    # counter's next index or lands the write of the sample it holds, and
+    # end[j] is the counter as j's write lands; sample k overlaps j when
+    # k < end[j] and j < end[k]
+    counter, held, end = 0, [None] * workers, np.zeros(total, dtype=np.int64)
+    for w in itertools.chain(picks, itertools.repeat(0)):
+        if counter == total and held == [None] * workers:
+            break
+        w %= workers
+        if held[w] is None and counter == total:  # w has nothing left to do
+            w = next(v for v in range(workers) if held[v] is not None)
+        if held[w] is None:
+            held[w], counter = counter, counter + 1
+        else:
+            end[held[w]], held[w] = counter, None
+    log = SampleLog(np.zeros(total, dtype=np.int64), np.zeros(total, dtype=np.int32), end,
+                    None)
+    pairwise = [sum(k != j and k < end[j] and j < end[k] for k in range(total))
+                for j in range(total)]
+    assert OverlapReport(log).histogram.tolist() == np.bincount(pairwise,
+                                                                minlength=1).tolist()
 
 
 def test_overlap_report_sorts_only_when_read(ridge_small, monkeypatch):
@@ -88,6 +118,46 @@ def test_single_worker_has_zero_overlap(ridge_small):
     cfg = SolverConfig(gamma=0.02, total_iters=200, seed=0)
     _, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1, xstar=xstar)
     assert rep.tau_observed == 0
+
+
+def _check_ends(log, workers):
+    """Each sample's end lies past its own index and within the workers'
+    takes past the limit, and rises from sample to sample of one worker."""
+    j = np.arange(len(log))
+    assert ((log.end > j) & (log.end <= len(log) + workers)).all()
+    for w in range(workers):
+        assert (np.diff(log.end[log.worker == w]) > 0).all()
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "reference"])
+def test_lone_worker_logs_no_overlap_between_chunks(ridge_small, monkeypatch,
+                                                    native_worker_calls, native):
+    # chunks of 7 draws: the interpreter's work between two stretch calls of a
+    # lone worker is no overlap, so each sample ends where the next begins
+    from asyncopt import engine, serial
+
+    monkeypatch.setattr(serial, "CHUNK", 7)
+    monkeypatch.setattr(engine, "CHUNK", 7)
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02, total_iters=100, seed=3)
+    mode = ao.SPARSE_INCONSISTENT if native else FULL_SNAPSHOT
+    _, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1, mode=mode)
+    assert len(native_worker_calls) == (1 if native else 0)
+    assert rep.log.end.tolist() == list(range(1, 101))
+    assert rep.histogram.tolist() == [100]
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "reference"])
+@pytest.mark.parametrize("workers", [2, 4])
+def test_worker_ends_follow_the_counter(ridge_small, native_worker_calls, workers, native):
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02, total_iters=3000, seed=9)
+    mode = ao.SPARSE_INCONSISTENT if native else FULL_SNAPSHOT
+    res, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=workers, mode=mode,
+                           log_updates=False)
+    assert len(native_worker_calls) == (workers if native else 0)
+    assert res.iters == len(rep.log) == 3000
+    _check_ends(rep.log, workers)
 
 
 @pytest.mark.parametrize("mode", ["sparse", "full"])
@@ -188,7 +258,7 @@ def test_four_numpy_workers_log_each_sample_once(ridge_small, monkeypatch, nativ
     assert res.iters == len(log) == 3000
     assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(res.iters))
     assert ((log.worker >= 0) & (log.worker < 4)).all()
-    assert ((log.t_sample > 0) & (log.t_last_write >= log.t_sample)).all()
+    _check_ends(log, 4)
     total = x0.copy()
     for idx, deltas in log.updates:
         total[idx] += deltas

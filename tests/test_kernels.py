@@ -9,7 +9,9 @@ order), and when they cannot be built every run falls back to NumPy.
 """
 
 import os
+import shutil
 import stat
+import subprocess
 import time
 
 import numpy as np
@@ -444,6 +446,15 @@ def test_native_build_failure_falls_back_with_one_notice(monkeypatch, capsys, ri
     err = capsys.readouterr().err
     assert err.count("asyncopt: native stretch kernels unavailable") == 1
     assert "(gcc failed: no compiler here); running the NumPy path" in err
+
+
+@pytest.mark.skipif(shutil.which(_stretch._CC) is None, reason="no C compiler")
+def test_native_source_compiles_without_warnings():
+    # flags what a change leaves behind, such as a variable or a (non-inline)
+    # helper no longer used; -fsyntax-only would stop before the unused-function check
+    proc = subprocess.run([_stretch._CC, "-Wall", "-Wextra", "-Werror", "-O0", "-c", "-o",
+                           os.devnull, _stretch._SRC], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

@@ -209,6 +209,24 @@ def test_sigmoid_scalar_matches_array():
     assert np.array_equal(arr, _sigmoid_reference(grid))
 
 
+def test_logistic_phi_and_full_grad_match_their_plain_forms(logistic_desk, ridge_desk):
+    # full_grad bit for bit as the one expression with the two-branch sigmoid;
+    # phi within 1e-15 relative of np.logaddexp(0, u), u = -b t, edges included
+    for obj, _ in (logistic_desk, ridge_desk):
+        x = 3.0 * np.random.default_rng(5).standard_normal(obj.d)
+        t = obj.A @ x
+        dphi = (-obj.b * _sigmoid_reference(-obj.b * t) if isinstance(obj, LogisticObjective)
+                else obj._dphi(t, obj.b))
+        plain = obj.A.T @ dphi / obj.n + obj.rho * x + obj.eta
+        assert obj.full_grad(x).tobytes() == plain.tobytes()
+    obj = logistic_desk[0]
+    u = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [0.0, -0.0, 700.5, -700.5, 1e-300,
+                                                             -1e-300, np.inf, -np.inf]])
+    for b in (1.0, -1.0):
+        np.testing.assert_allclose(obj._phi(-b * u, np.full(u.size, b)),
+                                   np.logaddexp(0.0, u), rtol=1e-15, atol=0.0)
+
+
 def test_regression_term_grads_match_closed_forms(ridge_desk, logistic_desk):
     rng = np.random.default_rng(8)
     for (obj, _), logistic in ((ridge_desk, False), (logistic_desk, True)):
