@@ -40,8 +40,9 @@
  * so that its dots see one read of each) and writes by a compare-and-swap
  * on the double's bits (never by comparing doubles, which a NaN would never
  * equal); alone, it increments the counter, reads x in place and adds
- * plainly, as the serial loop does.  Indices are int32 or int64, as scipy
- * stored them.
+ * plainly, as the serial loop does.  Index arrays are int32, the one width
+ * asyncopt._stretch passes: it narrows a matrix once and keeps a matrix it
+ * cannot narrow (past 2^31 - 1 nonzeros) on the NumPy path.
  */
 #include <math.h>
 #include <stdint.h>
@@ -50,9 +51,7 @@
 
 typedef struct {
     const double *data;
-    const void *indices;
-    const void *indptr;
-    int64_t wide;      /* indices and indptr are int64 (else int32) */
+    const int32_t *indices, *indptr;
     int64_t logistic;  /* phi is log(1 + exp(-b t)) (else (s/2)(t - b)^2) */
     double s;
     const double *b, *c, *e;
@@ -61,8 +60,7 @@ typedef struct {
     int64_t maxlen;    /* longest row */
     int64_t coords;    /* samples are coordinates (scd), read through the CSC below */
     const double *cdata;
-    const void *cindices, *cindptr;
-    int64_t cwide;
+    const int32_t *cindices, *cindptr;
     const double *rho, *eta;
     int64_t n, d;
 } Terms;
@@ -78,11 +76,6 @@ typedef struct {
     int64_t *jbuf;     /* j of each sample taken, in order, or NULL */
     double *abuf;      /* their applied deltas, row after row, or NULL */
 } Sync;
-
-static inline int64_t at(const void *p, int64_t k, int64_t wide)
-{
-    return wide ? ((const int64_t *)p)[k] : (int64_t)((const int32_t *)p)[k];
-}
 
 static inline double load(const double *p)
 {
@@ -212,11 +205,11 @@ static void dense_flush(double *x, const double *step, uint8_t *done, int64_t d,
 static __attribute__((noinline)) int64_t
 term_g(const Terms *p, int64_t i, const double *src, int shared, double *g)
 {
-    int64_t lo = at(p->indptr, i, p->wide), len = at(p->indptr, i + 1, p->wide) - lo;
+    int64_t lo = p->indptr[i], len = p->indptr[i + 1] - lo;
     const double *a = p->data + lo;
     double t = 0.0;
     for (int64_t k = 0; k < len; k++) {
-        const double *w = src + at(p->indices, lo + k, p->wide);
+        const double *w = src + p->indices[lo + k];
         g[k] = shared ? load(w) : *w;
     }
     for (int64_t k = 0; k < len; k++)
@@ -224,17 +217,17 @@ term_g(const Terms *p, int64_t i, const double *src, int shared, double *g)
     double dp = dphi(p, t, p->b[i]);
     if (!p->y) {
         for (int64_t k = 0; k < len; k++) {
-            int64_t v = at(p->indices, lo + k, p->wide);
+            int64_t v = p->indices[lo + k];
             g[k] = dp * a[k] + p->c[v] * g[k] + p->e[v];
         }
         return len;
     }
     double ty = 0.0;
     for (int64_t k = 0; k < len; k++)
-        ty += a[k] * p->y[at(p->indices, lo + k, p->wide)];
+        ty += a[k] * p->y[p->indices[lo + k]];
     double dpy = dphi(p, ty, p->b[i]);
     for (int64_t k = 0; k < len; k++) {
-        int64_t v = at(p->indices, lo + k, p->wide);
+        int64_t v = p->indices[lo + k];
         double gx = dp * a[k] + p->c[v] * g[k] + p->e[v];
         double gy = dpy * a[k] + p->c[v] * p->y[v] + p->e[v];
         g[k] = p->dz ? gx - gy + p->dz[v] : gx - gy;
@@ -259,60 +252,56 @@ static inline double read_once(const double *src, double *buf, int64_t *stamp, i
 
 /* The dots a_r . w of the m <= WAYS rows r = cindices[k..k+m) into t, each
  * summed left to right, the rows walked side by side so that their chains
- * of adds overlap.  Inlined at each of row_dots' calls with constant wide
- * and buffered, so that neither is tested per entry; the fields are held
- * in locals, as buf's stores could alias *p and reload them per entry. */
+ * of adds overlap.  Inlined at each of row_dots' calls with constant
+ * buffered, so that it is not tested per entry; the fields are held in
+ * locals, as buf's stores could alias *p and reload them per entry. */
 enum { WAYS = 8 };
 
 static inline __attribute__((always_inline)) void
 walk_rows(const Terms *p, int64_t k, int m, const double *src, double *buf, int64_t *stamp,
-          int64_t mark, double *t, const int64_t wide, const int buffered)
+          int64_t mark, double *t, const int buffered)
 {
     const double *data = p->data;
-    const void *indices = p->indices, *indptr = p->indptr;
+    const int32_t *indices = p->indices, *indptr = p->indptr;
     double *via = buffered ? buf : NULL;
     int64_t lo[WAYS], len[WAYS], common = INT64_MAX;
     for (int w = 0; w < m; w++) {
-        int64_t r = at(p->cindices, k + w, p->cwide);
-        lo[w] = at(indptr, r, wide);
-        len[w] = at(indptr, r + 1, wide) - lo[w];
+        int64_t r = p->cindices[k + w];
+        lo[w] = indptr[r];
+        len[w] = indptr[r + 1] - lo[w];
         common = len[w] < common ? len[w] : common;
         t[w] = 0.0;
     }
     for (int64_t q = 0; q < common; q++)
         for (int w = 0; w < m; w++) {
-            int64_t u = at(indices, lo[w] + q, wide);
+            int64_t u = indices[lo[w] + q];
             t[w] += data[lo[w] + q] * read_once(src, via, stamp, mark, u);
         }
     for (int w = 0; w < m; w++)
         for (int64_t q = lo[w] + common; q < lo[w] + len[w]; q++)
-            t[w] += data[q] * read_once(src, via, stamp, mark, at(indices, q, wide));
+            t[w] += data[q] * read_once(src, via, stamp, mark, indices[q]);
 }
 
 static void row_dots(const Terms *p, int64_t k, int m, const double *src, double *buf,
                      int64_t *stamp, int64_t mark, double *t)
 {
-    if (buf && p->wide)
-        walk_rows(p, k, m, src, buf, stamp, mark, t, 1, 1);
-    else if (buf)
-        walk_rows(p, k, m, src, buf, stamp, mark, t, 0, 1);
-    else if (p->wide)
-        walk_rows(p, k, m, src, buf, stamp, mark, t, 1, 0);
+    if (buf)
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 1);
     else
-        walk_rows(p, k, m, src, buf, stamp, mark, t, 0, 0);
+        walk_rows(p, k, m, src, buf, stamp, mark, t, 0);
 }
 
 /* g of coordinate v, reading src through read_once */
 static double coord_g(const Terms *p, int64_t v, const double *src, double *buf, int64_t *stamp,
                       int64_t mark)
 {
-    int64_t c0 = at(p->cindptr, v, p->cwide), c1 = at(p->cindptr, v + 1, p->cwide);
+    int64_t c0 = p->cindptr[v], c1 = p->cindptr[v + 1];
     double sum = 0.0, t[WAYS];
     for (int64_t k = c0; k < c1; k += WAYS) {
         int m = c1 - k < WAYS ? (int)(c1 - k) : WAYS;
         row_dots(p, k, m, src, buf, stamp, mark, t);
         for (int w = 0; w < m; w++)
-            sum += p->cdata[k + w] * dphi(p, t[w], p->b[at(p->cindices, k + w, p->cwide)]);
+            sum += p->cdata[k + w] * dphi(p, t[w], p->b[p->cindices[k + w]]);
     }
     double w = read_once(src, buf, stamp, mark, v);
     return (double)p->d * (sum / (double)p->n + p->rho[v] * w + p->eta[v]);
@@ -365,15 +354,14 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
         if (p->coords) {
             g[0] = coord_g(p, i, x, buf, stamp, used + 1);
         } else {
-            row = at(p->indptr, i, p->wide);
+            row = p->indptr[i];
             if (defer)
-                for (int64_t k = row; k < at(p->indptr, i + 1, p->wide); k++)
-                    catch_up(x, dense_step, done, at(p->indices, k, p->wide), pos, bounded, lo,
-                             hi);
+                for (int64_t k = row; k < p->indptr[i + 1]; k++)
+                    catch_up(x, dense_step, done, p->indices[k], pos, bounded, lo, hi);
             len = term_g(p, i, x, atomic, g);
         }
         for (int64_t k = 0; k < len; k++) {
-            double *xv = x + (p->coords ? i : at(p->indices, row + k, p->wide));
+            double *xv = x + (p->coords ? i : p->indices[row + k]);
             double delta = ngamma * g[k];
             double old, nw;
             if (atomic) {
@@ -449,14 +437,14 @@ double moment(const Terms *p, const double *x, double *sum)
         if (p->coords) {
             g[0] = coord_g(p, s, x, NULL, NULL, 0);
         } else {
-            row = at(p->indptr, s, p->wide);
+            row = p->indptr[s];
             len = term_g(p, s, x, 0, g);
         }
         double gg = 0.0;
         for (int64_t k = 0; k < len; k++) {
             gg += g[k] * g[k];
             if (sum)
-                sum[p->coords ? s : at(p->indices, row + k, p->wide)] += g[k];
+                sum[p->coords ? s : p->indices[row + k]] += g[k];
         }
         total += gg;
     }
@@ -492,9 +480,9 @@ int64_t sim_segment(const Terms *p, double *X, double *Xhat, double *U, double *
         if (p->coords) {
             u[s] = coord_g(p, s, xhat, NULL, NULL, 0);
         } else {
-            int64_t row = at(p->indptr, s, p->wide), len = term_g(p, s, xhat, 0, g);
+            int64_t row = p->indptr[s], len = term_g(p, s, xhat, 0, g);
             for (int64_t k = 0; k < len; k++)
-                u[at(p->indices, row + k, p->wide)] = g[k];
+                u[p->indices[row + k]] = g[k];
         }
         if (q && (q[j] = moment(p, xhat, NULL)) < 0) {
             free(g);
@@ -645,27 +633,11 @@ int64_t parse_libsvm(const char *s, int64_t len, int64_t d, int64_t *st, double 
  * marks they are cleared and the marks start again.  Each call has its own
  * stamps, so calls on disjoint row ranges can run on threads at once. */
 
-/* The terms in the column entries cindices[c0..c1) not stamped with mark,
- * stamping them all; inlined with a constant cwide. */
-static inline __attribute__((always_inline)) int64_t
-unstamped(const void *cindices, int64_t c0, int64_t c1, const int64_t cwide, uint32_t *stamp,
-          uint32_t mark)
-{
-    int64_t c = 0;
-    for (int64_t q = c0; q < c1; q++) {
-        int64_t k = at(cindices, q, cwide);
-        c += stamp[k] != mark;
-        stamp[k] = mark;
-    }
-    return c;
-}
-
-/* degrees[i] for i in [lo, hi) from B (indptr, indices; wide) and B^T
- * (cindptr, cindices; cwide), of n terms.  Returns 0, or -1 when out of
- * memory. */
-int64_t conflict_degrees(const void *indptr, const void *indices, int64_t wide,
-                         const void *cindptr, const void *cindices, int64_t cwide, int64_t n,
-                         int64_t lo, int64_t hi, int64_t *degrees)
+/* degrees[i] for i in [lo, hi) from B (indptr, indices) and B^T (cindptr,
+ * cindices), of n terms.  Returns 0, or -1 when out of memory. */
+int64_t conflict_degrees(const int32_t *indptr, const int32_t *indices, const int32_t *cindptr,
+                         const int32_t *cindices, int64_t n, int64_t lo, int64_t hi,
+                         int64_t *degrees)
 {
     uint32_t *stamp = calloc((size_t)(n > 0 ? n : 1), sizeof *stamp), mark = 0;
     if (!stamp)
@@ -677,11 +649,13 @@ int64_t conflict_degrees(const void *indptr, const void *indices, int64_t wide,
         }
         int64_t c = 0;
         stamp[i] = mark;
-        for (int64_t q = at(indptr, i, wide); q < at(indptr, i + 1, wide); q++) {
-            int64_t v = at(indices, q, wide);
-            int64_t c0 = at(cindptr, v, cwide), c1 = at(cindptr, v + 1, cwide);
-            c += cwide ? unstamped(cindices, c0, c1, 1, stamp, mark)
-                       : unstamped(cindices, c0, c1, 0, stamp, mark);
+        for (int64_t q = indptr[i]; q < indptr[i + 1]; q++) {
+            int64_t c0 = cindptr[indices[q]], c1 = cindptr[indices[q] + 1];
+            for (int64_t r = c0; r < c1; r++) { /* the terms not yet stamped with mark */
+                int64_t k = cindices[r];
+                c += stamp[k] != mark;
+                stamp[k] = mark;
+            }
         }
         degrees[i] = c;
     }

@@ -57,11 +57,11 @@ _lib = None
 class _Terms(ctypes.Structure):
     _fields_ = [
         ("data", ctypes.c_void_p), ("indices", ctypes.c_void_p), ("indptr", ctypes.c_void_p),
-        ("wide", ctypes.c_int64), ("logistic", ctypes.c_int64), ("s", ctypes.c_double),
+        ("logistic", ctypes.c_int64), ("s", ctypes.c_double),
         ("b", ctypes.c_void_p), ("c", ctypes.c_void_p), ("e", ctypes.c_void_p),
         ("y", ctypes.c_void_p), ("dz", ctypes.c_void_p), ("maxlen", ctypes.c_int64),
         ("coords", ctypes.c_int64), ("cdata", ctypes.c_void_p), ("cindices", ctypes.c_void_p),
-        ("cindptr", ctypes.c_void_p), ("cwide", ctypes.c_int64), ("rho", ctypes.c_void_p),
+        ("cindptr", ctypes.c_void_p), ("rho", ctypes.c_void_p),
         ("eta", ctypes.c_void_p), ("n", ctypes.c_int64), ("d", ctypes.c_int64),
     ]
 
@@ -153,7 +153,7 @@ def _bind_functions(lib):
     lib.sim_segment.restype = i64
     lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p, p]
     lib.parse_libsvm.restype = i64
-    lib.conflict_degrees.argtypes = [p, p, i64, p, p, i64, i64, i64, i64, p]
+    lib.conflict_degrees.argtypes = [p, p, p, p, i64, i64, i64, p]
     lib.conflict_degrees.restype = i64
     return lib
 
@@ -197,9 +197,8 @@ class Stretch:
             "cindptr": Ac.indptr, "rho": _f64(obj.rho, d), "eta": _f64(obj.eta, d),
         }
         self._terms = _Terms(
-            wide=A.indices.dtype == np.int64, logistic=obj._phi_kind == "logistic",
-            s=float(obj._sup_d2phi), maxlen=int(self._row_len.max()), coords=coords,
-            cwide=Ac.indices.dtype == np.int64, n=obj.n, d=d,
+            logistic=obj._phi_kind == "logistic", s=float(obj._sup_d2phi),
+            maxlen=int(self._row_len.max()), coords=coords, n=obj.n, d=d,
             **{name: _ptr(a) for name, a in self._keep.items()},
         )
         self._ref = ctypes.addressof(self._terms)
@@ -331,14 +330,28 @@ def _require_rows(a, shape):
         raise ValueError(f"expected a contiguous float64 array of shape {shape}")
 
 
+def narrow(M):
+    """M, a CSR or CSC, with int32 index arrays, the one width _stretch.c reads,
+    when its shape and nonzeros fit in them; else M unchanged (and on the
+    NumPy path).  An objective's A and the conflict pattern pass through it."""
+    if is_int32(M) or max(*M.shape, M.nnz) > np.iinfo(np.int32).max:
+        return M
+    return type(M)((M.data, M.indices.astype(np.int32), M.indptr.astype(np.int32)), M.shape)
+
+
+def is_int32(*mats):
+    """Whether the index arrays of every CSR or CSC of mats are int32, as C reads them."""
+    return all(M.indices.dtype == M.indptr.dtype == np.int32 for M in mats)
+
+
 def bind(obj, y=None, dz=None, coords=False):
-    """The Stretch of obj's terms (or coordinates), or None when the library is
-    not loaded, the objective's phi has no native form, or the index arrays
-    of A or of its CSC differ in dtype."""
+    """The Stretch of obj's terms (or coordinates), or None (the kernel keeps
+    its NumPy reference) when the library is not loaded, the objective's phi
+    has no native form, or A or its CSC is not contiguous float64 with int32
+    indices (as narrow() leaves every matrix of fewer than 2^31 nonzeros)."""
     if getattr(obj, "_phi_kind", None) not in ("quadratic", "logistic"):
         return None
-    if not all(M.indices.dtype == M.indptr.dtype and M.indices.dtype in (np.int32, np.int64)
-               and M.data.dtype == np.float64 and M.data.flags.c_contiguous
+    if not all(is_int32(M) and M.data.dtype == np.float64 and M.data.flags.c_contiguous
                and M.indices.flags.c_contiguous and M.indptr.flags.c_contiguous
                for M in (obj.A, obj._Ac)):
         return None

@@ -139,7 +139,8 @@ class OverlapReport:
     @cached_property
     def histogram(self) -> np.ndarray:
         start, end = np.arange(len(self.log)), self.log.end
-        counts = (np.searchsorted(np.sort(start), end, side="left")
+        # the k < end[j], less those whose end[k] <= j, less j itself
+        counts = (np.minimum(end, start.size)
                   - np.searchsorted(np.sort(end), start, side="right") - 1)
         return np.bincount(np.maximum(counts, 0), minlength=1)
 

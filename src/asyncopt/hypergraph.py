@@ -5,9 +5,10 @@ average conflict degree drives how much staleness an asynchronous run can
 tolerate, so these statistics are reported alongside every benchmark.  They
 and the coordinate weights are read from one 0/1 sparse pattern B of the
 hyperedges.  The degrees cost sum_v count_v^2 pair work: the native count
-of _stretch.c walks each term's columns of B with a stamp array, on one
-thread per CPU when the work is large; when the library does not load,
-the reference forms B @ B^T in row blocks of bounded pair work.
+of _stretch.c walks each term's columns of B, in int32 indices, with a
+stamp array, on one thread per CPU when the work is large; when the library
+does not load, or B has 2^31 nonzeros or more, the reference forms B @ B^T
+in row blocks of bounded pair work.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ def conflict_stats(edges, d) -> ConflictStats:
     stamp array of n entries and forms no part of B @ B^T; when the library
     does not load, the product is formed and discarded in row blocks.
     """
-    B = _pattern(edges, d)
-    Bt = B.T.tocsr()
+    B = _stretch.narrow(_pattern(edges, d))
+    Bt = _stretch.narrow(B.T.tocsr())
     row_len = np.diff(B.indptr)
     col_len = np.diff(Bt.indptr).astype(np.int64)
     lib = _stretch.load()
-    if lib is None:
+    if lib is None or not _stretch.is_int32(B, Bt):
         degrees = _reference_degrees(B, Bt, col_len)
     else:
         degrees = _native_degrees(lib, B, Bt, col_len)
@@ -152,11 +153,9 @@ def _native_degrees(lib, B, Bt, col_len):
         bounds = np.searchsorted(_row_work(B, col_len), total * np.arange(parts + 1) // parts)
         bounds = bounds.tolist()
         bounds[-1] = n  # rows of no pair work (empty hyperedges) after the last target
-    held, args = [], []  # held: the index arrays passed, so their addresses stay valid
-    for M in (B, Bt):
-        dt = np.int64 if np.int64 in (M.indptr.dtype, M.indices.dtype) else np.int32
-        held += [np.ascontiguousarray(M.indptr, dt), np.ascontiguousarray(M.indices, dt)]
-        args += [held[-2].ctypes.data, held[-1].ctypes.data, int(dt == np.int64)]
+    # held, so that the addresses passed stay valid
+    held = [np.ascontiguousarray(a) for M in (B, Bt) for a in (M.indptr, M.indices)]
+    args = [a.ctypes.data for a in held]
     degrees = np.empty(n, dtype=np.int64)
 
     def count(k):
@@ -227,8 +226,9 @@ def tau_bound_comparison(stats: ConflictStats, n: int):
 
     The first is this library's budget (infinite when the conflict graph is
     empty); the second is the classical budget based on maximum bipartite
-    degrees.  No leading constants are applied.
+    degrees (infinite when every hyperedge is empty); no leading constants.
     """
     this_work = n / stats.avg_conflict_degree if stats.avg_conflict_degree > 0 else np.inf
-    prior = (n / (stats.max_right_degree * stats.max_left_degree**2)) ** 0.25
+    work = stats.max_right_degree * stats.max_left_degree**2
+    prior = (n / work) ** 0.25 if work > 0 else np.inf
     return (this_work, prior)

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import _stretch
 from .hypergraph import CoordinateWeights, weights_from_counts
 from .vectors import ProblemConstants
 
@@ -138,6 +139,7 @@ class DecomposableObjective:
     _phi_kind: str | None = None  # phi's family in the native kernels of _stretch.c, or None
 
     def __init__(self, A, b, rho, eta):
+        A = _stretch.narrow(A)  # the one index width of the native kernels, where it fits
         self.A, self.b, self.rho, self.eta = A, b, rho, eta
         self.n, self.d = A.shape
         self._Ac = A.tocsc()

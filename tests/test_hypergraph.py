@@ -68,28 +68,22 @@ def _reference_stats(edges, d):
         return conflict_stats(edges, d)
 
 
-def _wide_indices(native):
-    """native (hypergraph._native_degrees) on B and B^T with int64 index arrays,
-    as scipy stores them past 2^31 nonzeros."""
-    def call(lib, B, Bt, col_len):
-        for M in (B, Bt):
-            M.indptr, M.indices = M.indptr.astype(np.int64), M.indices.astype(np.int64)
-        return native(lib, B, Bt, col_len)
-    return call
-
-
 @settings(max_examples=100, deadline=None)
 @given(hypergraphs(), st.sampled_from([np.int32, np.int64]))
 def test_matches_bruteforce_on_any_hypergraph(graph, index_dtype):
-    # the native count (B's index arrays in either dtype), the blocked
-    # reference and brute force give the same degrees
+    # the native count, for a pattern given with index arrays of either
+    # dtype, the blocked reference and brute force give the same degrees
     edges, d = graph
     assert _stretch.load() is not None
-    native = hypergraph._native_degrees
-    if index_dtype == np.int64:
-        native = _wide_indices(native)
+    indptr = np.concatenate([[0], np.cumsum([e.size for e in edges])])
+    M = sp.csr_matrix((len(edges), d))  # row i stores hyperedge i, its arrays set by hand
+    M.data = np.ones(indptr[-1])
+    M.indices, M.indptr = np.concatenate(edges).astype(index_dtype), indptr.astype(index_dtype)
+    native = mock.Mock(wraps=hypergraph._native_degrees)
     with mock.patch.object(hypergraph, "_native_degrees", native):
-        assert_matches_oracle(edges, d)
+        assert _same_stats(conflict_stats(M, d), conflict_stats_bruteforce(edges, d))
+    assert native.call_count == 1
+    assert_matches_oracle(edges, d)
     ref = _reference_stats(edges, d)
     assert ref.degrees.tolist() == conflict_stats_bruteforce(edges, d).degrees.tolist()
 
@@ -186,6 +180,13 @@ def test_disjoint_edges_have_zero_degree():
     assert st.max_conflict_degree == 0
     this_tau, _ = tau_bound_comparison(st, 3)
     assert this_tau == np.inf
+
+
+def test_empty_hyperedges_have_infinite_budgets():
+    # no hyperedge touches a coordinate: both maximum degrees are 0
+    st = conflict_stats([np.array([], dtype=np.int64)], 3)
+    assert st.max_left_degree == st.max_right_degree == 0
+    assert tau_bound_comparison(st, 1) == (np.inf, np.inf)
 
 
 def test_identical_edges_fully_conflict():

@@ -167,6 +167,48 @@ def test_run_by_name_equals_its_wrapper(algo, problem):
             ao.run(obj, algo, cfg, x0, workers=2)
 
 
+@pytest.mark.parametrize("problem", ["linreg", "logreg"])
+def test_int64_index_arrays_are_narrowed_and_run_natively(problem):
+    # an objective of a CSR with int64 index arrays stores A and its CSC as
+    # int32, binds every kernel natively, and runs every solver as the
+    # objective of the same CSR held in int32 does, bit for bit
+    model = "logistic" if problem == "logreg" else "linear"
+    data = ao.gen_synthetic(ao.SyntheticSpec(50, 12, 3, label_model=model, seed=5), l2_reg=0.1)
+    data, _ = ao.remap_covered(data)
+    X = data.X.copy()
+    X.indices, X.indptr = X.indices.astype(np.int64), X.indptr.astype(np.int64)
+    wide = ao.RegressionDataset(X, data.labels, data.l2_reg)
+    assert wide.X.indices.dtype == wide.X.indptr.dtype == np.int64
+    make = ao.logistic_objective if problem == "logreg" else ao.least_squares_objective
+    obj, ref = make(wide), make(data)
+    assert wide.X.indices.dtype == np.int64  # the caller's matrix is left as it is
+    for M in (obj.A, obj._Ac):
+        assert M.indices.dtype == M.indptr.dtype == np.int32
+    y = np.zeros(obj.d)
+    gamma = 0.5 / obj.constants.L_term
+    for algo, solver in sorted(SOLVERS.items()):
+        snap = (y, obj.full_grad(y)) if solver.epochal else ()
+        assert solver.kernel(obj, *snap).stretch is not None
+        if solver.epochal:
+            cfg = SolverConfig(gamma=gamma, epoch_size=20, epochs=3, seed=3, log_every=7)
+        else:
+            scale = obj.d if solver.kernel is scd else 1
+            cfg = SolverConfig(gamma=gamma / scale, total_iters=60, seed=3, log_every=7)
+        x0 = np.zeros(obj.d)
+        assert_same_run(ao.run(obj, algo, cfg, x0, track_f=True)[0],
+                        ao.run(ref, algo, cfg, x0, track_f=True)[0])
+
+
+def test_narrow_leaves_a_matrix_past_int32_as_it_is():
+    # more columns than int32 can index: the index arrays stay int64, and
+    # the kernels of such a matrix run their NumPy reference
+    M = sp.csr_matrix((np.ones(2), np.array([0, 2**31 + 9]), np.array([0, 1, 2])),
+                      shape=(2, 2**31 + 10))
+    assert M.indices.dtype == np.int64
+    assert _stretch.narrow(M) is M
+    assert not _stretch.is_int32(M)
+
+
 def test_run_rejects_unknown_name(ridge_small):
     obj, _ = ridge_small
     with pytest.raises(ValueError, match="unknown solver"):

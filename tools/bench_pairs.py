@@ -19,7 +19,7 @@ direction, by more than the distance between the parent's quartiles; and
 `within_bound`, when the change's median is no worse than the parent's by
 more than the metric's BENCHMARK.json bound (a fraction of the parent's
 median).  It prints one line per workload naming the metrics that gained
-and any out of bound.  It also makes one --trace 1 pair on the first seed
+and any out of bound, with src_lines and native_lines, parent -> change.  It also makes one --trace 1 pair on the first seed
 and keeps every metric of that pair.  Every run's gate result is kept, and so are
 src_lines and native_lines, the totals of `wc -l src/asyncopt/*.py` and of
 `wc -l src/asyncopt/*.c`, of each checkout.
@@ -95,12 +95,14 @@ def compare(spec, parent_runs, change_runs):
     return table
 
 
-def verdict(workload, table):
-    """One line: the metrics that gained, and any whose median is out of bound."""
+def verdict(workload, table, sizes):
+    """One line: the metrics that gained, any whose median is out of bound,
+    and each of sizes (a name -> {"parent", "change"} map), parent -> change."""
     gains = [k for k, row in table.items() if row["gain"]]
     out = [k for k, row in table.items() if not row["within_bound"]]
+    size = "; ".join(f"{k} {v['parent']} -> {v['change']}" for k, v in sizes.items())
     return (f"{workload}: gain in {', '.join(gains) or 'none'}; "
-            f"out of bound: {', '.join(out) or 'none'}")
+            f"out of bound: {', '.join(out) or 'none'}; {size}")
 
 
 def main(argv=None):
@@ -134,7 +136,8 @@ def main(argv=None):
         traced = {side: run_once(path, w, seeds[0], seconds, 1)["metrics"]
                   for side, path in (("parent", args.parent), ("change", args.change))}
         table = compare(spec, parent_runs, change_runs)
-        print(verdict(w, table), flush=True)
+        print(verdict(w, table, {k: result[k] for k in ("src_lines", "native_lines")}),
+              flush=True)
         result["workloads"][w] = {
             "gates": {side: [{"correct": r["correct"], "failed": r["failed"]} for r in runs]
                       for side, runs in (("parent", parent_runs), ("change", change_runs))},
