@@ -3,8 +3,9 @@
  * asyncopt._stretch.  After the stretch come, in this order: moment(), the
  * enumeration of every sample's direction for asyncopt.serial's oracles;
  * sim_segment(), one epoch segment of asyncopt.sim.simulate; the libsvm
- * block reader of asyncopt.data; and the conflict-degree count of
- * asyncopt.hypergraph.
+ * block reader of asyncopt.data; the conflict-degree count of
+ * asyncopt.hypergraph; and choice_rows(), the row draw of
+ * asyncopt.data.gen_synthetic.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -658,6 +659,71 @@ int64_t conflict_degrees(const int32_t *indptr, const int32_t *indices, const in
             }
         }
         degrees[i] = c;
+    }
+    free(stamp);
+    return 0;
+}
+
+/* ---- synthetic rows ------------------------------------------------------
+ *
+ * choice_rows() fills the n rows of asyncopt.data.gen_synthetic, each the
+ * nnz coordinates that NumPy's Generator.choice(d, nnz, replace=False)
+ * draws, from the same uint32 draws of the same bit generator in the same
+ * order, so the rows (once sorted; the caller sorts them) and the
+ * generator's state afterwards are those of one choice call per row.  It
+ * repeats the branch NumPy takes when d <= 10,000 or nnz <= d // 50 (the
+ * caller takes the other shapes to NumPy), for d < 2^31: Floyd's loop,
+ * where j = d - nnz .. d - 1 draws v = bounded(j) and takes j instead when
+ * v is already in the row, then the draws of the shuffle, bounded(i) for
+ * i = nnz - 1 .. 1, whose swaps the sort undoes, so only the draws are
+ * made.  Membership is a stamp array of d entries, as in conflict_degrees.
+ * The bit generator is NumPy's public bitgen_t (numpy/random/bitgen.h); the
+ * caller holds its lock. */
+
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* A uniform draw from [0, r], as NumPy's unbuffered Lemire draw on uint32s:
+ * none for r = 0, else again while the low half of u * (r + 1) is below
+ * (2^32 - 1 - r) mod (r + 1). */
+static inline uint32_t bounded(bitgen_t *g, uint32_t r)
+{
+    if (r == 0)
+        return 0;
+    const uint32_t excl = r + 1, threshold = (UINT32_MAX - r) % excl;
+    uint64_t m;
+    do
+        m = (uint64_t)g->next_uint32(g->state) * excl;
+    while ((uint32_t)m < threshold);
+    return (uint32_t)(m >> 32);
+}
+
+/* out[i * nnz .. (i + 1) * nnz), row i < n unsorted, 1 <= nnz <= d < 2^31.
+ * Returns 0, or -1 when out of memory. */
+int64_t choice_rows(bitgen_t *g, int64_t n, int64_t d, int64_t nnz, int64_t *out)
+{
+    uint32_t *stamp = calloc((size_t)d, sizeof *stamp), mark = 0;
+    if (!stamp)
+        return -1;
+    for (int64_t i = 0; i < n; i++, out += nnz) {
+        if (++mark == 0) {
+            memset(stamp, 0, (size_t)d * sizeof *stamp);
+            mark = 1;
+        }
+        for (int64_t j = d - nnz; j < d; j++) {
+            int64_t v = bounded(g, (uint32_t)j);
+            if (stamp[v] == mark)
+                v = j;
+            stamp[v] = mark;
+            out[j - (d - nnz)] = v;
+        }
+        for (int64_t k = nnz - 1; k > 0; k--)
+            bounded(g, (uint32_t)k);
     }
     free(stamp);
     return 0;

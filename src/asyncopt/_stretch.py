@@ -1,11 +1,11 @@
 """The native stretch kernels, enumeration (``moment``), simulated segment
-(``sim_segment``), libsvm reader and conflict-degree count of _stretch.c:
-build, load, and bind to a kernel.
+(``sim_segment``), libsvm reader, conflict-degree count and synthetic row
+draw (``choice_rows``) of _stretch.c: build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
-first solver run, before its clock starts, the first parse_libsvm or the
-first conflict_stats; never at import), into ``__pycache__`` beside this
-file, or ``~/.cache/asyncopt`` when that cannot be written.  A cache
+first solver run, before its clock starts, the first parse_libsvm,
+gen_synthetic or conflict_stats; never at import), into ``__pycache__``
+beside this file, or ``~/.cache/asyncopt`` when that cannot be written.  A cache
 directory or cached build that another user could write is never used:
 what is loaded into the process must be this user's (or root's).  The
 file name hashes the source and the flags, and the build is written to a
@@ -14,10 +14,11 @@ not clash and a changed source is rebuilt.  A build into ``__pycache__``
 removes this user's older builds there; the shared ``~/.cache/asyncopt``
 is never pruned, as another checkout may be loading from it.  When the
 build or the load fails, a one-line notice goes to stderr, once per
-process, every kernel keeps its NumPy path, parse_libsvm its Python reader
-and conflict_stats its blocked B @ B^T.  ctypes releases the interpreter
-lock for the length of each call, so engine workers in a stretch, and the
-threads of a conflict count, run in parallel.
+process, every kernel keeps its NumPy path, parse_libsvm its Python reader,
+gen_synthetic its rng.choice per row and conflict_stats its blocked
+B @ B^T.  ctypes releases the interpreter lock for the length of each call,
+so engine workers in a stretch, and the threads of a conflict count, run in
+parallel.
 
 ``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
 of scd's coordinates) of an objective whose phi has a native form, or None.
@@ -155,6 +156,8 @@ def _bind_functions(lib):
     lib.parse_libsvm.restype = i64
     lib.conflict_degrees.argtypes = [p, p, p, p, i64, i64, i64, p]
     lib.conflict_degrees.restype = i64
+    lib.choice_rows.argtypes = [p, i64, i64, i64, p]
+    lib.choice_rows.restype = i64
     return lib
 
 
@@ -318,6 +321,21 @@ class Sync:
                              "hold the limit's samples")
         self.counter, self.limit, self.wid, self.log = counter, int(limit), int(wid), log
         self.atomic, self.snapshot = bool(atomic), bool(snapshot)
+
+
+def choice_rows(lib, rng, n, d, nnz):
+    """n rows of sorted(rng.choice(d, nnz, replace=False)) in one int64 array,
+    drawn natively under the bit generator's lock, for shapes where numpy's
+    choice runs Floyd's loop (asyncopt.data._rows decides)."""
+    if not 1 <= nnz <= d < 2**31:
+        raise ValueError(f"choice_rows needs 1 <= nnz <= d < 2**31, got nnz={nnz}, d={d}")
+    out = np.empty(n * nnz, dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        if lib.choice_rows(bitgen.ctypes.bit_generator, n, d, nnz, out.ctypes.data) < 0:
+            raise MemoryError("native choice_rows could not allocate its stamps")
+    out.reshape(n, nnz).sort(axis=1)
+    return out
 
 
 def _ptr(a):

@@ -3,7 +3,8 @@
 Covers the libsvm text format (sparse rows, 1-based indices), a synthetic
 sparse regression generator with a planted weight vector, and plain edge
 lists for the vertex cover relaxation.  Files ending in .gz are read and
-written through gzip transparently.
+written through gzip transparently.  The generator's rows are those of one
+rng.choice per row, most shapes drawn by _stretch.c's choice_rows (``_rows``).
 
 ``_libsvm_row`` is the one definition of a libsvm line.  ``parse_libsvm``
 reads a file in blocks of whole lines with the native reader of _stretch.c,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import gzip
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,10 @@ class SyntheticSpec:
             raise ValueError("n must be >= 1")
         if self.label_model not in ("linear", "logistic"):
             raise ValueError(f"unknown label_model {self.label_model!r}")
+        if not 0 <= operator.index(self.seed) < 2**128:  # Philox's key
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 _BLOCK = 1 << 22  # bytes the native reader reads at a time; a block is cut at a line end
@@ -226,6 +232,41 @@ def write_libsvm(path, dataset: RegressionDataset):
                 fh.write(("%.17g" + " %d:%.17g" * ((b - a) // 2) + "\n") % (label, *pairs[a:b]))
 
 
+def _rows_loop(rng, n, d, nnz):
+    """gen_synthetic's index array, one sorted rng.choice per row: the reference of _rows."""
+    indices = np.empty(n * nnz, dtype=np.int64)
+    for i in range(n):
+        indices[i * nnz : (i + 1) * nnz] = np.sort(rng.choice(d, nnz, replace=False))
+    return indices
+
+
+_native_rows = None  # whether the native row draw passed its probe in this process
+
+
+def _same_draw(lib, n, d, nnz):
+    """Whether the native draw gives _rows_loop's rows and generator state."""
+    a, b = (np.random.default_rng(np.random.Philox(key=7)) for _ in range(2))
+    return (np.array_equal(_stretch.choice_rows(lib, a, n, d, nnz), _rows_loop(b, n, d, nnz))
+            and repr(a.bit_generator.state) == repr(b.bit_generator.state))
+
+
+def _rows(rng, n, d, nnz):
+    """_rows_loop's array, leaving rng in the state it leaves: drawn natively where
+    numpy's choice runs Floyd's loop (d <= 10,000 or nnz <= d // 50) and d < 2^31,
+    unless the probe at the first such call finds the native draw is not the
+    loop's (then a one-line notice, and the loop from then on)."""
+    global _native_rows
+    lib = _stretch.load() if (d <= 10_000 or nnz <= d // 50) and d < 2**31 else None
+    if lib is not None and _native_rows is None:
+        _native_rows = all(_same_draw(lib, *s) for s in ((4, 1000, 20), (4, 7, 7), (2, 1, 1)))
+        if not _native_rows:
+            print("asyncopt: the native row draw differs from numpy's Generator.choice; "
+                  "gen_synthetic draws row by row", file=sys.stderr)
+    if lib is not None and _native_rows:
+        return _stretch.choice_rows(lib, rng, n, d, nnz)
+    return _rows_loop(rng, n, d, nnz)
+
+
 def gen_synthetic(spec: SyntheticSpec, l2_reg=0.0) -> RegressionDataset:
     """Random sparse rows with a planted weight vector.
 
@@ -236,9 +277,7 @@ def gen_synthetic(spec: SyntheticSpec, l2_reg=0.0) -> RegressionDataset:
     """
     rng = np.random.default_rng(np.random.Philox(key=spec.seed))
     n, d, nnz = spec.n, spec.d, spec.nnz
-    indices = np.empty(n * nnz, dtype=np.int64)
-    for i in range(n):
-        indices[i * nnz : (i + 1) * nnz] = np.sort(rng.choice(d, nnz, replace=False))
+    indices = _rows(rng, n, d, nnz)
     data = rng.standard_normal(n * nnz)
     indptr = np.arange(0, n * nnz + 1, nnz, dtype=np.int64)
     X = sp.csr_matrix((data, indices, indptr), shape=(n, d))

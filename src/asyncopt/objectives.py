@@ -79,8 +79,13 @@ class RegressionDataset:
         row_nnz = np.diff(self.X.indptr)
         if np.any(row_nnz == 0):
             raise ValueError("every row must have at least one nonzero feature")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
+        bad = np.flatnonzero(~np.isfinite(self.labels))[:1].tolist()  # the first bad label's row
+        bad_value = np.flatnonzero(~np.isfinite(self.X.data))[:1]  # and the first bad value's
+        bad += (np.searchsorted(self.X.indptr, bad_value, side="right") - 1).tolist()
+        if bad:
+            raise ValueError(f"row {min(bad)}: a feature value or the label is not finite")
+        if not 0 <= self.l2_reg < np.inf:
+            raise ValueError(f"l2_reg must be finite and >= 0, got {self.l2_reg}")
 
     @property
     def n(self):

@@ -221,3 +221,10 @@ def test_refused_data_file_is_a_usage_error(tmp_path, capsys, command):
         main([command, "--problem", "logreg", "--data", str(tmp_path / "missing.txt"), *flags])
     assert exc.value.code == 2
     assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+
+def test_synthetic_seed_out_of_range_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--problem", "linreg", "--synthetic", "50,10,3", "--synthetic-seed", "-1"])
+    assert exc.value.code == 2
+    assert "error: seed must be in [0, 2**128), got -1" in capsys.readouterr().err

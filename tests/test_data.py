@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import gzip
+import io
 import re
 from unittest import mock
 
@@ -183,6 +185,106 @@ def test_gen_synthetic_linear_labels_correlate():
     w, *_ = np.linalg.lstsq(X, data.labels, rcond=None)
     resid = np.linalg.norm(X @ w - data.labels) / np.linalg.norm(data.labels)
     assert resid < 0.05
+
+
+@pytest.mark.parametrize("field, value", [("noise", np.nan), ("noise", np.inf), ("noise", -0.1),
+                                          ("seed", -1), ("seed", 2**128)])
+def test_synthetic_spec_refuses_bad_noise_and_seed(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ao.SyntheticSpec(n=5, d=4, nnz=2, **{field: value})
+    ao.SyntheticSpec(n=5, d=4, nnz=2, noise=0.0, seed=2**128 - 1)  # both ends of the range
+
+
+_NOTICE = "asyncopt: the native row draw differs"
+
+
+@contextlib.contextmanager
+def _row_draw(mode):
+    """The native row draw as loaded ("built"), without the library ("unbuilt"),
+    or with one wrong value in each of its arrays ("wrong"), its probe not yet
+    run; yields the list of (n, d, nnz) it is called with."""
+    real, calls = _stretch.choice_rows, []
+
+    def draw(lib, rng, n, d, nnz):
+        calls.append((n, d, nnz))
+        out = real(lib, rng, n, d, nnz)
+        out[-1] += mode == "wrong"
+        return out
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(data_mod, "_native_rows", None))
+        stack.enter_context(mock.patch.object(_stretch, "choice_rows", draw))
+        if mode == "unbuilt":
+            stack.enter_context(mock.patch.object(_stretch, "_tried", True))
+            stack.enter_context(mock.patch.object(_stretch, "_lib", None))
+        yield calls
+
+
+def _philox(seed):
+    return np.random.default_rng(np.random.Philox(key=seed))
+
+
+@st.composite
+def _row_shapes(draw):
+    """(d, nnz): d up to 30,000, nnz few, about d // 50 (both sides of numpy's
+    Floyd boundary above d = 10,000), d itself, or any."""
+    d = draw(st.one_of(st.integers(1, 30_000), st.sampled_from([1, 2, 10_000, 10_001])))
+    nnz = draw(st.one_of(st.integers(1, min(d, 40)), st.just(d), st.integers(1, d),
+                         st.integers(max(1, d // 50 - 1), min(d, d // 50 + 2))))
+    return d, nnz
+
+
+@pytest.mark.parametrize("mode", ["built", "unbuilt", "wrong"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), n=st.integers(1, 300), shape=_row_shapes(),
+       model=st.sampled_from(["linear", "logistic"]))
+@example(seed=0, n=300, shape=(12_000, 240), model="logistic")  # Floyd's loop, the last nnz
+@example(seed=0, n=30, shape=(12_000, 241), model="logistic")  # the tail shuffle, the first
+@example(seed=5, n=300, shape=(1, 1), model="linear")
+@example(seed=5, n=20, shape=(7, 7), model="linear")
+def test_native_row_draw_is_the_loop(mode, seed, n, shape, model):
+    if mode != "unbuilt" and _stretch.load() is None:
+        pytest.skip("the native library did not build")
+    d, nnz = shape
+    n = min(n, max(1, 100_000 // nnz))  # at most 100,000 nonzeros
+    spec = ao.SyntheticSpec(n=n, d=d, nnz=nnz, label_model=model, seed=seed)
+    with _row_draw(mode) as calls, contextlib.redirect_stderr(io.StringIO()) as err:
+        got, rng = ao.gen_synthetic(spec), _philox(seed)
+        rows = data_mod._rows(rng, n, d, nnz)
+    with mock.patch.object(data_mod, "_rows", data_mod._rows_loop):
+        want, ref = ao.gen_synthetic(spec), _philox(seed)
+    for a, b in ((got.X.data, want.X.data), (got.X.indices, want.X.indices),
+                 (got.X.indptr, want.X.indptr), (got.labels, want.labels),
+                 (rows, data_mod._rows_loop(ref, n, d, nnz))):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    floyd = d <= 10_000 or nnz <= d // 50
+    if mode == "built" and floyd:  # the probe's three shapes, then both draws natively
+        assert len(calls) == 5 and calls[3:] == [(n, d, nnz)] * 2
+    else:  # the wrong draw fails the probe's first shape, and the loop draws from then on
+        assert len(calls) == (mode == "wrong" and floyd)
+    assert err.getvalue().count(_NOTICE) == (mode == "wrong" and floyd)
+
+
+def test_native_row_draw_redraws_a_rejected_value():
+    """bounded(r) draws again when the low half of u * (r + 1) falls below
+    (2^32 - 1 - r) mod (r + 1), as numpy's Lemire draw does: at r = 29,999 one
+    draw in 250,000 does, so the test seeks such a draw in a Philox stream."""
+    lib = _stretch.load()
+    if lib is None:
+        pytest.skip("the native library did not build")
+    d = 30_000
+    low = _philox(11).bit_generator.random_raw(1 << 21) & 0xFFFFFFFF  # each raw's first uint32
+    rejected = np.flatnonzero((low * d) & 0xFFFFFFFF < (2**32 - d) % d)
+    assert rejected.size
+    for nnz in (1, 3):
+        rng, ref = _philox(11), _philox(11)
+        for g in (rng, ref):
+            g.bit_generator.random_raw(rejected[0])  # the next uint32 is rejected at r = d - 1
+        rows = _stretch.choice_rows(lib, rng, 2, d, nnz)
+        want = np.concatenate([np.sort(ref.choice(d, nnz, replace=False)) for _ in range(2)])
+        assert rows.tolist() == want.tolist()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_parse_edge_list(tmp_path):

@@ -272,6 +272,24 @@ def test_empty_row_rejected(tmp_path, empty_row):
             make(data)
 
 
+@pytest.mark.parametrize("inf_row, nan_row, first", [(2, 3, 2), (3, 1, 1), (None, 0, 0),
+                                                     (1, None, 1), (0, 0, 0)])
+def test_non_finite_values_and_labels_are_refused(inf_row, nan_row, first):
+    X, labels = np.ones((4, 2)), np.ones(4)
+    if inf_row is not None:
+        X[inf_row, 1] = np.inf
+    if nan_row is not None:
+        labels[nan_row] = np.nan
+    with pytest.raises(ValueError, match=f"^row {first}: .* not finite"):
+        ao.RegressionDataset(X=sp.csr_matrix(X), labels=labels)
+
+
+@pytest.mark.parametrize("l2_reg", [np.nan, np.inf, -0.5])
+def test_non_finite_or_negative_l2_reg_is_refused(l2_reg):
+    with pytest.raises(ValueError, match="^l2_reg must be finite and >= 0"):
+        ao.RegressionDataset(X=sp.csr_matrix(np.ones((2, 2))), labels=np.ones(2), l2_reg=l2_reg)
+
+
 def test_smoothness_constants_bound_hessian(ridge_desk):
     obj, _ = ridge_desk
     H = (obj.A.T @ obj.A).toarray() / obj.n + np.diag(obj.rho)
