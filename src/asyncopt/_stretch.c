@@ -502,8 +502,9 @@ int64_t sim_segment(const Terms *p, double *X, double *Xhat, double *U, double *
  * grammar below only, and writes each row's label, length, 0-based indices
  * and values.  asyncopt.data._libsvm_row is the format's one definition; a
  * line this grammar accepts is one that function accepts with the same
- * values (strtod and Python's float both round correctly), and the reader
- * stops at every other line for that function to parse or refuse.
+ * values (strtod and Python's float both round correctly).  At any other
+ * line the reader declines the block, and asyncopt.data reads the whole
+ * file with that function instead, which parses the line or refuses it.
  *
  *   line    := ws* ( '#' any* | label ( ws+ feature )* ws* )? ( '\r'? '\n' | end )
  *   label   := number (finite)
@@ -586,14 +587,13 @@ static int64_t row(const char *p, const char *end, int64_t d, double *lab, int64
     }
 }
 
-/* Parses the lines of s[st[0]:len] into the output arrays from row st[2] and
- * feature st[3] on (they hold every row and feature the block can have),
- * counting the lines it passes in st[1].  Returns 0 at len, or 1 with st[0]
- * at the start of the first line outside the grammar. */
-int64_t parse_libsvm(const char *s, int64_t len, int64_t d, int64_t *st, double *label,
-                     int64_t *rowlen, int64_t *indices, double *values)
+/* Parses the lines of s[0:len] into the output arrays (they hold every row
+ * and feature the block can have).  Returns the number of rows, or -1 at the
+ * first line outside the grammar. */
+int64_t parse_libsvm(const char *s, int64_t len, int64_t d, double *label, int64_t *rowlen,
+                     int64_t *indices, double *values)
 {
-    int64_t pos = st[0], lines = st[1], rows = st[2], nnz = st[3];
+    int64_t pos = 0, rows = 0, nnz = 0;
     while (pos < len) {
         const char *p = s + pos, *nl = memchr(p, '\n', (size_t)(len - pos));
         const char *end = nl ? nl : s + len;
@@ -604,18 +604,13 @@ int64_t parse_libsvm(const char *s, int64_t len, int64_t d, int64_t *st, double 
         if (p < end && *p != '#') {
             int64_t m = row(p, end, d, &label[rows], indices + nnz, values + nnz);
             if (m < 0)
-                break;
+                return -1;
             rowlen[rows++] = m;
             nnz += m;
         }
-        lines++;
         pos = nl ? nl - s + 1 : len;
     }
-    st[0] = pos;
-    st[1] = lines;
-    st[2] = rows;
-    st[3] = nnz;
-    return pos < len;
+    return rows;
 }
 
 /* ---- conflict degrees ----------------------------------------------------

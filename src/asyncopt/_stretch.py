@@ -1,6 +1,8 @@
 """The native stretch kernels, enumeration (``moment``), simulated segment
-(``sim_segment``), libsvm reader, conflict-degree count and synthetic row
-draw (``choice_rows``) of _stretch.c: build, load, and bind to a kernel.
+(``sim_segment``), libsvm reader (which parses a block whole or declines it,
+and parse_libsvm then reads the file in Python), conflict-degree count and
+synthetic row draw (``choice_rows``) of _stretch.c: build, load, and bind to
+a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
 first solver run, before its clock starts, the first parse_libsvm,
@@ -152,7 +154,7 @@ def _bind_functions(lib):
     lib.moment.restype = f64
     lib.sim_segment.argtypes = [p, p, p, p, p, p, i64, i64, p, i64, f64]
     lib.sim_segment.restype = i64
-    lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p, p]
+    lib.parse_libsvm.argtypes = [ctypes.c_char_p, i64, i64, p, p, p, p]
     lib.parse_libsvm.restype = i64
     lib.conflict_degrees.argtypes = [p, p, p, p, i64, i64, i64, p]
     lib.conflict_degrees.restype = i64

@@ -8,8 +8,9 @@ rng.choice per row, most shapes drawn by _stretch.c's choice_rows (``_rows``).
 
 ``_libsvm_row`` is the one definition of a libsvm line.  ``parse_libsvm``
 reads a file in blocks of whole lines with the native reader of _stretch.c,
-which takes a strict subset of that format, and hands each line it stops at
-to ``_libsvm_row``; without the library, ``_libsvm_row`` reads every line.
+which takes a strict subset of that format.  When a line falls outside that
+subset, or the library does not load, ``_read_text`` reads the whole file
+instead, every line with ``_libsvm_row``.
 """
 
 from __future__ import annotations
@@ -55,13 +56,19 @@ class SyntheticSpec:
     noise: float = 0.1
 
     def __post_init__(self):
+        for name in ("n", "d", "nnz", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not (1 <= self.nnz <= self.d):
             raise ValueError(f"need 1 <= nnz <= d, got nnz={self.nnz}, d={self.d}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.label_model not in ("linear", "logistic"):
             raise ValueError(f"unknown label_model {self.label_model!r}")
-        if not 0 <= operator.index(self.seed) < 2**128:  # Philox's key
+        if not 0 <= self.seed < 2**128:  # Philox's key
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
@@ -146,53 +153,27 @@ def _plain(block, end):
                                 or block.count(b"\r", 0, end) == block.count(b"\r\n", 0, end))
 
 
-def _read_block(lib, block, end, base, d):
-    """The arrays of the lines of block[:end], the first of them line base + 1:
-    the native reader's, and _libsvm_row's for each line it stops at."""
-    rows = block.count(b"\n", 0, end) + 1
-    labels, lens = np.empty(rows), np.empty(rows, dtype=np.int64)
-    nnz = block.count(b":", 0, end)  # every feature has its own colon
-    indices, values = np.empty(nnz, dtype=np.int64), np.empty(nnz)
-    st = np.zeros(4, dtype=np.int64)  # position, lines passed, rows and features written
-    ptrs = [a.ctypes.data for a in (st, labels, lens, indices, values)]
-    limit = _NO_D if d is None else min(d, _NO_D)
-    while lib.parse_libsvm(block, end, limit, *ptrs):
-        pos, lines, r, k = st.tolist()
-        stop = block.find(b"\n", pos, end)
-        nxt = end if stop < 0 else stop + 1
-        row = _libsvm_row(block[pos:nxt].decode("ascii"), base + lines + 1, d)
-        if row is not None:
-            m = len(row[1])
-            labels[r], lens[r] = row[0], m
-            indices[k:k + m], values[k:k + m] = row[1], row[2]
-            st[2:] = r + 1, k + m
-        st[:2] = nxt, lines + 1
-    lines, r, k = st[1:].tolist()
-    return lines, (labels[:r], lens[:r], indices[:k], values[:k])
-
-
 def _read_native(lib, path, d):
     """The arrays of _read_text(path, d), read in blocks of whole lines by the
     native reader; None, for _read_text to read (and raise what it raises),
     when the file's byte lines are not its text lines (a byte outside ASCII, a
-    lone \\r), an index does not fit in int64, or the file is empty."""
-    parts, base = [], 0
+    lone \\r), a line is outside the native grammar, or the file is empty."""
+    parts = []
+    limit = _NO_D if d is None else min(max(d, 0), _NO_D)  # ctypes wraps ints outside int64
     with _open(path, "rb") as fh:
-        blocks = _blocks(fh)
-        for block, end in blocks:
+        for block, end in _blocks(fh):
             if not _plain(block, end):
                 return None
-            try:
-                lines, arrays = _read_block(lib, block, end, base, d)
-            except ValueError:
-                # the text reader raises the same, unless it fails to decode first
-                if all(_plain(b, e) for b, e in blocks):
-                    raise
+            rows = block.count(b"\n", 0, end) + 1
+            labels, lens = np.empty(rows), np.empty(rows, dtype=np.int64)
+            nnz = block.count(b":", 0, end)  # every feature has its own colon
+            indices, values = np.empty(nnz, dtype=np.int64), np.empty(nnz)
+            r = lib.parse_libsvm(block, end, limit,
+                                 *(a.ctypes.data for a in (labels, lens, indices, values)))
+            if r < 0:
                 return None
-            except OverflowError:
-                return None
-            parts.append(arrays)
-            base += lines
+            k = int(lens[:r].sum())
+            parts.append((labels[:r], lens[:r], indices[:k], values[:k]))
     if not parts:  # an empty file
         return None
     return tuple(a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*parts))

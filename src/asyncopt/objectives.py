@@ -74,8 +74,9 @@ class RegressionDataset:
             self.X = self.X.copy()
             self.X.sum_duplicates()
         self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.labels.shape[0] != self.X.shape[0]:
-            raise ValueError("labels length must match number of rows")
+        if self.labels.shape != (self.X.shape[0],):
+            raise ValueError(f"labels must have shape ({self.X.shape[0]},), one per row of X, "
+                             f"got shape {self.labels.shape}")
         row_nnz = np.diff(self.X.indptr)
         if np.any(row_nnz == 0):
             raise ValueError("every row must have at least one nonzero feature")

@@ -25,6 +25,7 @@ theorem step rule, and whether engine threads drive it.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 from contextlib import ExitStack
@@ -80,6 +81,14 @@ class SolverConfig:
     log_every: int = 0  # checkpoint every log_every samples (0: never), every epoch end, and last
 
     def __post_init__(self):
+        for name in ("total_iters", "epoch_size", "epochs", "seed", "snapshot_interval",
+                     "log_every"):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if (self.gamma is not None) != (self.step_rule == "explicit"):

@@ -2,7 +2,6 @@ import contextlib
 import functools
 import gzip
 import io
-import re
 from unittest import mock
 
 import numpy as np
@@ -21,6 +20,14 @@ def _reference(call, *args, **kwargs):
     """call(*args, **kwargs) with the native library unloaded: the per-line Python reader."""
     with mock.patch.object(_stretch, "load", lambda: None):
         return call(*args, **kwargs)
+
+
+@contextlib.contextmanager
+def _text_reads():
+    """Yields the list of the arguments of each _read_text call made inside."""
+    calls, read_text = [], data_mod._read_text
+    with mock.patch.object(data_mod, "_read_text", lambda *a: calls.append(a) or read_text(*a)):
+        yield calls
 
 
 def _outcome(call, *args, **kwargs):
@@ -83,6 +90,9 @@ def test_parse_libsvm_index_above_requested_d(tmp_path, reader):
     parse = parse_libsvm if reader == "native" else functools.partial(_reference, parse_libsvm)
     with pytest.raises(ValueError, match=r"^line 2: feature index 3 exceeds requested d=2$"):
         parse(p, d=2)
+    d = 5 - 2**64  # not the d of 5 that a 64-bit wrap gives
+    with pytest.raises(ValueError, match=f"^line 1: feature index 1 exceeds requested d={d}$"):
+        parse(p, d=d)
     assert parse(p, d=3).X.shape == (2, 3)
 
 
@@ -193,6 +203,14 @@ def test_synthetic_spec_refuses_bad_noise_and_seed(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ao.SyntheticSpec(n=5, d=4, nnz=2, **{field: value})
     ao.SyntheticSpec(n=5, d=4, nnz=2, noise=0.0, seed=2**128 - 1)  # both ends of the range
+
+
+@pytest.mark.parametrize("field", ["n", "d", "nnz", "seed"])
+def test_synthetic_spec_refuses_a_count_that_is_not_an_integer(field):
+    for value in (3.5, 4.0, "4"):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            ao.SyntheticSpec(**{"n": 5, "d": 4, "nnz": 2, field: value})
+    ao.SyntheticSpec(n=np.int64(5), d=np.int32(4), nnz=np.uint8(2), seed=np.int64(3))
 
 
 _NOTICE = "asyncopt: the native row draw differs"
@@ -355,8 +373,9 @@ def test_remap_covered():
 
 
 # The differential test's alphabet: numbers the native grammar takes, numbers only
-# Python's int and float take, tokens neither takes, and bytes whose text-mode lines
-# differ from their byte lines.
+# Python's int and float take (_PYTHON_ONLY, and the index forms that are not all
+# digits), tokens neither takes, and bytes whose text-mode lines differ from their
+# byte lines.
 _LABELS = ["1", "-1", "+1", "0.25", "-0", "3e2", ".5", "7.", "1_0"]
 _BAD_LABELS = ["0x10", "inf", "nan", "-inf", "abc", "1e999", "1:2"]
 _INDEX_FORMS = [str] * 8 + [lambda i: f"+{i}", lambda i: f"00{i}", lambda i: "_".join(str(i))]
@@ -367,15 +386,18 @@ _BAD_FEATURES = ["0x10:1", "1e3:1", "3:inf", "3:nan", "3:-inf", "3:0x1p3", "3:1e
                  "3:", ":3", "qid:1", "1:2:3", "0:1", "-3:2", "#", "3:\x0c1",
                  "99999999999999999999:1"]
 _SEPS = [" ", "\t", "  ", " \t "]
+_PYTHON_ONLY = {"1_0", "+2_5e-1"}
 
 
 @st.composite
 def _libsvm_file(draw):
-    """A file's bytes: lines of the grammar and of Python's wider numbers; in some
-    files refused tokens on some lines; in a few, bytes whose text-mode lines are
-    not their byte lines (a byte outside ASCII, a lone \\r)."""
+    """(bytes, outside, top) of a file: lines of the grammar and of Python's wider
+    numbers; in some files refused tokens on some lines; in a few, bytes whose
+    text-mode lines are not their byte lines (a byte outside ASCII, a lone \\r).
+    outside says whether a line holds a token outside the native grammar, and
+    top is the largest feature index drawn for a row."""
     bad_file, odd = draw(st.booleans()), not draw(st.integers(0, 3))
-    raw = b""
+    raw, outside, top = b"", False, 0
     for _ in range(draw(st.integers(0, 12))):
         bad = bad_file and draw(st.booleans())
         kind = draw(st.sampled_from(["row"] * 12 + ["comment", "blank", "label"]
@@ -386,18 +408,25 @@ def _libsvm_file(draw):
             body = draw(st.sampled_from(["", "  ", "\t"]))
         elif kind == "label":  # a row with no feature, which the dataset refuses
             body = draw(st.sampled_from(_LABELS))
+            outside |= body in _PYTHON_ONLY
         elif kind == "odd":
             body = draw(st.sampled_from(["1 1:2\xff", "\xff", "1 1:2\r3:4"]))
         else:
             body = draw(st.sampled_from(_LABELS + _BAD_LABELS * bad))
+            outside |= body in _PYTHON_ONLY or body in _BAD_LABELS
             idx = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=5)))
+            top = max(top, idx[-1])
             if bad and draw(st.booleans()):
-                idx = draw(st.permutations(idx + idx[:1]))
-            feats = [f"{draw(st.sampled_from(_INDEX_FORMS))(i)}:{draw(st.sampled_from(_VALUES))}"
-                     for i in idx]
+                idx, outside = draw(st.permutations(idx + idx[:1])), True
+            feats = []
+            for i in idx:
+                i_s, v_s = draw(st.sampled_from(_INDEX_FORMS))(i), draw(st.sampled_from(_VALUES))
+                outside |= not i_s.isdigit() or v_s in _PYTHON_ONLY
+                feats.append(f"{i_s}:{v_s}")
             if bad and draw(st.booleans()):
                 feats.insert(draw(st.integers(0, len(feats))),
                              draw(st.sampled_from(_BAD_FEATURES)))
+                outside = True
             for f in feats:
                 body += draw(st.sampled_from(_SEPS)) + f
             body = draw(st.sampled_from(["", " ", "\t"])) + body + draw(st.sampled_from(["", " "]))
@@ -405,41 +434,38 @@ def _libsvm_file(draw):
         raw += body.encode("latin-1") + end.encode()
     if draw(st.booleans()):  # no line end after the last line
         raw = raw.rstrip(b"\r\n")
-    return raw
+    return raw, outside, top
 
 
 @settings(max_examples=300, deadline=None)
 @given(_libsvm_file(), st.booleans(), st.integers(1, 48), st.none() | st.integers(6, 13))
 # a line that errs after the wide index, and one before it
-@example(b"# c 1:2\n1 1:0.5 2:0.5 99999999999999999999:1\n1 1:0.5 1:0.5\n", False, 48, None)
-@example(b"1 1:0.5 1:0.5\n1 99999999999999999999:1\n", False, 48, None)
+@example((b"# c 1:2\n1 1:0.5 2:0.5 99999999999999999999:1\n1 1:0.5 1:0.5\n", True, 2),
+         False, 48, None)
+@example((b"1 1:0.5 1:0.5\n1 99999999999999999999:1\n", True, 1), False, 48, None)
 # a file that is not ASCII, whose error names no line
-@example(b"1 1:2\xff\n1 1:0.5\n1 99999999999999999999:1 1:0.5\n", False, 1, None)
-def test_native_libsvm_reader_matches_the_reference(tmp_path_factory, raw, gz, block, d):
+@example((b"1 1:2\xff\n1 1:0.5\n1 99999999999999999999:1 1:0.5\n", True, 2), False, 1, None)
+# lines the native grammar would take, were a block's bytes not first found plain: a
+# comment that does not decode, and a comment that a lone \r ends in text mode
+@example((b"# \xff\n1 1:0.5\n", False, 1), False, 48, None)
+@example((b"# c\r1 1:0.5\n", False, 1), False, 48, None)
+def test_native_libsvm_reader_matches_the_reference(tmp_path_factory, file, gz, block, d):
     if _stretch.load() is None:
         pytest.skip("the native library did not build")
+    raw, outside, top = file
     p = tmp_path_factory.mktemp("diff") / ("f.txt.gz" if gz else "f.txt")
     with (gzip.open if gz else open)(p, "wb") as fh:
         fh.write(raw)
     expected = _outcome(_reference, parse_libsvm, p, d=d)
-    text_reads = []
-    read_text = data_mod._read_text
-    with mock.patch.object(data_mod, "_BLOCK", block), \
-            mock.patch.object(data_mod, "_read_text",
-                              lambda *a: text_reads.append(a) or read_text(*a)):
+    with mock.patch.object(data_mod, "_BLOCK", block), _text_reads() as text_reads:
         got = _outcome(parse_libsvm, p, d=d)
     assert got == expected
-    # the native reader reads every nonempty file whose byte lines are its text
-    # lines, but from an index of more than 18 digits on, which it leaves to
-    # the reference, unless a line before that index errs: the reference then
-    # refuses the file, for the index or for a later line
+    # the native reader reads a nonempty file whose byte lines are its text lines
+    # whole, or declines it at the first line outside its grammar (an index
+    # above d among them); the Python reader then reads the whole file, once
     plain = raw.isascii() and raw.count(b"\r") == raw.count(b"\r\n")
-    wide = raw.find(b"99999999999999999999:")
-    handed_over = plain and wide >= 0 and (
-        expected[0] is OverflowError
-        or raw.count(b"\n", 0, wide) + 1 < int(re.match(r"line (\d+):", expected[1]).group(1)))
-    if raw and plain and not handed_over:
-        assert not text_reads
+    declined = not raw or not plain or outside or (d is not None and top > d)
+    assert len(text_reads) == declined
 
 
 @pytest.mark.parametrize("line", [f"{label} 2:0.5 5:-1" for label in _LABELS + _BAD_LABELS]
@@ -455,9 +481,36 @@ def test_native_libsvm_reader_matches_the_reference_token_by_token(tmp_path, lin
 
 @pytest.mark.parametrize("d", [1_000, 100_000])  # the benchmark's two shapes, fewer rows
 def test_native_libsvm_reader_on_written_datasets(tmp_path, d):
+    if _stretch.load() is None:
+        pytest.skip("the native library did not build")
     spec = ao.SyntheticSpec(n=3_000, d=d, nnz=20, label_model="logistic", seed=3000)
+    ds = ao.gen_synthetic(spec)
+    for name in ("w.txt", "w.txt.gz"):
+        p = tmp_path / name
+        write_libsvm(p, ds)
+        with mock.patch.object(data_mod, "_BLOCK", 1 << 16), _text_reads() as text_reads:
+            got = _outcome(parse_libsvm, p)  # in many blocks
+        assert got == _outcome(_reference, parse_libsvm, p)
+        assert not text_reads  # write_libsvm's %.17g and %d are inside the native grammar
+
+
+def test_native_libsvm_reader_declines_a_file_at_a_late_line(tmp_path):
+    """A line outside the native grammar in a late block sends the whole file,
+    once, to the Python reader: a valid one gives the reference's dataset, a
+    malformed one the reference's error, with its line number."""
+    if _stretch.load() is None:
+        pytest.skip("the native library did not build")
     p = tmp_path / "w.txt"
-    write_libsvm(p, ao.gen_synthetic(spec))
-    with mock.patch.object(data_mod, "_BLOCK", 1 << 16):  # many blocks
-        got = _outcome(parse_libsvm, p)
-    assert got == _outcome(_reference, parse_libsvm, p)
+    write_libsvm(p, ao.gen_synthetic(ao.SyntheticSpec(n=400, d=50, nnz=5, seed=3)))
+    lines = p.read_bytes().splitlines(keepends=True)
+    for at, line, error in ((400, b"1 +7:0.5 9:1_0\n", None),  # valid, in the last block
+                            (300, b"1 9:1 7:0.5\n", "indices must be strictly increasing")):
+        p.write_bytes(b"".join(lines[:at] + [line] + lines[at:]))
+        with mock.patch.object(data_mod, "_BLOCK", 1 << 10), _text_reads() as text_reads:
+            got = _outcome(parse_libsvm, p)  # in about fifty blocks
+        assert got == _outcome(_reference, parse_libsvm, p)
+        assert len(text_reads) == 1
+        if error is None:
+            assert got[0] == (401, 50)
+        else:
+            assert got == (ValueError, f"line {at + 1}: {error}")

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,13 @@ def test_non_finite_values_and_labels_are_refused(inf_row, nan_row, first):
         labels[nan_row] = np.nan
     with pytest.raises(ValueError, match=f"^row {first}: .* not finite"):
         ao.RegressionDataset(X=sp.csr_matrix(X), labels=labels)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 1), (1, 3), (2,), ()])
+def test_labels_not_one_per_row_are_refused(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"labels must have shape (3,), one per row of X, got shape {shape}")):
+        ao.RegressionDataset(X=sp.csr_matrix(np.ones((3, 2))), labels=np.ones(shape))
 
 
 @pytest.mark.parametrize("l2_reg", [np.nan, np.inf, -0.5])

@@ -261,3 +261,12 @@ def test_trace_csv_schema(tmp_path, ridge_small):
     first = lines[1].split(",")
     assert int(first[0]) == int(res.trace_iter[0])
     assert int(first[2]) == 0
+
+
+@pytest.mark.parametrize("field", ["total_iters", "epoch_size", "epochs", "seed",
+                                   "snapshot_interval", "log_every"])
+def test_solver_config_refuses_a_count_that_is_not_an_integer(field):
+    for value in (1.5, 10.0):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            SolverConfig(gamma=0.1, **{field: value})
+    assert getattr(SolverConfig(gamma=0.1, **{field: np.int64(3)}), field) == 3
