@@ -30,8 +30,8 @@
  * side (each row's sum still in its own order), which overlaps both.
  *
  * stretch() applies x[v] += -gamma * g for a run of pre-drawn samples.  With
- * no Sync it adds plainly (the serial loop).  With a Sync it is one engine
- * worker: it takes each sample's global index j from the shared counter,
+ * no Sync it adds plainly (a serial solver).  With a Sync it is one worker of
+ * a threaded solver: it takes each sample's global index j from the counter,
  * stops once j reaches the limit (leaving the rest of its draws unused),
  * and logs the sample, with end[j], the counter's value once j's write has
  * landed: the index the worker takes next, or for its last sample one load
@@ -41,7 +41,7 @@
  * so that its dots see one read of each) and writes by a compare-and-swap
  * on the double's bits (never by comparing doubles, which a NaN would never
  * equal); alone, it increments the counter, reads x in place and adds
- * plainly, as the serial loop does.  Index arrays are int32, the one width
+ * plainly, as a serial solver does.  Index arrays are int32, the one width
  * asyncopt._stretch passes: it narrows a matrix once and keeps a matrix it
  * cannot narrow (past 2^31 - 1 nonzeros) on the NumPy path.
  */

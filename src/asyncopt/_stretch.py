@@ -281,7 +281,7 @@ class Stretch:
         draws = self._draws(draws)
         if dense_step is not None:
             if sync is not None:
-                raise ValueError("a dense step is written by the serial loop only")
+                raise ValueError("a dense step is written by a serial solver only")
             dense_step = _f64(dense_step, self.d)
         jbuf = abuf = c_sync = None
         if sync is not None:

@@ -1,4 +1,5 @@
-"""Lock-free shared-memory execution of Hogwild!, async SCD, and KroMagnon.
+"""The one driver of every solver: serial SGM, SCD and SVRG, and lock-free
+shared-memory Hogwild!, async SCD and KroMagnon.
 
 "Lock-free" here means no global lock and no multi-coordinate consistency:
 workers sample, read, and write concurrently with no coordination beyond
@@ -6,10 +7,12 @@ per-coordinate write indivisibility.
 
 Hogwild!, ASCD and KroMagnon are the kernels ``sgm``, ``scd`` and
 ``svrg_sparse`` of asyncopt.serial with a perturbed read and an indivisible
-write of ``-gamma * g``.  One driver runs the workers between the
-checkpoints of the serial loop's schedule, and every worker is one loop,
-``_stretch_worker``, of calls to its kernel's stretch with a ``Sync`` that
-shares the sample counter and the SampleLog.  The stretch has two
+write of ``-gamma * g``.  ``run`` runs every name of serial.SOLVERS between
+the checkpoints of serial._checkpoints, and every worker is one loop,
+``_stretch_worker``, of calls to its kernel's stretch.  A serial solver is
+a lone worker with no ``Sync``: it takes its samples with plain adds and
+the kernel's dense part.  A threaded solver's workers each have a ``Sync``
+that shares the sample counter and the SampleLog, and their stretch has two
 implementations:
 
   - the native one (asyncopt._stretch), in the default sparse read mode: one
@@ -25,13 +28,13 @@ implementations:
 The workers are joined at each checkpoint, so KroMagnon's snapshot,
 refreshed at an epoch start, is consistent.  Worker 0 runs on the calling
 thread and each other worker on its own thread, so a lone worker starts no
-thread.  ``run`` runs any name of serial.SOLVERS, serial or threaded; the
-``run_*`` functions are one call each.
+thread.  The ``run_*`` functions here and in asyncopt.serial are one call
+of ``run`` each.
 
-With workers=1 every algorithm reduces bit-exactly to its serial
-counterpart: the kernels and stretches are the serial ones, worker 0 takes
-the serial RNG stream in the serial loop's chunks, and a lone worker's add
-is the serial add.
+With workers=1 every threaded algorithm reduces bit-exactly to its serial
+counterpart: the kernels, stretches and loop are the serial ones, worker 0
+takes the serial RNG stream in the same chunks, and a lone worker's add is
+the serial add.
 """
 
 from __future__ import annotations
@@ -45,13 +48,11 @@ import numpy as np
 from . import _stretch
 from .hypergraph import CoordinateWeights
 from .serial import (
-    CHUNK,
     SOLVERS,
     SolverConfig,
     _checkpoints,
     _epochs,
     _require_covered,
-    _run_serial,
     _Tracer,
     add_clamped,
     clamp_bounds,
@@ -71,6 +72,7 @@ __all__ = [
     "time_to_progress",
 ]
 
+CHUNK = 4096  # samples drawn at once: the draws of one stretch call of a worker
 SPARSE_INCONSISTENT = "sparse_inconsistent"
 FULL_SNAPSHOT = "full_consistent_snapshot"
 
@@ -149,60 +151,24 @@ class OverlapReport:
         return self.histogram.size - 1
 
 
-def _stretch_worker(kernel, gamma, x, lo, hi, sync, rng):
+def _stretch_worker(kernel, gamma, x, lo, hi, count, rng, sync=None):
     """Run the kernel's stretch, native or else its NumPy reference, over draws
-    from rng, CHUNK at most at a time, until the shared counter reaches the
-    limit.  A lone worker uses every draw, as the serial loop does; with
-    several, the draws left when the others reach the limit first are dropped."""
+    from rng, CHUNK at most at a time.  Without sync (a serial solver) it takes
+    count samples with plain adds, each followed by the kernel's dense part.
+    With sync it stops when the shared counter reaches the limit: a lone worker
+    uses every draw; with several, the draws left when the others reach the
+    limit first are dropped."""
     stretch = kernel.stretch or kernel.reference
+    dense_step = None if kernel.dense is None else -gamma * kernel.dense  # once per segment
     while True:
-        need = sync.limit - int(sync.counter[0])
+        need = count if sync is None else sync.limit - int(sync.counter[0])
         if need <= 0:
             return
         draws = rng.integers(kernel.samples, size=min(CHUNK, need))
-        if stretch(x, draws, gamma, lo, hi, sync=sync) < draws.size:
+        used = stretch(x, draws, gamma, lo, hi, dense_step, sync=sync)
+        if used < draws.size:
             return
-
-
-def _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f):
-    """The one threaded driver of the solver named algo: every worker runs
-    _stretch_worker, sharing a sample counter, and stops at each checkpoint of
-    serial._checkpoints.  Each worker builds its own kernel, since SCD's read
-    buffer is private; in the full_consistent_snapshot mode it runs the
-    kernel's NumPy reference, whose reads copy x (a native whole-vector read
-    beside compare-and-swap writes would not be consistent)."""
-    cfg = resolve_config(cfg, obj, algo)
-    check_workers(algo, workers)
-    factory, epochal = SOLVERS[algo].kernel, SOLVERS[algo].epochal
-    lo, hi = clamp_bounds(obj, cfg)
-    x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
-    snapshot = mode == FULL_SNAPSHOT
-    cell = np.zeros(1, dtype=np.int64)  # the workers' sample counter
-    S, E = _epochs(cfg, epochal)
-    log = SampleLog.empty(S * E, log_updates)
-    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
-    _stretch.load()
-    tracer = _Tracer(obj, xstar, track_f, epochal)  # the clock excludes the setup above
-    for t, bound, snap in _checkpoints(obj, cfg, factory, x):
-        cell[0] = t
-        kernels = [factory(obj, *snap) for _ in range(workers)]
-        jobs = [(k._replace(stretch=None) if snapshot else k, cfg.gamma, x, lo, hi,
-                 _stretch.Sync(cell, bound, w, workers > 1, log, snapshot), rngs[w])
-                for w, k in enumerate(kernels)]
-        # worker 0 runs on this thread, so a lone worker starts no thread and
-        # keeps the core and the caches that the checkpoint before it used
-        threads = [threading.Thread(target=_stretch_worker, args=args) for args in jobs[1:]]
-        for th in threads:
-            th.start()
-        try:
-            _stretch_worker(*jobs[0])
-        finally:
-            for th in threads:
-                th.join()
-        if not tracer.record(bound, x):
-            break
-    result = tracer.result(x, cfg)
-    return result, OverlapReport(log.head(result.iters))
+        count -= used
 
 
 def check_workers(algo, workers):
@@ -219,26 +185,62 @@ def run(
     xstar=None, log_updates=True, track_f=False,
 ):
     """Run the solver named algo (a key of serial.SOLVERS) from x0: (RunResult,
-    OverlapReport), the report None for a serial solver, which takes workers=1."""
-    if algo in SOLVERS and not SOLVERS[algo].threaded:
-        check_workers(algo, workers)
-        return _run_serial(obj, algo, cfg, x0, xstar, track_f), None
-    # resolve_config rejects a name that is not in SOLVERS
-    return _run_async(obj, algo, cfg, x0, workers, mode, xstar, log_updates, track_f)
+    OverlapReport), the report None for a serial solver, which takes workers=1.
+
+    Each segment between two checkpoints of serial._checkpoints runs every
+    worker's _stretch_worker, worker 0 on this thread.  Each worker builds its
+    own kernel, since SCD's read buffer is private.  The workers of a threaded
+    solver share a sample counter through their Syncs; in the
+    full_consistent_snapshot mode, which a serial solver ignores, they run the
+    kernel's NumPy reference, whose reads copy x (a native whole-vector read
+    beside compare-and-swap writes would not be consistent)."""
+    cfg = resolve_config(cfg, obj, algo)  # rejects a name that is not in SOLVERS
+    check_workers(algo, workers)
+    solver = SOLVERS[algo]
+    lo, hi = clamp_bounds(obj, cfg)
+    x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
+    snapshot = solver.threaded and mode == FULL_SNAPSHOT
+    cell = np.zeros(1, dtype=np.int64)  # the workers' sample counter
+    S, E = _epochs(cfg, solver.epochal)
+    log = SampleLog.empty(S * E, log_updates) if solver.threaded else None
+    rngs = [worker_rng(cfg.seed, w) for w in range(workers)]
+    _stretch.load()  # build or load now, so that the run's clock, started after, does not count it
+    tracer = _Tracer(obj, xstar, track_f, solver.epochal)
+    for t, bound, snap in _checkpoints(obj, cfg, solver.kernel, x):
+        cell[0] = t
+        kernels = [solver.kernel(obj, *snap) for _ in range(workers)]
+        syncs = [None if log is None else _stretch.Sync(cell, bound, w, workers > 1, log, snapshot)
+                 for w in range(workers)]
+        jobs = [(k._replace(stretch=None) if snapshot else k, cfg.gamma, x, lo, hi, bound - t,
+                 rngs[w], syncs[w]) for w, k in enumerate(kernels)]
+        # worker 0 runs on this thread, so a lone worker starts no thread and
+        # keeps the core and the caches that the checkpoint before it used
+        threads = [threading.Thread(target=_stretch_worker, args=args) for args in jobs[1:]]
+        for th in threads:
+            th.start()
+        try:
+            _stretch_worker(*jobs[0])
+        finally:
+            for th in threads:
+                th.join()
+        if not tracer.record(bound, x):
+            break
+    result = tracer.result(x, cfg)
+    return result, None if log is None else OverlapReport(log.head(result.iters))
 
 
 def run_hogwild(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
     xstar=None, log_updates=True, track_f=False,
 ):
-    return _run_async(obj, "hogwild", cfg, x0, workers, mode, xstar, log_updates, track_f)
+    return run(obj, "hogwild", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_ascd(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
     xstar=None, log_updates=True, track_f=False,
 ):
-    return _run_async(obj, "ascd", cfg, x0, workers, mode, xstar, log_updates, track_f)
+    return run(obj, "ascd", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_kromagnon(
@@ -246,7 +248,7 @@ def run_kromagnon(
     mode=SPARSE_INCONSISTENT, xstar=None, log_updates=True, track_f=False,
 ):
     _require_covered(weights)
-    return _run_async(obj, "kromagnon", cfg, x0, workers, mode, xstar, log_updates, track_f)
+    return run(obj, "kromagnon", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def time_to_progress(wall, f, target_fraction):

@@ -1,14 +1,16 @@
-"""Serial baseline solvers: SGM, SCD, dense SVRG, and sparse SVRG.
+"""The step kernels of every solver, and the serial baselines SGM, SCD, dense
+SVRG and sparse SVRG.
 
 Every method is x <- x - gamma * g(xhat, s) for a sampled s and a read
 xhat.  Each algorithm's direction g is one kernel here, and nowhere else:
 ``sgm``, ``scd``, ``svrg_sparse`` and ``svrg_dense`` build ``Kernel(samples,
 direction)`` with ``direction(s, src) -> (idx, g)`` read from ``src``.  The
-kernels take no step size; each writer applies ``-gamma * g``.  The serial
-solvers write with plain adds in one sampling loop; asyncopt.engine writes
-from worker threads; asyncopt.sim stores g under a delay schedule; the
-enumeration oracles average g over every s.  So a 1-worker async run and a
-zero-delay simulation reproduce the serial trajectory bit for bit.
+kernels take no step size; each writer applies ``-gamma * g``.
+asyncopt.engine.run is the one driver of every solver: a serial one is its
+lone worker writing with plain adds, a threaded one its workers writing
+concurrently; asyncopt.sim stores g under a delay schedule; the enumeration
+oracles average g over every s.  So a 1-worker async run and a zero-delay
+simulation reproduce the serial trajectory bit for bit.
 
 Every kernel runs a run of samples as a stretch, ``stretch(x, draws,
 gamma, lo, hi, dense_step=None, sync=None) -> used``, one contract with two
@@ -16,10 +18,12 @@ implementations: the native ``stretch`` of asyncopt._stretch, when its build
 loads (one C loop, whose ``direction`` is then the same C routine for one
 sample, so every writer still shares one g), and ``Kernel.reference``, the
 NumPy loop over ``direction`` that the native one is tested against.  The
-serial loop makes one stretch call per chunk of draws, with plain adds; each
-engine worker makes its calls with a ``sync`` (asyncopt._stretch.Sync).
-``SOLVERS`` is the one table of solver names, each with its kernel, its
-theorem step rule, and whether engine threads drive it.
+engine's worker loop makes one stretch call per chunk of draws: with no
+``sync`` for a serial solver, with a ``sync`` (asyncopt._stretch.Sync) for
+each worker of a threaded one.  ``SOLVERS`` is the one table of solver
+names, each with its kernel, its theorem step rule, and whether engine
+threads drive it.  The ``run_*`` solvers here are one call of
+asyncopt.engine.run each.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
 ]
 
 STEP_RULES = ("explicit", "hogwild_theorem1", "scd_theorem2", "svrg_theorem3")
-CHUNK = 4096  # samples drawn at once: the serial loop's stretches and the engine's draw buffers
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,9 @@ class SolverConfig:
                     operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        # worker_rng's Philox key [seed, worker] is int64; above, NumPy made it float64
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if (self.gamma is not None) != (self.step_rule == "explicit"):
@@ -121,8 +127,9 @@ class RunResult:
 
 
 def worker_rng(seed, worker=0):
-    """Counter-based per-worker stream; worker 0 is the serial stream."""
-    return np.random.Generator(np.random.Philox(key=[seed, worker]))
+    """Counter-based per-worker stream; worker 0 is the serial stream.  The
+    seed is taken as a Python int, as NumPy keys [np.uint64, int] as float64."""
+    return np.random.Generator(np.random.Philox(key=[operator.index(seed), worker]))
 
 
 def resolve_config(cfg: SolverConfig, obj: DecomposableObjective, algo: str):
@@ -204,7 +211,7 @@ class Kernel(NamedTuple):
         it takes each sample's index j under a lock, reads a copy of x when
         sync.snapshot is set, and writes through add_clamped when sync.atomic."""
         if sync is not None and dense_step is not None:
-            raise ValueError("a dense step is written by the serial loop only")
+            raise ValueError("a dense step is written by a serial solver only")
         keep = sync is not None and sync.log.logs_updates
         js, updates, used = [], [], 0
         for s in draws.tolist():
@@ -370,8 +377,7 @@ def _epochs(cfg, epochal):
 
 
 def _checkpoints(obj, cfg, factory, x):
-    """The one checkpoint schedule of the serial loop, the async driver and
-    the simulator.
+    """The one checkpoint schedule of asyncopt.engine.run and the simulator.
 
     Yields (t, bound, snap): the run takes samples t..bound-1 with the kernel
     factory(obj, *snap), then a checkpoint after bound samples.  Checkpoints
@@ -394,7 +400,7 @@ def _checkpoints(obj, cfg, factory, x):
 
 
 class _Tracer:
-    """Checkpoint recorder of the serial loop and the async driver.
+    """Checkpoint recorder of asyncopt.engine.run.
 
     The wall clock starts at construction and excludes the measurements.  A
     checkpoint whose iterate is not finite ends the run: it is not recorded,
@@ -443,28 +449,10 @@ class _Tracer:
 
 
 def _run_serial(obj, algo, cfg, x0, xstar, track_f) -> RunResult:
-    """The one sampling loop of the solver named algo: x[idx] += -gamma * g
-    with plain adds, then the kernel's dense part on every coordinate,
-    clamped to clamp_bounds (x0 too).  Samples are drawn CHUNK at a time, and
-    each chunk is one call of the kernel's stretch, native or reference."""
-    cfg = resolve_config(cfg, obj, algo)
-    factory = SOLVERS[algo].kernel
-    gamma = cfg.gamma
-    lo, hi = clamp_bounds(obj, cfg)
-    x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
-    rng = worker_rng(cfg.seed, 0)
-    _stretch.load()  # build or load now, so that the run's clock, started after, does not count it
-    tracer = _Tracer(obj, xstar, track_f, SOLVERS[algo].epochal)
-    for t, bound, snap in _checkpoints(obj, cfg, factory, x):
-        kernel = factory(obj, *snap)
-        stretch = kernel.stretch or kernel.reference
-        dense_step = None if kernel.dense is None else -gamma * kernel.dense  # once per segment
-        for k in range(t, bound, CHUNK):
-            stretch(x, rng.integers(kernel.samples, size=min(CHUNK, bound - k)), gamma, lo, hi,
-                    dense_step)
-        if not tracer.record(bound, x):
-            break
-    return tracer.result(x, cfg)
+    """The serial solver named algo, run by asyncopt.engine.run as a lone worker."""
+    from .engine import run  # deferred: asyncopt.engine imports this module
+
+    return run(obj, algo, cfg, x0, xstar=xstar, track_f=track_f)[0]
 
 
 def run_sgm(obj, cfg: SolverConfig, x0, xstar=None, track_f=False) -> RunResult:

@@ -84,8 +84,9 @@ def theorem1_params(obj, xstar, eps=1e-2):
 @pytest.fixture
 def native_worker_calls(monkeypatch):
     """The kernels of the engine workers that ran the native stretch loop, one
-    entry per worker and checkpoint segment (a worker on the NumPy reference
-    stretch is not recorded)."""
+    entry per worker and checkpoint segment, the lone worker of a serial
+    solver included (a worker on the NumPy reference stretch is not
+    recorded)."""
     from asyncopt import _stretch, engine
 
     calls = []

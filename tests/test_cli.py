@@ -228,3 +228,11 @@ def test_synthetic_seed_out_of_range_is_a_usage_error(capsys):
         main(["stats", "--problem", "linreg", "--synthetic", "50,10,3", "--synthetic-seed", "-1"])
     assert exc.value.code == 2
     assert "error: seed must be in [0, 2**128), got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_run_seed_out_of_range_is_a_usage_error(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--synthetic", "50,10,3", "--mode", "sgm", "--iters", "10", "--seed", seed])
+    assert exc.value.code == 2
+    assert f"error: seed must be in [0, 2**63), got {seed}" in capsys.readouterr().err

@@ -20,7 +20,14 @@ from asyncopt.engine import (
     run_hogwild,
     run_kromagnon,
 )
-from asyncopt.serial import RunResult, SolverConfig, run_scd, run_sgm, run_svrg_sparse
+from asyncopt.serial import (
+    RunResult,
+    SolverConfig,
+    run_scd,
+    run_sgm,
+    run_svrg_dense,
+    run_svrg_sparse,
+)
 
 
 def test_shared_iterate_clamps_and_reports_applied_delta():
@@ -134,9 +141,8 @@ def test_lone_worker_logs_no_overlap_between_chunks(ridge_small, monkeypatch,
                                                     native_worker_calls, native):
     # chunks of 7 draws: the interpreter's work between two stretch calls of a
     # lone worker is no overlap, so each sample ends where the next begins
-    from asyncopt import engine, serial
+    from asyncopt import engine
 
-    monkeypatch.setattr(serial, "CHUNK", 7)
     monkeypatch.setattr(engine, "CHUNK", 7)
     obj, _ = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=100, seed=3)
@@ -168,6 +174,21 @@ def test_one_worker_hogwild_matches_serial_sgm(ridge_small, mode):
     m = FULL_SNAPSHOT if mode == "full" else ao.SPARSE_INCONSISTENT
     res, _ = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1, mode=m, xstar=xstar)
     np.testing.assert_array_equal(res.x, serial.x)
+
+
+def test_serial_solver_ignores_the_snapshot_mode(ridge_small, native_worker_calls):
+    # the full_consistent_snapshot read is a threaded solver's: a serial one
+    # keeps its stretch, native when the build loads, and its bits
+    from asyncopt import _stretch, engine
+
+    obj, _ = ridge_small
+    cfg = SolverConfig(gamma=0.02, total_iters=400, seed=5)
+    x0 = np.zeros(obj.d)
+    default, rep = engine.run(obj, "sgm", cfg, x0)
+    full, full_rep = engine.run(obj, "sgm", cfg, x0, mode=FULL_SNAPSHOT)
+    assert rep is None and full_rep is None
+    assert len(native_worker_calls) == (0 if _stretch.load() is None else 2)
+    np.testing.assert_array_equal(full.x, default.x)
 
 
 def test_one_worker_ascd_matches_serial_scd(ridge_small):
@@ -306,7 +327,8 @@ def test_logged_updates_stop_at_the_last_checkpoint(native_worker_calls):
 
 
 def test_worker_zero_runs_on_the_calling_thread(ridge_small, monkeypatch):
-    # a lone worker starts no thread; with three, two threads per segment
+    # a lone worker starts no thread, and a serial solver is a lone worker
+    # with no Sync; with three workers, two threads per segment
     from asyncopt import engine
 
     started, ran_on = [], []
@@ -317,21 +339,26 @@ def test_worker_zero_runs_on_the_calling_thread(ridge_small, monkeypatch):
         started.append(th)
         return th
 
-    def spy(kernel, gamma, x, lo, hi, sync, rng):
-        ran_on.append((sync.wid, threading.get_ident()))
-        return real_worker(kernel, gamma, x, lo, hi, sync, rng)
+    def spy(kernel, gamma, x, lo, hi, count, rng, sync=None):
+        ran_on.append((None if sync is None else sync.wid, threading.get_ident()))
+        return real_worker(kernel, gamma, x, lo, hi, count, rng, sync)
 
     monkeypatch.setattr(engine.threading, "Thread", counting_thread)
     monkeypatch.setattr(engine, "_stretch_worker", spy)
     obj, _ = ridge_small
-    cfg = SolverConfig(gamma=0.01, epoch_size=60, epochs=3, seed=7)
-    run_kromagnon(obj, obj.weights, cfg, x0=np.zeros(obj.d), workers=1)
+    x0 = np.zeros(obj.d)
+    epochs = SolverConfig(gamma=0.01, epoch_size=60, epochs=3, seed=7)
+    run_kromagnon(obj, obj.weights, epochs, x0=x0, workers=1)
     assert not started
     assert ran_on == [(0, threading.get_ident())] * 3
-    started.clear()
+    for solve, cfg, segments in ((run_sgm, SolverConfig(gamma=0.02, total_iters=600, seed=1), 1),
+                                 (run_svrg_dense, epochs, 3)):
+        ran_on.clear()
+        solve(obj, cfg, x0=x0)
+        assert not started
+        assert ran_on == [(None, threading.get_ident())] * segments
     ran_on.clear()
-    run_hogwild(obj, SolverConfig(gamma=0.02, total_iters=600, seed=1), x0=np.zeros(obj.d),
-                workers=3)
+    run_hogwild(obj, SolverConfig(gamma=0.02, total_iters=600, seed=1), x0=x0, workers=3)
     assert len(started) == 2
     assert (0, threading.get_ident()) in ran_on
     assert sorted(wid for wid, _ in ran_on) == [0, 1, 2]

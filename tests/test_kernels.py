@@ -1,5 +1,5 @@
-"""The kernel seam: the serial loop, the threaded driver and the simulator
-run the same kernel.
+"""The kernel seam: the engine's one worker loop, serial or threaded, and the
+simulator run the same kernel.
 
 A 1-worker async run and a zero-delay simulation must reproduce their
 serial counterpart bit for bit on any shape, and every solver must stop at
@@ -432,7 +432,7 @@ def test_deferred_dense_step_equals_a_pass_per_sample(problem, radius):
     ref = x.copy()
     for draws in (rng.integers(obj.n, size=37), rng.integers(obj.n, size=100)):
         kernel.stretch(x, draws, gamma, lo, hi, dense_step)
-        for s in draws.tolist():  # the serial loop without a stretch
+        for s in draws.tolist():  # a serial solver's update, without a stretch
             idx, g = kernel.direction(s, ref)
             ref[idx] += -gamma * g
             ref += dense_step

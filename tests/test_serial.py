@@ -270,3 +270,18 @@ def test_solver_config_refuses_a_count_that_is_not_an_integer(field):
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             SolverConfig(gamma=0.1, **{field: value})
     assert getattr(SolverConfig(gamma=0.1, **{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1024, 2**64 - 1, 2**64])
+def test_solver_config_refuses_a_seed_outside_the_rng_key(seed):
+    # worker_rng keys Philox with [seed, worker]: from 2**63 on NumPy made that
+    # key float64, so 2**63 and 2**63 + 1024 drew one stream, and 2**64 - 1 seed 0's
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*63\), got {seed}$"):
+        SolverConfig(gamma=0.1, seed=seed)
+
+
+def test_worker_rng_keys_a_numpy_seed_as_its_int():
+    # NumPy keys [np.uint64, int] as float64, where 2**63 - 1 rounds to 2**63
+    top = SolverConfig(gamma=0.1, seed=np.uint64(2**63 - 1)).seed
+    draws = [worker_rng(s, 1).integers(2**62, size=4).tolist() for s in (top, 2**63 - 1, 2**63 - 2)]
+    assert draws[0] == draws[1] != draws[2]

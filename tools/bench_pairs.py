@@ -13,14 +13,18 @@ alternates from pair to pair.  It records, for every end-to-end metric,
 the median, quartiles and spread of each side as perfbench/spread.py
 defines them (the definition BENCHMARK.json's bounds are judged against),
 the ratio of the medians (change over parent) and the number of pairs the
-change wins, and two verdicts: `gain`, when the change wins at least nine
+change wins, and three verdicts: `gain`, when the change wins at least nine
 in ten pairs and its median differs from the parent's, in the better
-direction, by more than the distance between the parent's quartiles; and
+direction, by more than the distance between the parent's quartiles;
 `within_bound`, when the change's median is no worse than the parent's by
 more than the metric's BENCHMARK.json bound (a fraction of the parent's
-median).  It prints one line per workload naming the metrics that gained
-and any out of bound, with src_lines and native_lines, parent -> change.  It also makes one --trace 1 pair on the first seed
-and keeps every metric of that pair.  Every run's gate result is kept, and so are
+median); and `unresolved`, when either side's spread is above that bound and
+not every change run beats every parent run: such runs cannot tell a move
+within the bound from none, so the metric is reported as unresolved, not as
+unchanged.  It prints one line per workload naming the metrics that gained,
+any out of bound and any unresolved, with src_lines and native_lines, parent
+-> change.  It also makes one --trace 1 pair on the first seed and keeps
+every metric of that pair.  Every run's gate result is kept, and so are
 src_lines and native_lines, the totals of `wc -l src/asyncopt/*.py` and of
 `wc -l src/asyncopt/*.c`, of each checkout.
 """
@@ -91,18 +95,24 @@ def compare(spec, parent_runs, change_runs):
         row["gain"] = wins >= 0.9 * len(values["parent"]) and gained > (
             row["parent"]["q3"] - row["parent"]["q1"])
         row["within_bound"] = gained >= -m["bound"] * parent
+        apart = (max(values["change"]) < min(values["parent"]) if lower
+                 else min(values["change"]) > max(values["parent"]))
+        row["unresolved"] = max(row[side]["spread"] for side in sides) > m["bound"] and not apart
         table[name] = row
     return table
 
 
 def verdict(workload, table, sizes):
     """One line: the metrics that gained, any whose median is out of bound,
-    and each of sizes (a name -> {"parent", "change"} map), parent -> change."""
+    any unresolved, and each of sizes (a name -> {"parent", "change"} map),
+    parent -> change."""
     gains = [k for k, row in table.items() if row["gain"]]
     out = [k for k, row in table.items() if not row["within_bound"]]
+    unresolved = [k for k, row in table.items() if row["unresolved"]]
     size = "; ".join(f"{k} {v['parent']} -> {v['change']}" for k, v in sizes.items())
     return (f"{workload}: gain in {', '.join(gains) or 'none'}; "
-            f"out of bound: {', '.join(out) or 'none'}; {size}")
+            f"out of bound: {', '.join(out) or 'none'}; "
+            f"unresolved: {', '.join(unresolved) or 'none'}; {size}")
 
 
 def main(argv=None):
