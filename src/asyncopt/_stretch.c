@@ -502,49 +502,40 @@ int64_t sim_segment(const Terms *p, double *X, double *Xhat, double *U, double *
  * grammar below only, and writes each row's label, length, 0-based indices
  * and values.  asyncopt.data._libsvm_row is the format's one definition; a
  * line this grammar accepts is one that function accepts with the same
- * values (strtod and Python's float both round correctly).  At any other
- * line the reader declines the block, and asyncopt.data reads the whole
- * file with that function instead, which parses the line or refuses it.
+ * values, as both round decimals correctly.  At any other line the reader
+ * declines the block, and asyncopt.data reads the whole file with that
+ * function instead, which parses the line or refuses it.
  *
  *   line    := ws* ( '#' any* | label ( ws+ feature )* ws* )? ( '\r'? '\n' | end )
  *   label   := number (finite)
  *   feature := digit{1,18} ':' number (finite), the index >= 1, above the
  *              row's previous one, and at most d
- *   number  := [+-]? ( digit+ ( '.' digit* )? | '.' digit+ ) ( [eE] [+-]? digit+ )?
+ *   number  := [+-]? ( digit+ ( '.' digit* )? | '.' digit+ ) ( [eE] [+-]? digit+ )?,
+ *              at most NUMBER_MAX characters, followed by ws or the line's end
  *   ws      := ' ' | '\t'
- */
+ *
+ * scan() reads a number in one pass.  It keeps its first 19 significant
+ * digits as an integer w and the power of ten e10 they are scaled by, so
+ * the number is w * 10^e10 when every digit past the 19th is 0.  When
+ * |e10| <= 19 that value is rounded once, exactly (Clinger, PLDI 1990):
+ * for e10 >= 0 the 128-bit product w * 10^e10 is cast to double; for
+ * e10 < 0, w is shifted up in 128 bits so that its quotient by 10^-e10
+ * lies in [2^61, 2^63), and a nonzero remainder is ORed into bit 0 of that
+ * quotient, a sticky bit below the double's rounding position.  Either way
+ * the cast rounds the exact value to nearest, ties to even, as strtod does,
+ * and the quotient's is then scaled back by an exact power of two.  Every
+ * other number (a nonzero digit past the 19th, |e10| above 19, or a
+ * compiler without 128-bit integers) goes to strtod. */
 
 #define NUMBER_MAX 64 /* longer numbers are left to the reference */
+#define EXACT_DIGITS 19 /* 10^19 < 2^64 */
 
 static inline int is_digit(char c) { return c >= '0' && c <= '9'; }
 static inline int is_ws(char c) { return c == ' ' || c == '\t'; }
 
-/* The finite value of the number that is all of s[0:n], or 0 when it is not one. */
+/* strtod's value of the number s[0:n], which scan() has read; 0 when it is not finite. */
 static int number(const char *s, int64_t n, double *out)
 {
-    const char *q = s, *end = s + n;
-    int64_t digits = 0;
-    if (q < end && (*q == '+' || *q == '-'))
-        q++;
-    for (; q < end && is_digit(*q); q++)
-        digits++;
-    if (q < end && *q == '.')
-        for (q++; q < end && is_digit(*q); q++)
-            digits++;
-    if (!digits)
-        return 0;
-    if (q < end && (*q == 'e' || *q == 'E')) {
-        q++;
-        if (q < end && (*q == '+' || *q == '-'))
-            q++;
-        const char *e = q;
-        for (; q < end && is_digit(*q); q++)
-            ;
-        if (q == e)
-            return 0;
-    }
-    if (q != end || n > NUMBER_MAX)
-        return 0;
     char buf[NUMBER_MAX + 1], *stop;
     memcpy(buf, s, (size_t)n); /* strtod reads up to a NUL, which s need not have */
     buf[n] = '\0';
@@ -555,16 +546,86 @@ static int number(const char *s, int64_t n, double *out)
     return 1;
 }
 
+/* The finite value of the number that starts at s and ends before end:
+ * where it ends, or NULL when what starts at s is not one. */
+static const char *scan(const char *s, const char *end, double *out)
+{
+    /* reading one character past NUMBER_MAX tells a long number, and bounds the counts */
+    const char *lim = end - s > NUMBER_MAX ? s + NUMBER_MAX + 1 : end, *q = s, *dot = NULL;
+    int neg = 0, digits = 0, sig = 0, lost = 0, e10 = 0;
+    uint64_t w = 0;
+    if (q < lim && (*q == '+' || *q == '-'))
+        neg = *q++ == '-';
+    for (; q < lim; q++) {
+        if (is_digit(*q)) {
+            digits++;
+            if (sig < EXACT_DIGITS) {
+                w = w * 10 + (uint64_t)(*q - '0');
+                sig += w != 0; /* leading zeros are not significant */
+                e10 -= dot != NULL;
+            } else {
+                lost |= *q != '0';
+                e10 += dot == NULL;
+            }
+        } else if (*q == '.' && !dot) {
+            dot = q;
+        } else {
+            break;
+        }
+    }
+    if (!digits)
+        return NULL;
+    if (q < lim && (*q == 'e' || *q == 'E')) {
+        int eneg = 0, x = 0;
+        if (++q < lim && (*q == '+' || *q == '-'))
+            eneg = *q++ == '-';
+        const char *e = q;
+        for (; q < lim && is_digit(*q); q++)
+            if (x < 10000) /* past this, |e10| > 19 whatever the digits were */
+                x = x * 10 + (*q - '0');
+        if (q == e)
+            return NULL;
+        e10 += eneg ? -x : x;
+    }
+    if (q == s + NUMBER_MAX + 1 || (q < end && !is_ws(*q)))
+        return NULL;
+#ifdef __SIZEOF_INT128__
+    static const uint64_t tens[EXACT_DIGITS + 1] = {
+        1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull,
+        100000000ull, 1000000000ull, 10000000000ull, 100000000000ull, 1000000000000ull,
+        10000000000000ull, 100000000000000ull, 1000000000000000ull, 10000000000000000ull,
+        100000000000000000ull, 1000000000000000000ull, 10000000000000000000ull};
+    if (!lost && e10 >= -EXACT_DIGITS && e10 <= EXACT_DIGITS) {
+        double v = 0;
+        if (w && e10 >= 0) {
+            v = (double)((unsigned __int128)w * tens[e10]);
+        } else if (w) {
+            /* w < 2^(64 - clz(w)) and p >= 2^(63 - clz(p)), so quot < 2^63; and
+             * quot >= 2^61, as many bits as the rounding needs, and a signed
+             * int64, which converts in one instruction */
+            uint64_t p = tens[-e10], scale;
+            int shift = __builtin_clzll(w) + 62 - __builtin_clzll(p);
+            unsigned __int128 num = (unsigned __int128)w << shift;
+            int64_t quot = (int64_t)(num / p) | (num % p != 0);
+            scale = (uint64_t)(1023 - shift) << 52; /* the double 2^-shift */
+            memcpy(&v, &scale, sizeof v);
+            v *= (double)quot;
+        }
+        *out = neg ? -v : v;
+        return q;
+    }
+#endif
+    return number(s, q - s, out) ? q : NULL;
+}
+
 /* The label and features of the line p[0:end - p], which starts with neither
  * ws nor '#': the number of features, written from indices[0] and values[0],
  * or -1 when the line is outside the grammar. */
 static int64_t row(const char *p, const char *end, int64_t d, double *lab, int64_t *indices,
                    double *values)
 {
-    const char *q = p;
-    while (q < end && !is_ws(*q))
-        q++;
-    if (!number(p, q - p, lab))
+    const char *q = scan(p, end, lab);
+    if (!q)
         return -1;
     int64_t k = 0, prev = 0;
     for (;;) {
@@ -577,10 +638,7 @@ static int64_t row(const char *p, const char *end, int64_t d, double *lab, int64
             idx = idx * 10 + (*q - '0');
         if (q == p || q == end || *q != ':' || idx <= prev || idx > d)
             return -1;
-        const char *v = ++q;
-        while (q < end && !is_ws(*q))
-            q++;
-        if (!number(v, q - v, &values[k]))
+        if (!(q = scan(q + 1, end, &values[k])))
             return -1;
         indices[k++] = idx - 1;
         prev = idx;

@@ -1,8 +1,9 @@
 """The native stretch kernels, enumeration (``moment``), simulated segment
 (``sim_segment``), libsvm reader (which parses a block whole or declines it,
-and parse_libsvm then reads the file in Python), conflict-degree count and
-synthetic row draw (``choice_rows``) of _stretch.c: build, load, and bind to
-a kernel.
+and parse_libsvm then reads the file in Python; it scans each number once and
+rounds it exactly in integers, or with strtod past 19 significant digits or a
+power of ten past 10^+-19), conflict-degree count and synthetic row draw
+(``choice_rows``) of _stretch.c: build, load, and bind to a kernel.
 
 ``load()`` compiles _stretch.c with the installed gcc at its first call (the
 first solver run, before its clock starts, the first parse_libsvm,

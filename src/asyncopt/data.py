@@ -15,9 +15,11 @@ instead, every line with ``_libsvm_row``.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import operator
 import sys
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +39,17 @@ __all__ = [
 ]
 
 
+@contextlib.contextmanager
 def _open(path, mode="rt"):
+    """The file, through gzip when its name ends in .gz.  A gzip stream that
+    ends early or does not inflate raises ValueError naming the file, as the
+    loaders' other refusals do."""
     path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
+    with gzip.open(path, mode) if path.endswith(".gz") else open(path, mode) as fh:
+        try:
+            yield fh
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,10 @@ def _read_native(lib, path, d):
         for block, end in _blocks(fh):
             if not _plain(block, end):
                 return None
-            rows = block.count(b"\n", 0, end) + 1
+            text = np.frombuffer(block, np.uint8, end)
+            rows = np.count_nonzero(text == ord("\n")) + 1
             labels, lens = np.empty(rows), np.empty(rows, dtype=np.int64)
-            nnz = block.count(b":", 0, end)  # every feature has its own colon
+            nnz = np.count_nonzero(text == ord(":"))  # every feature has its own colon
             indices, values = np.empty(nnz, dtype=np.int64), np.empty(nnz)
             r = lib.parse_libsvm(block, end, limit,
                                  *(a.ctypes.data for a in (labels, lens, indices, values)))

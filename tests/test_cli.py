@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,23 @@ def test_run_seed_out_of_range_is_a_usage_error(capsys, seed):
         main(["run", "--synthetic", "50,10,3", "--mode", "sgm", "--iters", "10", "--seed", seed])
     assert exc.value.code == 2
     assert f"error: seed must be in [0, 2**63), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, text", [("logreg", b"1 1:0.5\n-1 2:1\n" * 500),
+                                           ("vertexcover", b"0 1\n1 2\n" * 500)])
+def test_damaged_gzip_data_file_is_a_usage_error(tmp_path, capsys, problem, text):
+    packed = gzip.compress(text, mtime=0)
+    cut = packed[:-20]  # no end-of-stream marker
+    bad = packed[:10] + b"\x07" + packed[11:]  # the first deflate block of the reserved type
+    for data, why in ((cut, "Compressed file ended before the end-of-stream marker"),
+                      (bad, "Error -3 while decompressing data")):
+        p = tmp_path / "data.gz"
+        p.write_bytes(data)
+        for command, flags in (("stats", []), ("run", ["--mode", "sgm", "--gamma", "0.01"]),
+                               ("bench", ["--outdir", str(tmp_path / "out")])):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--problem", problem, "--data", str(p), *flags])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"usage: asyncopt {command}" in err
+            assert f"error: {p}: {why}" in err

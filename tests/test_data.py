@@ -1,7 +1,9 @@
 import contextlib
+import decimal
 import functools
 import gzip
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -514,3 +516,70 @@ def test_native_libsvm_reader_declines_a_file_at_a_late_line(tmp_path):
             assert got[0] == (401, 50)
         else:
             assert got == (ValueError, f"line {at + 1}: {error}")
+
+
+_ROUNDINGS = [decimal.ROUND_DOWN, decimal.ROUND_UP, decimal.ROUND_HALF_EVEN]
+
+
+@st.composite
+def _decimal_token(draw):
+    """A number of the native grammar near where a fast conversion would go wrong:
+    a double printed with 15 to 19 significant digits or by repr; the midpoint of
+    two adjacent doubles cut to 15 to 21 digits (past 19, strtod's), rounded down,
+    up or half-even; leading and trailing zeros, signed zeros, integers of up to
+    19 digits, and up to 19 digits scaled by a power of ten on both sides of 10^+-19."""
+    kind = draw(st.sampled_from(["double", "midpoint", "leading", "trailing", "zero", "int",
+                                 "power"]))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    digits = draw(st.integers(0, 10**19 - 1).map(str))
+    if kind == "double":
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        tok = draw(st.sampled_from([f"%.{p}g" % x for p in range(15, 20)] + [repr(x)]))
+        return tok if math.isfinite(float(tok)) else repr(x)  # a cut above the largest double
+    if kind == "midpoint":
+        # in [0.92, 1) a 19-digit cut can lie above a midpoint by less than the 2^-64
+        # that the exact division resolves, so that only its sticky bit rounds it up
+        near_one = st.integers(2**53 * 23 // 25, 2**53 - 1).map(lambda m: m / 2**53)
+        x = draw(st.floats(0, 1e308) | near_one)
+        exact = decimal.Context(prec=2000)  # a double's decimal expansion has at most 767 digits
+        pair = exact.add(decimal.Decimal(x), decimal.Decimal(np.nextafter(x, 2 * x + 1)))
+        cut = decimal.Context(prec=draw(st.integers(15, 21)),
+                              rounding=draw(st.sampled_from(_ROUNDINGS)))
+        mid = exact.divide(pair, 2)
+        return sign + str(cut.plus(mid))
+    if kind == "leading":
+        return f"{sign}0.{'0' * draw(st.integers(0, 25))}{digits}"
+    if kind == "trailing":
+        return sign + digits + draw(st.sampled_from(["0" * draw(st.integers(1, 25)),
+                                                     "." + "0" * draw(st.integers(0, 25))]))
+    if kind == "power":
+        return f"{sign}{digits[0]}.{digits[1:]}e{draw(st.integers(-25, 25))}"
+    if kind == "zero":
+        return sign + draw(st.sampled_from(["0", "0.0", ".0", "0.", "000", "0e5", "0e-400"]))
+    return sign + digits
+
+
+# where the exact conversion hands over to strtod: 19 and 20 significant digits,
+# a power of ten of +-19 and +-20, and numbers far outside the exact range
+@example(["1234567890123456789", "12345678901234567891", "0.1234567890123456789",
+          "0.12345678901234567891", "1234567890123456789.5", "12345678901234567890",
+          "9007199254740993.0001", "9007199254740993.0000"])
+@example(["1e19", "1e20", "1e-19", "1e-20", "9999999999999999999e19", "9999999999999999999e-19",
+          "9999999999999999999e-20", "1.5e-18", "0.00000000000000000015", "15e-20"])
+@example(["9999999999999999999", "-9999999999999999999", "18446744073709551615",
+          "4.9e-324", "2.4703282292062328e-324", "1e-400", "1.7976931348623157e308"])
+# 19-digit numbers less than 2^-64 above the midpoint of two doubles
+@example(["0.9941503669568276247", "0.9308886813042734354", "-0.9704518068280107435"])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_decimal_token(), min_size=1, max_size=40))
+def test_native_libsvm_reader_rounds_every_number_as_float_does(tmp_path_factory, tokens):
+    if _stretch.load() is None:
+        pytest.skip("the native library did not build")
+    p = tmp_path_factory.mktemp("exact") / "t.txt"
+    p.write_text("".join(f"{tok} 1:{tok}\n" for tok in tokens))
+    with _text_reads() as text_reads:
+        ds = parse_libsvm(p)
+    assert not text_reads  # every token is inside the native grammar
+    want = np.array([float(tok) for tok in tokens])
+    assert ds.labels.tobytes() == want.tobytes()
+    assert ds.X.data.tobytes() == want.tobytes()
