@@ -5,7 +5,10 @@
  * sim_segment(), one epoch segment of asyncopt.sim.simulate; the libsvm
  * block reader of asyncopt.data; the conflict-degree count of
  * asyncopt.hypergraph; and choice_rows(), the row draw of
- * asyncopt.data.gen_synthetic.
+ * asyncopt.data.gen_synthetic.  Each entry point works on a batch (a run of
+ * draws, every sample, an epoch segment, a file, a row block); there is no
+ * one-sample call, and a kernel's direction for one sample is its NumPy
+ * definition in asyncopt.serial, which this code is tested against.
  *
  * A term's direction is read from the term form of asyncopt.objectives in
  * place: row i of the CSR A (data, indices, indptr), its label b[i], and
@@ -308,15 +311,6 @@ static double coord_g(const Terms *p, int64_t v, const double *src, double *buf,
     return (double)p->d * (sum / (double)p->n + p->rho[v] * w + p->eta[v]);
 }
 
-/* One sample's direction: the kernel's direction(i, src) */
-void direction(const Terms *p, int64_t i, const double *src, double *g)
-{
-    if (p->coords)
-        g[0] = coord_g(p, i, src, NULL, NULL, 0);
-    else
-        term_g(p, i, src, 0, g);
-}
-
 /* Samples draws[0..ndraws) (terms, or coordinates when p->coords) with step
  * -gamma (ngamma), clamped to [lo, hi] when bounded; dense_step, when given,
  * is added to every one of the d coordinates after each sample's sparse
@@ -407,9 +401,9 @@ int64_t stretch(const Terms *p, double *x, int64_t d, const int64_t *draws, int6
  * moment() enumerates a kernel's directions at one x for the oracles of
  * asyncopt.serial, and sim_segment() runs one epoch segment of
  * asyncopt.sim.simulate; both call the stretches' term_g and coord_g, so g
- * keeps one definition.  sim_segment() follows the order of operations of
- * the NumPy reference segment (asyncopt.sim._reference_segment) element by
- * element, so the two give the same bits from the same direction code. */
+ * keeps one definition in C.  sim_segment() follows the order of operations
+ * of the NumPy reference segment (asyncopt.sim._reference_segment) element
+ * by element, so the two give the same bits when given the same g. */
 
 /* m ? a : b by masking bits, with no branch, which a random mask would
  * mispredict half the time; a loop of picks vectorizes */

@@ -25,10 +25,11 @@ parallel.
 
 ``bind(obj, y, dz, coords)`` gives the ``Stretch`` of the term kernels (or
 of scd's coordinates) of an objective whose phi has a native form, or None.
-Besides the stretch and its one-sample ``direction``, a ``Stretch`` runs
-``moment`` (E_s ||g(x, s)||^2 over every sample, and optionally the sum of
-g, for the enumeration oracles) and ``simulate`` (one epoch segment of
-asyncopt.sim.simulate in a single call) on the same C direction code.
+Besides the stretch, a ``Stretch`` runs ``moment`` (E_s ||g(x, s)||^2 over
+every sample, and optionally the sum of g, for the enumeration oracles) and
+``simulate`` (one epoch segment of asyncopt.sim.simulate in a single call)
+on the same C direction code.  Every call takes a batch: a kernel's
+one-sample ``direction`` is its NumPy definition in asyncopt.serial.
 """
 
 from __future__ import annotations
@@ -147,8 +148,6 @@ def _compile(path):
 
 def _bind_functions(lib):
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.direction.argtypes = [p, i64, p, p]
-    lib.direction.restype = None
     lib.stretch.argtypes = [p, p, i64, p, i64, f64, i64, f64, f64, p, p]
     lib.stretch.restype = i64
     lib.moment.argtypes = [p, p, p]
@@ -186,10 +185,10 @@ def _f64(a, size):
 
 
 class Stretch:
-    """The native direction and stretch of one kernel of obj: sgm (no
-    snapshot), svrg_dense (snapshot y), svrg_sparse (y and dz = d_inv *
-    grad f(y)), or scd (coords, sampling coordinates).  It serves one thread
-    at a time (the engine builds a kernel per worker)."""
+    """The native stretch of one kernel of obj: sgm (no snapshot), svrg_dense
+    (snapshot y), svrg_sparse (y and dz = d_inv * grad f(y)), or scd (coords,
+    sampling coordinates).  It serves one thread at a time (the engine builds
+    a kernel per worker)."""
 
     def __init__(self, lib, obj, y, dz, coords=False):
         A, Ac, d = obj.A, obj._Ac, obj.d
@@ -208,25 +207,10 @@ class Stretch:
             **{name: _ptr(a) for name, a in self._keep.items()},
         )
         self._ref = ctypes.addressof(self._terms)
-        # ndarray.ctypes costs microseconds, so direction reuses its addresses
-        self._g = np.empty(max(self._terms.maxlen, 1))
-        self._g_ptr = self._g.ctypes.data
-        self._src = self._src_ptr = None
 
     def support(self, i):
         """The coordinates sample i writes."""
         return np.array([i], dtype=np.int64) if self.coords else self.obj.term_support(i)
-
-    def direction(self, i, src):
-        """(idx, g) of sample i read from src, as the kernel's NumPy direction."""
-        if not 0 <= i < self.samples:
-            raise IndexError(f"sample {i} out of range for {self.samples} samples")
-        if src is not self._src:  # held, so its address stays valid
-            self._src = _f64(src, self.d)
-            self._src_ptr = self._src.ctypes.data
-        idx = self.support(i)
-        self.lib.direction(self._ref, i, self._src_ptr, self._g_ptr)
-        return idx, self._g[:idx.size].copy()
 
     def moment(self, x, out=None):
         """E_s ||g(x, s)||^2 over every sample s, adding each g into out (a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -29,7 +30,10 @@ def _add_data_args(p):
 
 
 def _synthetic_spec(shape, problem, seed):
-    n, d, nnz = (int(t) for t in shape.split(","))
+    try:
+        n, d, nnz = (int(t) for t in shape.split(","))
+    except ValueError:
+        raise ValueError(f"--synthetic takes N,D,NNZ, three integers, got {shape!r}") from None
     model = "logistic" if problem == "logreg" else "linear"
     return SyntheticSpec(n=n, d=d, nnz=nnz, label_model=model, seed=seed)
 
@@ -74,17 +78,22 @@ def cmd_stats(args):
 
 
 def cmd_run(args):
+    if args.out and (os.path.isdir(args.out)
+                     or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+        args.usage_error(f"cannot write {args.out}: not a file in a writable directory")
     obj = _objective(args)
     rule = "explicit" if args.gamma is not None else SOLVERS[args.mode].rule
     common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
                   linf=LinfBall(args.linf_radius))
 
     def settings():
+        # an unset horizon takes its default; SolverConfig refuses a 0
+        S = obj.n if args.epoch_size is None else args.epoch_size
+        E = 5 if args.epochs is None else args.epochs
         if SOLVERS[args.mode].epochal:
-            cfg = SolverConfig(epoch_size=args.epoch_size or obj.n, epochs=args.epochs or 5,
-                               log_every=args.log_every, **common)
+            cfg = SolverConfig(epoch_size=S, epochs=E, log_every=args.log_every, **common)
         else:
-            T = args.iters or (args.epochs or 5) * (args.epoch_size or obj.n)
+            T = S * E if args.iters is None else args.iters
             cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
                                **common)
         cfg = resolve_config(cfg, obj, args.mode)

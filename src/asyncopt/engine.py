@@ -19,11 +19,11 @@ implementations:
     C call per chunk of draws, outside the interpreter lock, that takes each
     sample's index by an atomic fetch-add and writes by a compare-and-swap
     on the double's bits when several workers run (plainly when one does);
-  - the NumPy reference (serial.Kernel.reference), in the
-    full_consistent_snapshot read mode and when the build is not loaded: it
+  - the NumPy reference (serial.Kernel.reference), when the build is not
+    loaded and for several workers of the full_consistent_snapshot read (a
+    lone one, with no writer beside it, reads a consistent x in place): it
     takes the index under a lock and writes through serial.add_clamped's
-    striped locks (an indivisible read-modify-write on one float64 cell in
-    Python), and a snapshot read copies x with every stripe lock held.
+    striped locks, and a snapshot read copies x with every stripe lock held.
 
 The workers are joined at each checkpoint, so KroMagnon's snapshot,
 refreshed at an epoch start, is consistent.  Worker 0 runs on the calling
@@ -191,15 +191,16 @@ def run(
     worker's _stretch_worker, worker 0 on this thread.  Each worker builds its
     own kernel, since SCD's read buffer is private.  The workers of a threaded
     solver share a sample counter through their Syncs; in the
-    full_consistent_snapshot mode, which a serial solver ignores, they run the
-    kernel's NumPy reference, whose reads copy x (a native whole-vector read
-    beside compare-and-swap writes would not be consistent)."""
+    full_consistent_snapshot mode, which a serial solver ignores, several
+    workers run the kernel's NumPy reference, whose reads copy x (a native
+    whole-vector read beside compare-and-swap writes would not be consistent;
+    a lone worker has no writer beside it and keeps its stretch)."""
     cfg = resolve_config(cfg, obj, algo)  # rejects a name that is not in SOLVERS
     check_workers(algo, workers)
     solver = SOLVERS[algo]
     lo, hi = clamp_bounds(obj, cfg)
     x = np.array(x0 if lo is None else np.clip(x0, lo, hi), dtype=np.float64, copy=True)
-    snapshot = solver.threaded and mode == FULL_SNAPSHOT
+    snapshot = solver.threaded and mode == FULL_SNAPSHOT and workers > 1
     cell = np.zeros(1, dtype=np.int64)  # the workers' sample counter
     S, E = _epochs(cfg, solver.epochal)
     log = SampleLog.empty(S * E, log_updates) if solver.threaded else None

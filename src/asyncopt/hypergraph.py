@@ -147,7 +147,9 @@ def _native_degrees(lib, B, Bt, col_len):
     process may run on, and at least THREAD_PAIR_WORK pair work each."""
     n = B.shape[0]
     total = int(col_len @ col_len)
-    parts = max(1, min(len(os.sched_getaffinity(0)), total // THREAD_PAIR_WORK))
+    # where the OS cannot say which CPUs the process may run on (macOS), every CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = max(1, min(cpus or 1, total // THREAD_PAIR_WORK))
     bounds = [0, n]
     if parts > 1:
         bounds = np.searchsorted(_row_work(B, col_len), total * np.arange(parts + 1) // parts)

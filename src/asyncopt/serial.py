@@ -14,10 +14,10 @@ simulation reproduce the serial trajectory bit for bit.
 
 Every kernel runs a run of samples as a stretch, ``stretch(x, draws,
 gamma, lo, hi, dense_step=None, sync=None) -> used``, one contract with two
-implementations: the native ``stretch`` of asyncopt._stretch, when its build
-loads (one C loop, whose ``direction`` is then the same C routine for one
-sample, so every writer still shares one g), and ``Kernel.reference``, the
-NumPy loop over ``direction`` that the native one is tested against.  The
+implementations: the native ``stretch`` of asyncopt._stretch, bound when the
+kernel is built if the build loads (one C loop over a batch of draws), and
+``Kernel.reference``, the NumPy loop over ``direction`` (NumPy always) that
+the native one is tested against.  The
 engine's worker loop makes one stretch call per chunk of draws: with no
 ``sync`` for a serial solver, with a ``sync`` (asyncopt._stretch.Sync) for
 each worker of a threaded one.  ``SOLVERS`` is the one table of solver
@@ -195,9 +195,8 @@ class Kernel(NamedTuple):
     ``direction(s, src) -> (idx, g)`` reads ``src`` on ``idx``.  ``dense``,
     when set, is added to g on every coordinate (dense SVRG's grad f(y)); the
     writer applies it after the sparse part.  ``stretch``, when set, is the
-    native loop over many samples (asyncopt._stretch.Stretch), and
-    ``direction`` is its one-sample form; ``reference`` is the same loop in
-    NumPy.
+    native loop over many samples (asyncopt._stretch.Stretch); ``reference``
+    is the same loop in NumPy over ``direction``.
     """
 
     samples: int
@@ -279,19 +278,12 @@ def _snapshot(x):
         return x.copy()
 
 
-def _native(kernel, obj, y=None, dz=None, coords=False):
-    """The kernel with its native direction and stretch, when the build loads."""
-    native = _stretch.bind(obj, y, dz, coords)
-    return kernel if native is None else kernel._replace(direction=native.direction,
-                                                         stretch=native)
-
-
 def sgm(obj):
     """SGM, and Hogwild! when the engine drives it: the gradient of term s."""
     def direction(i, src):
         idx = obj.term_support(i)
         return idx, obj.term_grad_vals(i, src[idx])
-    return _native(Kernel(obj.n, direction), obj)
+    return Kernel(obj.n, direction, stretch=_stretch.bind(obj))
 
 
 def scd(obj):
@@ -306,7 +298,7 @@ def scd(obj):
         union = obj.coord_read_support(v)
         scratch[union] = src[union]
         return np.array([v], dtype=np.int64), np.array([obj.d * obj.full_grad_coord(v, scratch)])
-    return _native(Kernel(obj.d, direction), obj, coords=True)
+    return Kernel(obj.d, direction, stretch=_stretch.bind(obj, coords=True))
 
 
 def svrg_sparse(obj, y, z):
@@ -316,7 +308,7 @@ def svrg_sparse(obj, y, z):
         idx = obj.term_support(i)
         gx = obj.term_grad_vals(i, src[idx])
         return idx, gx - obj.term_grad_vals(i, y[idx]) + obj.d_inv[idx] * z[idx]
-    return _native(Kernel(obj.n, direction), obj, y, obj.d_inv * z)
+    return Kernel(obj.n, direction, stretch=_stretch.bind(obj, y, obj.d_inv * z))
 
 
 def svrg_dense(obj, y, z):
@@ -324,7 +316,7 @@ def svrg_dense(obj, y, z):
     def direction(i, src):
         idx = obj.term_support(i)
         return idx, obj.term_grad_vals(i, src[idx]) - obj.term_grad_vals(i, y[idx])
-    return _native(Kernel(obj.n, direction, dense=z), obj, y)
+    return Kernel(obj.n, direction, dense=z, stretch=_stretch.bind(obj, y))
 
 
 EPOCHAL_KERNELS = (svrg_sparse, svrg_dense)  # built from a snapshot (y, z)
@@ -510,7 +502,7 @@ def _second_moment(kernel, x, out=None):
     """E_s ||g(x, s)||^2 by enumeration of every sample s (dense part excluded),
     adding each g into out on its support when out is given.  The kernel's
     native moment when it has a stretch (which sums ||g||^2 left to right
-    where g @ g calls BLAS), else this loop."""
+    where g @ g calls BLAS), else this loop over the NumPy direction."""
     if kernel.stretch is not None:
         return kernel.stretch.moment(x, out)
     total = 0.0

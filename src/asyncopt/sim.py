@@ -214,8 +214,9 @@ def simulate(
 
 
 def _reference_segment(kernel, X, Xhat, U, q, missing, tau, ep0, draws, gamma):
-    """Steps ep0 .. ep0 + draws.size - 1 of one epoch, in place, in NumPy: the
-    contract of the native segment (asyncopt._stretch.Stretch.simulate).
+    """Steps ep0 .. ep0 + draws.size - 1 of one epoch, in place, in NumPy over
+    the kernel's direction: the contract of the native segment
+    (asyncopt._stretch.Stretch.simulate).
     X[ep0] holds the epoch's first fake iterate and U's rows are zero; q is
     None when not recorded."""
     x = X[ep0].copy()

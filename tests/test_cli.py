@@ -99,6 +99,11 @@ def test_run_refuses_bad_settings(capsys):
         (["--mode", "sgm", "--gamma", "nan"], "gamma must be finite and positive"),
         (["--mode", "hogwild", "--gamma", "0.01", "--log-every", "-5"], "log_every must be >= 0"),
         (["--mode", "hogwild", "--gamma", "0.01", "--workers", "0"], "workers must be >= 1"),
+        # a zero horizon is refused, not replaced by the default
+        (["--mode", "hogwild", "--gamma", "0.01", "--iters", "0"], "total_iters must be >= 1"),
+        (["--mode", "svrg_sparse", "--gamma", "0.01", "--epochs", "0"], "epochs must be >= 1"),
+        (["--mode", "kromagnon", "--gamma", "0.01", "--epoch-size", "0"],
+         "epoch_size must be >= 1"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(base + flags)
@@ -106,6 +111,35 @@ def test_run_refuses_bad_settings(capsys):
         err = capsys.readouterr().err
         assert "usage: asyncopt run" in err, flags
         assert f"error: {message}" in err, (flags, err)
+
+
+def test_run_refuses_an_unwritable_out_before_solving(tmp_path, capsys, monkeypatch):
+    # a usage error naming the path, before any solve, and no file left behind
+    import asyncopt.cli as cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --out")
+
+    monkeypatch.setattr(cli, "run", solve)
+    for out in (tmp_path / "missing" / "trace.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "linreg", "--synthetic", "60,12,3", "--mode", "sgm",
+                  "--gamma", "0.01", "--iters", "100", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: not a file in a writable directory" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["stats", "run", "bench"])
+@pytest.mark.parametrize("shape", ["100,20", "100,20,x", "100,20,3,4"])
+def test_malformed_synthetic_shape_is_refused_by_name(command, shape, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--synthetic", shape])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: asyncopt {command}" in err
+    assert f"error: --synthetic takes N,D,NNZ, three integers, got '{shape}'" in err, err
 
 
 def test_run_linf_radius(capsys):

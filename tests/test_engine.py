@@ -141,13 +141,14 @@ def test_lone_worker_logs_no_overlap_between_chunks(ridge_small, monkeypatch,
                                                     native_worker_calls, native):
     # chunks of 7 draws: the interpreter's work between two stretch calls of a
     # lone worker is no overlap, so each sample ends where the next begins
-    from asyncopt import engine
+    from asyncopt import _stretch, engine
 
     monkeypatch.setattr(engine, "CHUNK", 7)
+    if not native:
+        monkeypatch.setattr(_stretch, "load", lambda: None)
     obj, _ = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=100, seed=3)
-    mode = ao.SPARSE_INCONSISTENT if native else FULL_SNAPSHOT
-    _, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1, mode=mode)
+    _, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1)
     assert len(native_worker_calls) == (1 if native else 0)
     assert rep.log.end.tolist() == list(range(1, 101))
     assert rep.histogram.tolist() == [100]
@@ -167,12 +168,18 @@ def test_worker_ends_follow_the_counter(ridge_small, native_worker_calls, worker
 
 
 @pytest.mark.parametrize("mode", ["sparse", "full"])
-def test_one_worker_hogwild_matches_serial_sgm(ridge_small, mode):
+def test_one_worker_hogwild_matches_serial_sgm(ridge_small, native_worker_calls, mode):
+    # a lone worker has no writer beside it, so its in-place read is a
+    # consistent snapshot: in either read mode it runs the native stretch
+    from asyncopt import _stretch
+
     obj, xstar = ridge_small
     cfg = SolverConfig(gamma=0.02, total_iters=400, seed=5)
     serial = run_sgm(obj, cfg, x0=np.zeros(obj.d), xstar=xstar)
+    native_worker_calls.clear()
     m = FULL_SNAPSHOT if mode == "full" else ao.SPARSE_INCONSISTENT
     res, _ = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=1, mode=m, xstar=xstar)
+    assert len(native_worker_calls) == (0 if _stretch.load() is None else 1)
     np.testing.assert_array_equal(res.x, serial.x)
 
 

@@ -117,10 +117,11 @@ def test_objective_pattern_gives_the_stats_of_its_term_supports(logistic_desk):
     assert _same_stats(conflict_stats(obj.A, obj.d), conflict_stats(supports, obj.d))
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3, None])
 def test_threaded_native_count_covers_every_row_once(monkeypatch, cpus):
     # a floor of 1 splits any graph into one block per CPU; the blocks tile
-    # the rows, trailing empty hyperedges included, and the degrees are equal
+    # the rows, trailing empty hyperedges included, and the degrees are equal.
+    # None: an OS with no sched_getaffinity (macOS), where each CPU counts
     lib = _stretch.load()
     assert lib is not None
     real = lib.conflict_degrees
@@ -132,7 +133,12 @@ def test_threaded_native_count_covers_every_row_once(monkeypatch, cpus):
 
     monkeypatch.setattr(lib, "conflict_degrees", count)
     monkeypatch.setattr(hypergraph, "THREAD_PAIR_WORK", 1)
-    monkeypatch.setattr(hypergraph.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if cpus is None:
+        monkeypatch.delattr(hypergraph.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 3)
+        cpus = 3
+    else:
+        monkeypatch.setattr(hypergraph.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 17, 200):
         d = int(rng.integers(1, 30))

@@ -13,6 +13,8 @@ import shutil
 import stat
 import subprocess
 import time
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +267,22 @@ def _close(native, ref, scale):
     return np.abs(native - ref).max(initial=0.0) <= 1e-12 * scale
 
 
+_SIMULATE = _stretch.Stretch.simulate  # held, as a test may patch the class's
+
+
+def native_direction(stretch, s, src):
+    """(idx, g) of sample s read from src, with C's exact g, through the batch
+    contract: one step of the native simulated segment with tau = 0 and
+    gamma = 0, so that U[0] = g(src, s)."""
+    d = stretch.d
+    X, Xhat, U = np.zeros((2, d)), np.zeros((1, d)), np.zeros((1, d))
+    X[0] = src
+    _SIMULATE(stretch, X, Xhat, U, None, np.zeros((1, 0, d), dtype=bool), 0, 0,
+              np.array([s]), 0.0)
+    idx = stretch.support(s)
+    return idx, U[0, idx]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     problem=st.sampled_from(["linreg", "logreg", "vertexcover", "ragged"]),
@@ -293,7 +311,9 @@ def _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, see
     snap = (y, obj.full_grad(y)) if SOLVERS[algo].epochal else ()
     native, ref = factory(obj, *snap), _numpy_only(factory, obj, *snap)
     assert native.stretch is not None and ref.stretch is None
-    dirs = [(native.direction(s, x), ref.direction(s, x)) for s in range(native.samples)]
+    # C's g of each sample (a kernel's direction is its NumPy definition)
+    dirs = [(native_direction(native.stretch, s, x), ref.direction(s, x))
+            for s in range(native.samples)]
     scale = max(float(np.abs(g).max()) for _, (_, g) in dirs)
     for (idx, g), (ref_idx, ref_g) in dirs:
         assert np.array_equal(idx, ref_idx)
@@ -320,8 +340,9 @@ def _check_native_matches_numpy(problem, algo, radius, n, d, nnz, data_seed, see
 
 
 def _reference_segment(stretch, *args):
-    """asyncopt.sim's NumPy segment, with the native kernel's own direction."""
-    sim._reference_segment(Kernel(stretch.samples, stretch.direction, stretch=stretch), *args)
+    """asyncopt.sim's NumPy segment, on C's exact g of each sample."""
+    sim._reference_segment(Kernel(stretch.samples, partial(native_direction, stretch),
+                                  stretch=stretch), *args)
 
 
 def _simulate(problem, algo, tau, style, n, d, nnz, data_seed, seed, snapshot_interval):
@@ -355,8 +376,8 @@ TRACE_ROWS = ("X", "Xhat", "U", "epoch_start", "snapshot_a")
 def test_native_simulated_segment_equals_the_reference(
     problem, algo, tau, style, n, d, nnz, data_seed, seed, snapshot_interval,
 ):
-    # one C call per epoch gives the bits of the NumPy segment on the same
-    # native direction, and the NumPy path's trace to 1e-12
+    # one C call per epoch gives the bits of the NumPy segment on C's g of
+    # each sample, and the NumPy path's trace to 1e-12
     assume(nnz <= d)
     run_trace, obj = _simulate(problem, algo, tau, style, n, d, nnz, data_seed, seed,
                                snapshot_interval)
@@ -396,13 +417,16 @@ def test_simulated_segment_without_a_native_form_runs_the_reference(monkeypatch)
 
 def test_native_simulation_and_enumeration_make_no_per_sample_call(monkeypatch, ridge_small):
     # with the build loaded, a simulated epoch (q included) and each
-    # enumeration is one C call: no step or sample goes through direction
+    # enumeration is one C call: no step or sample goes through a NumPy
+    # direction or the NumPy segment
     obj, xstar = ridge_small
 
     def per_sample_call(*args):
-        raise AssertionError("a per-sample call of the one-sample direction")
+        raise AssertionError("a per-sample call of a NumPy direction")
 
-    monkeypatch.setattr(_stretch.Stretch, "direction", per_sample_call)
+    for owner, name in ((obj, "term_grad_vals"), (obj, "full_grad_coord"),
+                        (sim, "_reference_segment")):
+        monkeypatch.setattr(owner, name, per_sample_call)
     rng = np.random.default_rng(2)
     x, y = rng.uniform(-1.0, 1.0, (2, obj.d))
     for algo, cfg in (("sgm", SolverConfig(gamma=0.02, total_iters=20, seed=1)),
@@ -433,7 +457,7 @@ def test_deferred_dense_step_equals_a_pass_per_sample(problem, radius):
     for draws in (rng.integers(obj.n, size=37), rng.integers(obj.n, size=100)):
         kernel.stretch(x, draws, gamma, lo, hi, dense_step)
         for s in draws.tolist():  # a serial solver's update, without a stretch
-            idx, g = kernel.direction(s, ref)
+            idx, g = native_direction(kernel.stretch, s, ref)
             ref[idx] += -gamma * g
             ref += dense_step
             if lo is not None:
@@ -500,6 +524,35 @@ def test_native_source_compiles_without_warnings(tmp_path):
                                str(tmp_path / "warnings.o"), _stretch._SRC],
                               capture_output=True, text=True)
         assert proc.returncode == 0, (flags, proc.stderr)
+
+
+class _Bindings:
+    """A stand-in library that records the functions _bind_functions binds."""
+
+    def __init__(self):
+        self.bound = set()
+
+    def __getattr__(self, name):
+        self.bound.add(name)
+        return SimpleNamespace()
+
+
+@pytest.mark.skipif(shutil.which("nm") is None or shutil.which(_stretch._CC) is None,
+                    reason="no nm or no C compiler")
+def test_native_library_exports_only_its_batch_entry_points():
+    # the interface is pinned: the build defines no symbol the loader does
+    # not bind, the loader binds no symbol the build lacks, and each has argtypes
+    lib = _stretch.load()
+    assert lib is not None
+    nm = subprocess.run(["nm", "-D", "--defined-only", lib._name], capture_output=True,
+                        text=True, check=True)
+    exported = {line.split()[-1] for line in nm.stdout.splitlines() if line.strip()}
+    stand_in = _Bindings()
+    _stretch._bind_functions(stand_in)
+    entry_points = {"stretch", "moment", "sim_segment", "parse_libsvm", "conflict_degrees",
+                    "choice_rows"}
+    assert exported == stand_in.bound == entry_points
+    assert all(getattr(lib, name).argtypes is not None for name in entry_points)
 
 
 @pytest.fixture
