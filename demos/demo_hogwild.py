@@ -27,9 +27,7 @@ def main():
 
     runs = {}
     for workers in (1, 2, 4):
-        res, rep = ao.run_hogwild(
-            obj, cfg, x0, workers=workers, log_updates=False, track_f=True
-        )
+        res, rep = ao.run_hogwild(obj, cfg, x0, workers=workers, track_f=True)
         runs[workers] = res
         print(f"workers={workers}: f={obj.value(res.x):.6f} "
               f"wall={res.wall_time:.2f}s tau_observed={rep.tau_observed}")

@@ -34,8 +34,7 @@ def main():
           f"wall={sparse.wall_time:.2f}s")
 
     res, rep = ao.run_kromagnon(
-        obj, obj.weights, cfg, x0, workers=4, xstar=xstar,
-        log_updates=False, track_f=True,
+        obj, obj.weights, cfg, x0, workers=4, xstar=xstar, track_f=True,
     )
     print(f"async sparse: a_final={float((res.x - xstar) @ (res.x - xstar)):.3e} "
           f"wall={res.wall_time:.2f}s tau_observed={rep.tau_observed}")

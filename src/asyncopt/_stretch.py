@@ -71,14 +71,6 @@ class _Terms(ctypes.Structure):
     ]
 
 
-class _Sync(ctypes.Structure):
-    _fields_ = [
-        ("counter", ctypes.c_void_p), ("limit", ctypes.c_int64), ("wid", ctypes.c_int64),
-        ("atomic", ctypes.c_int64), ("edge", ctypes.c_void_p), ("worker", ctypes.c_void_p),
-        ("end", ctypes.c_void_p), ("jbuf", ctypes.c_void_p), ("abuf", ctypes.c_void_p),
-    ]
-
-
 def _cache_dirs():
     """Where the build may be cached, in order of preference."""
     return [os.path.join(os.path.dirname(_SRC), "__pycache__"),
@@ -208,10 +200,6 @@ class Stretch:
         )
         self._ref = ctypes.addressof(self._terms)
 
-    def support(self, i):
-        """The coordinates sample i writes."""
-        return np.array([i], dtype=np.int64) if self.coords else self.obj.term_support(i)
-
     def moment(self, x, out=None):
         """E_s ||g(x, s)||^2 over every sample s, adding each g into out (a
         contiguous float64 vector of d) on its support when given."""
@@ -249,13 +237,6 @@ class Stretch:
             raise IndexError("a draw is out of the sample range")
         return draws
 
-    def unpack(self, draws, abuf):
-        """The (idx, applied) of each of draws, from their deltas abuf, row after row."""
-        lens = np.ones(draws.size, dtype=np.int64) if self.coords else self._row_len[draws]
-        ends = np.cumsum(lens).tolist()
-        return [(self.support(i), abuf[end - n:end])
-                for i, n, end in zip(draws.tolist(), lens.tolist(), ends)]
-
     def __call__(self, x, draws, gamma, lo=None, hi=None, dense_step=None, sync=None):
         """x[idx] += -gamma * g for the samples draws, in place; returns how many
         it used.  Without sync the adds are plain and every draw is used, each
@@ -268,35 +249,41 @@ class Stretch:
             if sync is not None:
                 raise ValueError("a dense step is written by a serial solver only")
             dense_step = _f64(dense_step, self.d)
-        jbuf = abuf = c_sync = None
-        if sync is not None:
-            if sync.log.logs_updates:
-                jbuf = np.empty(draws.size, dtype=np.int64)
-                abuf = np.empty(draws.size if self.coords else int(self._row_len[draws].sum()))
-            c_sync = _Sync(sync.counter.ctypes.data, sync.limit, sync.wid, sync.atomic,
-                           *(_ptr(a) for a in (sync.log.edge, sync.log.worker, sync.log.end,
-                                               jbuf, abuf)))
+        updates = None if sync is None else sync.log.updates
+        if updates is not None:
+            lens = np.ones(draws.size, dtype=np.int64) if self.coords else self._row_len[draws]
+            jbuf, abuf = np.empty(draws.size, dtype=np.int64), np.empty(int(lens.sum()))
+            sync.jbuf, sync.abuf = jbuf.ctypes.data, abuf.ctypes.data
         used = self.lib.stretch(
             self._ref, x.ctypes.data, self.d, draws.ctypes.data, draws.size, -gamma,
             lo is not None, 0.0 if lo is None else lo, 0.0 if hi is None else hi,
-            _ptr(dense_step), None if c_sync is None else ctypes.addressof(c_sync),
+            _ptr(dense_step), None if sync is None else ctypes.addressof(sync),
         )
         if used < 0:
             raise MemoryError("native stretch could not allocate its row buffer")
-        if jbuf is not None:  # unpacked into sync.log.updates when that is read
-            sync.log.defer_updates(jbuf[:used], lambda taken=draws[:used]: self.unpack(taken, abuf))
+        if updates is not None:  # each sample's (idx, applied) at its j
+            applied = np.split(abuf, np.cumsum(lens[:used]))
+            for j, i, a in zip(jbuf[:used].tolist(), draws[:used].tolist(), applied):
+                updates[j] = (np.array([i]) if self.coords else self.obj.term_support(i), a)
         return used
 
 
-class Sync:
-    """One engine worker's share of a stretch: the shared sample counter (an
-    int64 array of one cell) each sample takes its index j from, the limit at
-    which the workers stop, the worker id, whether other workers run at the
-    same time (fetch-add takes, atomic reads and compare-and-swap adds; plain
-    ones otherwise), the SampleLog each sample is recorded in at j (edge,
-    worker, end[j]: the counter once j's write has landed, and the applied
-    deltas when the log keeps updates), and whether each sample reads a
-    consistent copy of x, which only serial.Kernel.reference does."""
+class Sync(ctypes.Structure):
+    """One engine worker's share of a segment's stretch calls, as the native
+    stretch reads it: the shared sample counter (an int64 array of one cell)
+    each sample takes its index j from, the limit at which the workers stop,
+    the worker id, whether other workers run at the same time (fetch-add
+    takes, atomic reads and compare-and-swap adds; plain ones otherwise), the
+    SampleLog each sample is recorded in at j (edge, worker, end[j]: the
+    counter once j's write has landed, and updates[j] when the log keeps
+    them, through a call's buffers jbuf and abuf), and whether each sample
+    reads a consistent copy of x, which only serial.Kernel.reference does."""
+
+    _fields_ = [
+        ("_counter", ctypes.c_void_p), ("limit", ctypes.c_int64), ("wid", ctypes.c_int64),
+        ("atomic", ctypes.c_int64), ("_edge", ctypes.c_void_p), ("_worker", ctypes.c_void_p),
+        ("_end", ctypes.c_void_p), ("jbuf", ctypes.c_void_p), ("abuf", ctypes.c_void_p),
+    ]
 
     def __init__(self, counter, limit, wid, atomic, log, snapshot=False):
         if counter.dtype != np.int64 or counter.shape != (1,):
@@ -306,8 +293,9 @@ class Sync:
                    for a, dt in arrays):
             raise ValueError("the SampleLog arrays must be contiguous, of its dtypes, and "
                              "hold the limit's samples")
-        self.counter, self.limit, self.wid, self.log = counter, int(limit), int(wid), log
-        self.atomic, self.snapshot = bool(atomic), bool(snapshot)
+        super().__init__(counter.ctypes.data, int(limit), int(wid), bool(atomic),
+                         *(a.ctypes.data for a, _ in arrays))
+        self.counter, self.log, self.snapshot = counter, log, bool(snapshot)
 
 
 def choice_rows(lib, rng, n, d, nnz):

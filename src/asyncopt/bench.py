@@ -117,29 +117,30 @@ def run_plan(plan: BenchPlan) -> str:
     """Execute the grid; returns the artifact directory path."""
     obj = build_objective(plan)
     c = obj.constants
-    runs_dir = os.path.join(plan.outdir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
     S = plan.epoch_size if plan.epoch_size is not None else obj.n
     E = plan.epochs
     x0 = np.zeros(obj.d)
     f0 = obj.value(x0)
-    results = {}
+    configs = {}  # every run's config, resolved before any file is made
     gammas = {}
-    diverged = []
     for algo in plan.algorithms:
-        solver = SOLVERS[algo]
-        rule = "explicit" if plan.gamma is not None else solver.rule
+        rule = "explicit" if plan.gamma is not None else SOLVERS[algo].rule
         # flat runs take S * E samples with a checkpoint every S, the epochal runs' grid
         cfg = SolverConfig(gamma=plan.gamma, step_rule=rule, eps=plan.eps, total_iters=S * E,
                            epoch_size=S, epochs=E, snapshot_interval=plan.snapshot_interval,
                            log_every=S)
         cfg = resolve_config(cfg, obj, algo)
         gammas[algo] = (cfg.gamma, rule)
-        for w in plan.workers if solver.threaded else (1,):
-            for seed in plan.seeds:
-                res, _ = run(obj, algo, replace(cfg, seed=seed), x0, w, track_f=True,
-                             log_updates=False)
-                key = (algo, w, seed)
+        configs[algo] = [replace(cfg, seed=seed) for seed in plan.seeds]
+    runs_dir = os.path.join(plan.outdir, "runs")
+    os.makedirs(runs_dir, exist_ok=True)
+    results = {}
+    diverged = []
+    for algo, cfgs in configs.items():
+        for w in plan.workers if SOLVERS[algo].threaded else (1,):
+            for cfg in cfgs:
+                res, _ = run(obj, algo, cfg, x0, w, track_f=True)
+                key = (algo, w, cfg.seed)
                 results[key] = res
                 if res.diverged:
                     diverged.append(key)

@@ -83,17 +83,17 @@ def cmd_run(args):
         args.usage_error(f"cannot write {args.out}: not a file in a writable directory")
     obj = _objective(args)
     rule = "explicit" if args.gamma is not None else SOLVERS[args.mode].rule
-    common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
-                  linf=LinfBall(args.linf_radius))
 
     def settings():
-        # an unset horizon takes its default; SolverConfig refuses a 0
-        S = obj.n if args.epoch_size is None else args.epoch_size
-        E = 5 if args.epochs is None else args.epochs
+        common = dict(gamma=args.gamma, step_rule=rule, eps=1e-2, seed=args.seed,
+                      linf=LinfBall(args.linf_radius))
+        # an unset horizon takes its default; a set one below 1 is refused by its flag
+        S = obj.n if args.epoch_size is None else _horizon("--epoch-size", args.epoch_size)
+        E = 5 if args.epochs is None else _horizon("--epochs", args.epochs)
         if SOLVERS[args.mode].epochal:
             cfg = SolverConfig(epoch_size=S, epochs=E, log_every=args.log_every, **common)
         else:
-            T = S * E if args.iters is None else args.iters
+            T = S * E if args.iters is None else _horizon("--iters", args.iters)
             cfg = SolverConfig(total_iters=T, log_every=args.log_every or max(1, T // 20),
                                **common)
         cfg = resolve_config(cfg, obj, args.mode)
@@ -104,8 +104,7 @@ def cmd_run(args):
     if rule != "explicit":
         print(f"step size {cfg.gamma:.3e} from rule {rule}", file=sys.stderr)
     mode = FULL_SNAPSHOT if args.read == "full" else SPARSE_INCONSISTENT
-    res, rep = run(obj, args.mode, cfg, np.zeros(obj.d), args.workers, mode, track_f=True,
-                   log_updates=False)
+    res, rep = run(obj, args.mode, cfg, np.zeros(obj.d), args.workers, mode, track_f=True)
     final_f = obj.value(res.x)
     print(f"iterations: {res.iters}")
     print(f"final objective: {final_f:.10g}")
@@ -119,16 +118,26 @@ def cmd_run(args):
     return 1 if res.diverged else 0
 
 
-def _plan_value(field, value):
-    """A BenchPlan field value from its config-file or command-line text."""
-    if not isinstance(value, str):
-        return value
+def _horizon(name, value):
+    """value, refused by name when below 1 (a flat solver folds it into total_iters)."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _plan_value(field, value, name):
+    """A BenchPlan field value from its config-file or command-line text (or
+    argparse's value), refused by name, the flag or the config key, when it
+    does not parse or a horizon is below 1."""
     kind = field.type.split(" |")[0]
-    if kind == "tuple":
-        return tuple(type(field.default[0])(t) for t in value.split(","))
-    if kind == "SyntheticSpec":
-        return value  # its label model depends on the final problem
-    return {"str": str, "int": int, "float": float}[kind](value)
+    if isinstance(value, str) and kind != "SyntheticSpec":  # its label model waits for the problem
+        parse = {"str": str, "int": int, "float": float}.get(kind) or type(field.default[0])
+        try:
+            value = tuple(map(parse, value.split(","))) if kind == "tuple" else parse(value)
+        except ValueError:
+            form = {"tuple": "comma-separated integers", "int": "an integer", "float": "a number"}
+            raise ValueError(f"{name} takes {form[kind]}, got {value!r}") from None
+    return _horizon(name, value) if field.name in ("epochs", "epoch_size") else value
 
 
 def _bench_plan(args):
@@ -137,11 +146,12 @@ def _bench_plan(args):
     flags = vars(args)
     values = {}
     for f in dataclasses.fields(BenchPlan):
-        v = flags.get("data" if f.name == "dataset" else f.name)
+        flag = "data" if f.name == "dataset" else f.name
+        v, name = flags.get(flag), "--" + flag.replace("_", "-")
         if v is None:
-            v = raw.get(f.name)
+            v, name = raw.get(f.name), f.name
         if v is not None:
-            values[f.name] = _plan_value(f, v)
+            values[f.name] = _plan_value(f, v, name)
     if "synthetic" in values:
         values["synthetic"] = _synthetic_spec(
             values["synthetic"], values.get("problem", BenchPlan.problem), args.synthetic_seed

@@ -93,29 +93,13 @@ class SampleLog:
     """Per-sample records at the index j each sample took from the shared
     counter (0..T-1): edge (hyperedge id, or coordinate id for ASCD), worker,
     end, the counter once j's write had landed, and updates, the applied (idx,
-    deltas) when logged (else None), flat until the first read (defer_updates)."""
+    deltas) set at j as the sample is taken when the log keeps them (else None)."""
 
-    def __init__(self, edge, worker, end, updates, deferred=()):
-        self.edge, self.worker, self.end = edge, worker, end
-        self._updates, self._deferred = updates, list(deferred)
+    def __init__(self, edge, worker, end, updates):
+        self.edge, self.worker, self.end, self.updates = edge, worker, end, updates
 
     def __len__(self):
         return int(self.edge.size)
-
-    logs_updates = property(lambda self: self._updates is not None)
-
-    @property
-    def updates(self):
-        for js, unpack in self._deferred:
-            for j, update in zip(js.tolist(), unpack()):
-                if j < len(self._updates):  # a head() drops the samples past it
-                    self._updates[j] = update
-        self._deferred = []
-        return self._updates
-
-    def defer_updates(self, js, unpack):
-        """The updates of samples js, as the list unpack() returns, at the first read."""
-        self._deferred.append((js, unpack))
 
     @classmethod
     def empty(cls, total, log_updates):
@@ -127,7 +111,7 @@ class SampleLog:
     def head(self, count):
         """The records of the first count samples."""
         return SampleLog(self.edge[:count], self.worker[:count], self.end[:count],
-                         None if self._updates is None else self._updates[:count], self._deferred)
+                         None if self.updates is None else self.updates[:count])
 
 
 class OverlapReport:
@@ -182,19 +166,21 @@ def check_workers(algo, workers):
 
 def run(
     obj, algo, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
-    xstar=None, log_updates=True, track_f=False,
+    xstar=None, log_updates=False, track_f=False,
 ):
     """Run the solver named algo (a key of serial.SOLVERS) from x0: (RunResult,
     OverlapReport), the report None for a serial solver, which takes workers=1.
 
     Each segment between two checkpoints of serial._checkpoints runs every
     worker's _stretch_worker, worker 0 on this thread.  Each worker builds its
-    own kernel, since SCD's read buffer is private.  The workers of a threaded
-    solver share a sample counter through their Syncs; in the
-    full_consistent_snapshot mode, which a serial solver ignores, several
-    workers run the kernel's NumPy reference, whose reads copy x (a native
-    whole-vector read beside compare-and-swap writes would not be consistent;
-    a lone worker has no writer beside it and keeps its stretch)."""
+    own kernel, since SCD's read buffer is private, and its Sync, through
+    which the workers of a threaded solver share a sample counter and the
+    SampleLog (which keeps each sample's applied update only with
+    log_updates).  In the full_consistent_snapshot mode, which a serial
+    solver ignores, several workers run the kernel's NumPy reference, whose
+    reads copy x (a native whole-vector read beside compare-and-swap writes
+    would not be consistent; a lone worker has no writer beside it and keeps
+    its stretch)."""
     cfg = resolve_config(cfg, obj, algo)  # rejects a name that is not in SOLVERS
     check_workers(algo, workers)
     solver = SOLVERS[algo]
@@ -232,21 +218,21 @@ def run(
 
 def run_hogwild(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
-    xstar=None, log_updates=True, track_f=False,
+    xstar=None, log_updates=False, track_f=False,
 ):
     return run(obj, "hogwild", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_ascd(
     obj, cfg: SolverConfig, x0, workers=1, mode=SPARSE_INCONSISTENT,
-    xstar=None, log_updates=True, track_f=False,
+    xstar=None, log_updates=False, track_f=False,
 ):
     return run(obj, "ascd", cfg, x0, workers, mode, xstar, log_updates, track_f)
 
 
 def run_kromagnon(
     obj, weights: CoordinateWeights | None, cfg: SolverConfig, x0, workers=1,
-    mode=SPARSE_INCONSISTENT, xstar=None, log_updates=True, track_f=False,
+    mode=SPARSE_INCONSISTENT, xstar=None, log_updates=False, track_f=False,
 ):
     _require_covered(weights)
     return run(obj, "kromagnon", cfg, x0, workers, mode, xstar, log_updates, track_f)

@@ -211,14 +211,13 @@ class Kernel(NamedTuple):
         sync.snapshot is set, and writes through add_clamped when sync.atomic."""
         if sync is not None and dense_step is not None:
             raise ValueError("a dense step is written by a serial solver only")
-        keep = sync is not None and sync.log.logs_updates
-        js, updates, used = [], [], 0
-        for s in draws.tolist():
+        updates = None if sync is None else sync.log.updates
+        for used, s in enumerate(draws.tolist()):
             if sync is not None:
                 with _COUNTER_LOCK:
                     j = int(sync.counter[0])
                     if j >= sync.limit:
-                        break
+                        return used
                     sync.counter[0] = j + 1
             idx, g = self.direction(s, _snapshot(x) if sync is not None and sync.snapshot else x)
             delta = -gamma * g
@@ -233,16 +232,12 @@ class Kernel(NamedTuple):
                         np.clip(x, lo, hi, out=x)
                 elif lo is not None:
                     x[idx] = np.clip(x[idx], lo, hi)
-                applied = x[idx] - old if keep else None
+                applied = None if updates is None else x[idx] - old
             if sync is not None:
                 sync.log.edge[j], sync.log.worker[j], sync.log.end[j] = s, sync.wid, sync.counter[0]
-                if keep:
-                    js.append(j)
-                    updates.append((idx, applied))
-            used += 1
-        if js:
-            sync.log.defer_updates(np.array(js, dtype=np.int64), lambda: updates)
-        return used
+                if updates is not None:
+                    updates[j] = (idx, applied)
+        return draws.size
 
 
 _STRIPES = [threading.Lock() for _ in range(64)]  # coordinate v's writes take lock v % 64

@@ -68,8 +68,8 @@ class LinfBall:
     radius: float | None = None
 
     def __post_init__(self):
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive when bounded")
+        if self.radius is not None and not self.radius > 0:  # nan too
+            raise ValueError(f"radius must be positive when bounded, got {self.radius}")
 
     @property
     def bounded(self):

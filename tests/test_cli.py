@@ -99,11 +99,18 @@ def test_run_refuses_bad_settings(capsys):
         (["--mode", "sgm", "--gamma", "nan"], "gamma must be finite and positive"),
         (["--mode", "hogwild", "--gamma", "0.01", "--log-every", "-5"], "log_every must be >= 0"),
         (["--mode", "hogwild", "--gamma", "0.01", "--workers", "0"], "workers must be >= 1"),
-        # a zero horizon is refused, not replaced by the default
-        (["--mode", "hogwild", "--gamma", "0.01", "--iters", "0"], "total_iters must be >= 1"),
-        (["--mode", "svrg_sparse", "--gamma", "0.01", "--epochs", "0"], "epochs must be >= 1"),
+        # a zero horizon is refused by its flag, not replaced by the default
+        (["--mode", "hogwild", "--gamma", "0.01", "--iters", "0"], "--iters must be >= 1, got 0"),
+        (["--mode", "svrg_sparse", "--gamma", "0.01", "--epochs", "0"],
+         "--epochs must be >= 1, got 0"),
         (["--mode", "kromagnon", "--gamma", "0.01", "--epoch-size", "0"],
-         "epoch_size must be >= 1"),
+         "--epoch-size must be >= 1, got 0"),
+        (["--mode", "sgm", "--gamma", "0.01", "--linf-radius", "0"],
+         "radius must be positive when bounded, got 0.0"),
+        (["--mode", "sgm", "--gamma", "0.01", "--linf-radius", "-1"],
+         "radius must be positive when bounded, got -1.0"),
+        (["--mode", "sgm", "--gamma", "0.01", "--linf-radius", "nan"],
+         "radius must be positive when bounded, got nan"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(base + flags)
@@ -111,6 +118,60 @@ def test_run_refuses_bad_settings(capsys):
         err = capsys.readouterr().err
         assert "usage: asyncopt run" in err, flags
         assert f"error: {message}" in err, (flags, err)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--mode", "sgm", "--epochs", "0"]),
+    ("run", ["--mode", "hogwild", "--epoch-size", "0"]),
+    ("bench", ["--epochs", "0"]),
+    ("bench", ["--epochs", "-2"]),
+    ("bench", ["--epoch-size", "0"]),
+])
+def test_horizon_refusal_names_the_flag_given(tmp_path, capsys, command, flags):
+    # a flat solver folds --epochs and --epoch-size into total_iters, a field
+    # the user never set; the refusal names the flag instead
+    extra = {"run": ["--gamma", "0.01"],
+             "bench": ["--algorithms", "hogwild", "--workers", "1",
+                       "--outdir", str(tmp_path / "out")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "linreg", "--synthetic", "60,12,3", *extra, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {flags[-2]} must be >= 1, got {flags[-1]}" in err, err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("field, value", [("workers", "1,x"), ("seeds", "x")])
+def test_bench_list_that_does_not_parse_is_refused_by_name(tmp_path, capsys, source, field,
+                                                           value):
+    # named as given: the flag, or the config file's key
+    argv = ["bench", "--problem", "linreg", "--synthetic", "60,12,3", "--outdir",
+            str(tmp_path / "out")]
+    if source == "flag":
+        argv += [f"--{field}", value]
+    else:
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"{field}={value}\n")
+        argv += ["--config", str(plan)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    name = f"--{field}" if source == "flag" else field
+    err = capsys.readouterr().err
+    assert f"error: {name} takes comma-separated integers, got '{value}'" in err, err
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "-1"], ["--seeds", "0,-1"]])
+def test_refused_bench_leaves_no_outdir(tmp_path, capsys, flags):
+    # every run's config is resolved before the artifact directory is made
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "linreg", "--synthetic", "60,12,3", "--algorithms",
+              "hogwild,svrg_dense", "--workers", "1", "--epochs", "2", "--outdir", str(outdir),
+              *flags])
+    assert exc.value.code == 2
+    assert "error: seed must be in [0, 2**63), got -1" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_run_refuses_an_unwritable_out_before_solving(tmp_path, capsys, monkeypatch):

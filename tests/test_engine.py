@@ -263,19 +263,23 @@ def test_four_numpy_workers_log_each_sample_once(ridge_small, monkeypatch, nativ
     # four workers on the NumPy reference stretch (the snapshot read mode, or
     # no native build): each sample index is taken under the counter lock and
     # each write under its stripe lock, so every j is logged once and the
-    # logged updates sum to x
+    # logged updates sum to x.  The stretch calls take T samples in all and
+    # every updates[j] of the T is set, so no j was taken twice
     from asyncopt import _stretch, engine
+    from asyncopt.serial import Kernel
 
     if not native:
         monkeypatch.setattr(_stretch, "load", lambda: None)
-    taken = []
-    real_defer = engine.SampleLog.defer_updates
+    used = []
 
-    def spy(log, js, unpack):
-        taken.append(js.copy())
-        return real_defer(log, js, unpack)
+    def counting(real):
+        def stretch(*args, **kwargs):
+            used.append(real(*args, **kwargs))
+            return used[-1]
+        return stretch
 
-    monkeypatch.setattr(engine.SampleLog, "defer_updates", spy)
+    monkeypatch.setattr(_stretch.Stretch, "__call__", counting(_stretch.Stretch.__call__))
+    monkeypatch.setattr(Kernel, "reference", counting(Kernel.reference))
     obj, _ = ridge_small
     cfg = SolverConfig(gamma=0.02 if algo == "hogwild" else 0.005, total_iters=3000, seed=14)
     x0 = np.zeros(obj.d)
@@ -284,7 +288,8 @@ def test_four_numpy_workers_log_each_sample_once(ridge_small, monkeypatch, nativ
     assert len(native_worker_calls) == (4 if native_path else 0)
     log = rep.log
     assert res.iters == len(log) == 3000
-    assert np.array_equal(np.sort(np.concatenate(taken)), np.arange(res.iters))
+    assert sum(used) == res.iters
+    assert all(update is not None for update in log.updates)
     assert ((log.worker >= 0) & (log.worker < 4)).all()
     _check_ends(log, 4)
     total = x0.copy()
@@ -326,11 +331,32 @@ def test_logged_updates_stop_at_the_last_checkpoint(native_worker_calls):
     )
     cfg = SolverConfig(gamma=30.0 / obj.constants.L_term, total_iters=3000, seed=0,
                        log_every=100)
-    res, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=2)
+    res, rep = run_hogwild(obj, cfg, x0=np.zeros(obj.d), workers=2, log_updates=True)
     assert native_worker_calls and res.diverged and 0 < res.iters < 3000
     assert len(rep.log.updates) == res.iters
     assert all(idx.tolist() == obj.term_support(i).tolist()
                for (idx, _), i in zip(rep.log.updates, rep.log.edge))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["built", "unbuilt"])
+def test_update_log_is_off_by_default(ridge_small, monkeypatch, native):
+    # the threaded runs log edge, worker and end of each sample, but keep its
+    # applied update only when asked to
+    from asyncopt import _stretch, engine
+
+    if not native:
+        monkeypatch.setattr(_stretch, "load", lambda: None)
+    obj, _ = ridge_small
+    flat = SolverConfig(gamma=0.005, total_iters=300, seed=2)
+    epochal = SolverConfig(gamma=0.005, epoch_size=100, epochs=2, seed=2)
+    x0 = np.zeros(obj.d)
+    for res, rep in [
+        engine.run(obj, "hogwild", flat, x0, workers=2),
+        run_hogwild(obj, flat, x0, workers=2),
+        run_ascd(obj, flat, x0, workers=2),
+        run_kromagnon(obj, obj.weights, epochal, x0, workers=2),
+    ]:
+        assert len(rep.log) == res.iters > 0 and rep.log.updates is None
 
 
 def test_worker_zero_runs_on_the_calling_thread(ridge_small, monkeypatch):

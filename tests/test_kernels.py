@@ -279,7 +279,7 @@ def native_direction(stretch, s, src):
     X[0] = src
     _SIMULATE(stretch, X, Xhat, U, None, np.zeros((1, 0, d), dtype=bool), 0, 0,
               np.array([s]), 0.0)
-    idx = stretch.support(s)
+    idx = np.array([s]) if stretch.coords else stretch.obj.term_support(s)
     return idx, U[0, idx]
 
 

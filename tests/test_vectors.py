@@ -31,8 +31,9 @@ def test_linf_ball_projection():
     assert clamp_bounds(Obj, ball) == (-2.0, 2.0)
     Obj.box = (0.0, 1.0)  # the ball intersected with the objective's box
     assert clamp_bounds(Obj, ball) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        LinfBall(-1.0)
+    for radius in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive when bounded"):
+            LinfBall(radius)
 
 
 def test_sq_distance():
